@@ -9,8 +9,8 @@
      dune exec bench/main.exe -- perf-sim     # compressed vs element cache sim
                                               # + 1-vs-N-domain sweeps
                                               # (writes BENCH_sim.json)
-     dune exec bench/main.exe -- perf-gemm    # executable GEMM: specialized
-                                              # kernel tier, paper-scale GEMM,
+     dune exec bench/main.exe -- perf-gemm    # executable GEMM: kernel
+                                              # tiers, paper-scale GEMM,
                                               # pool invariance, batched layers
                                               # (writes BENCH_gemm.json)
      dune exec bench/main.exe -- perf-serve   # cold vs cache-hydrated builds,
@@ -35,6 +35,23 @@ module Btoolkit = Toolkit
 
 let test_of_fun name f = Test.make ~name (Staged.stage f)
 
+(* Float32 Bigarray tiles for the single-call benches: integer values in
+   [-3, 3], exact in every tier. *)
+let random_ba st n : Exo_blis.Gemm.ba32 =
+  let b = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.set b i (float_of_int (Random.State.int st 7 - 3))
+  done;
+  b
+
+let ba_copy (b : Exo_blis.Gemm.ba32) : Exo_blis.Gemm.ba32 =
+  let c =
+    Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
+      (Bigarray.Array1.dim b)
+  in
+  Bigarray.Array1.blit b c;
+  c
+
 let bench_tests () =
   let module F = Exo_ukr_gen.Family in
   let module S = Exo_ukr_gen.Steps in
@@ -47,7 +64,9 @@ let bench_tests () =
   and b24 = M.random_int 16 36 st
   and c24 = M.random_int 24 36 st in
   let blocking = { Exo_blis.Analytical.mc = 16; kc = 8; nc = 24 } in
-  let exo_ukr = Exo_blis.Registry.exo_ukr () in
+  let kernels = Exo_blis.Registry.exo_bank ~mr:8 ~nr:12 () in
+  let ac = random_ba st (32 * 8) and bc = random_ba st (32 * 12) in
+  let c = random_ba st (12 * 8) in
   let resnet_layer (l : Exo_workloads.Models.layer) s =
     let m, n, k = Exo_workloads.Models.gemm_dims l in
     ignore (D.time machine s ~m ~n ~k)
@@ -62,11 +81,8 @@ let bench_tests () =
         ignore
           (Exo_codegen.C_emit.proc_to_c
              (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
-    test_of_fun "interp: one 8x12 kernel call (kc=32)" (fun () ->
-        let ac = Array.make (32 * 8) 1.0
-        and bc = Array.make (32 * 12) 1.0
-        and c = Array.make (12 * 8) 0.0 in
-        exo_ukr ~kc:32 ~mr:8 ~nr:12 ~ac ~ao:0 ~bc ~bo:0 ~c);
+    test_of_fun "ukr: one 8x12 serving-table call (kc=32)" (fun () ->
+        (kernels ()).((7 * 12) + 11) ~kc:32 ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0);
     (* per-table/figure harness computations *)
     test_of_fun "fig12: census of the generated kernel" (fun () ->
         ignore (Exo_sim.Trace.of_proc (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
@@ -105,9 +121,9 @@ let bench_tests () =
           (fun l -> List.iter (resnet_layer l) (D.all_setups ()))
           Exo_workloads.Models.vgg16);
     (* numeric substrate *)
-    test_of_fun "gemm: 24x36x16 blocked + interpreted Exo kernels" (fun () ->
+    test_of_fun "gemm: 24x36x16 blocked + Exo kernel bank" (fun () ->
         let c = M.copy c24 in
-        G.blis ~blocking ~mr:8 ~nr:12 ~ukr:exo_ukr a24 b24 c);
+        G.blis_ba ~blocking ~mr:8 ~nr:12 ~kernels a24 b24 c);
     test_of_fun "gemm: 24x36x16 naive f32" (fun () ->
         let c = M.copy c24 in
         G.naive_f32 a24 b24 c);
@@ -220,26 +236,21 @@ let run_perf () =
   Fmt.pr "Execution-engine benchmark: 8x12 f32 kernel, one call at kc=%d@." kc;
   Fmt.pr "%s@." (String.make 78 '-');
   let st = Random.State.make [| 42 |] in
-  let mk n = Array.init n (fun _ -> float_of_int (Random.State.int st 7 - 3)) in
-  let ac = mk (kc * mr) and bc = mk (kc * nr) in
-  let c0 = mk (nr * mr) in
-  let compiled = R.exo_ukr_closure () and interp = R.exo_ukr_interp () in
+  let ac = random_ba st (kc * mr) and bc = random_ba st (kc * nr) in
+  let c0 = random_ba st (nr * mr) in
+  let compiled = R.oracle_entry R.Closure ~mr ~nr ()
+  and interp = R.oracle_entry R.Interp ~mr ~nr () in
   (* sanity: both engines produce the identical C tile *)
-  let c1 = Array.copy c0 and c2 = Array.copy c0 in
-  compiled ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
-  interp ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c2;
+  let c1 = ba_copy c0 and c2 = ba_copy c0 in
+  compiled ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c1 ~co:0;
+  interp ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c2 ~co:0;
   if c1 <> c2 then failwith "perf: compiled and interpreted kernels disagree";
   Fmt.pr "engines agree bit-exactly on the C tile@.";
+  let c = ba_copy c0 in
   let t_compiled =
-    time_runs (fun () ->
-        let c = Array.copy c0 in
-        compiled ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
+    time_runs (fun () -> compiled ~kc ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0)
   in
-  let t_interp =
-    time_runs (fun () ->
-        let c = Array.copy c0 in
-        interp ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
-  in
+  let t_interp = time_runs (fun () -> interp ~kc ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0) in
   let speedup = t_interp /. t_compiled in
   Fmt.pr "tree-walking interpreter : %12.1f us/call@." (t_interp *. 1e6);
   Fmt.pr "compiled closures        : %12.1f us/call@." (t_compiled *. 1e6);
@@ -414,11 +425,11 @@ let run_perf_sim ?(smoke = false) () =
   Fmt.pr "wrote BENCH_sim.json@.@."
 
 (* ------------------------------------------------------------------ *)
-(* perf-gemm: the executable GEMM path. Measures the three kernel tiers *)
-(* (closure engine, flat tape, monomorphized Bigarray) on one 8x12 call *)
-(* at paper kc, times a full paper-scale GEMM through the Bigarray      *)
-(* macro-kernel (validated exactly against naive f32 AND the flat tier, *)
-(* with zero closure fallbacks demanded of the complete table), checks  *)
+(* perf-gemm: the executable GEMM path. Measures the kernel tiers       *)
+(* (closure oracle, monomorphized Bigarray, native JIT) on one 8x12     *)
+(* call at paper kc, times a full paper-scale GEMM through the          *)
+(* macro-kernel (validated exactly against naive f32 AND the Bigarray   *)
+(* bank, with zero closure fallbacks demanded of the table), checks     *)
 (* bit-identical C at pool widths 1/2/4 over the (jc x ic) task grid —  *)
 (* including a small-n ResNet50 layer shape where jc alone is one task  *)
 (* — and runs a DNN workload slice through Gemm.batch_ba. Writes        *)
@@ -434,36 +445,21 @@ let run_perf_gemm ?(smoke = false) () =
   let min_time = if smoke then 0.05 else 0.3 in
   Fmt.pr "Executable-GEMM benchmark%s@." (if smoke then " (smoke)" else "");
   Fmt.pr "%s@." (String.make 78 '-');
-  (* 1. one micro-kernel call: specialized flat-loop tier vs the closure
-     engine, at the paper blocking's kc *)
+  (* 1. one micro-kernel call per tier at the paper blocking's kc: the
+     closure oracle, the Bigarray executor and the serving (native) entry *)
   let kc = if smoke then 128 else 512 in
   let mr = 8 and nr = 12 in
   let st = Random.State.make [| 42 |] in
-  let mk n = Array.init n (fun _ -> float_of_int (Random.State.int st 7 - 3)) in
-  let ac = mk (kc * mr) and bc = mk (kc * nr) in
-  let c0 = mk (nr * mr) in
-  let fast =
-    match R.exo_ukr_fast ~mr ~nr () with
-    | Some u -> u
-    | None -> failwith "perf-gemm: 8x12 kernel rejected by the specialized tier"
-  in
-  let closure = R.exo_ukr_closure () in
-  let c1 = Array.copy c0 and c2 = Array.copy c0 in
-  fast ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c1;
-  closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c:c2;
-  if c1 <> c2 then failwith "perf-gemm: specialized and closure kernels disagree";
-  Fmt.pr "kernel tiers agree bit-exactly on the C tile@.";
-  let t_fast =
-    time_runs ~min_time (fun () ->
-        let c = Array.copy c0 in
-        fast ~kc ~ac ~ao:0 ~bc ~bo:0 ~c)
-  in
+  let ac_ba = random_ba st (kc * mr) and bc_ba = random_ba st (kc * nr) in
+  let c0 = random_ba st (nr * mr) in
+  let closure = R.oracle_entry R.Closure ~mr ~nr () in
+  let c1 = ba_copy c0 in
+  closure ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c1 ~co:0;
   let t_closure =
+    let c = ba_copy c0 in
     time_runs ~min_time (fun () ->
-        let c = Array.copy c0 in
-        closure ~kc ~mr ~nr ~ac ~ao:0 ~bc ~bo:0 ~c)
+        closure ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
-  let ukr_speedup = t_closure /. t_fast in
   (* the monomorphized Bigarray tier on the same tile, through the real
      dispatch table (counting wrapper included) *)
   let table = R.exo_table ~mr ~nr () in
@@ -495,25 +491,12 @@ let run_perf_gemm ?(smoke = false) () =
       "perf-gemm: registry served a table entry without a static certificate";
   (* the Bigarray-tier entry (pre-upgrade bank): the native tier's A side *)
   let ba_ukr = R.table_base_entry table ~mr ~nr in
-  let to_ba arr =
-    let b =
-      Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout
-        (Array.length arr)
-    in
-    Array.iteri (Bigarray.Array1.set b) arr;
-    b
-  in
-  let ac_ba = to_ba ac and bc_ba = to_ba bc in
-  let c3 = to_ba c0 in
+  let c3 = ba_copy c0 in
   ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c3 ~co:0;
-  Array.iteri
-    (fun i v ->
-      if not (Float.equal (Bigarray.Array1.get c3 i) v) then
-        failwith "perf-gemm: Bigarray and closure kernels disagree")
-    c1;
-  Fmt.pr "kernel tiers (incl. Bigarray) agree bit-exactly on the C tile@.";
+  if c3 <> c1 then failwith "perf-gemm: Bigarray and closure kernels disagree";
+  Fmt.pr "kernel tiers (closure, Bigarray) agree bit-exactly on the C tile@.";
   let t_ba =
-    let c = to_ba c0 in
+    let c = ba_copy c0 in
     time_runs ~min_time (fun () ->
         ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
@@ -522,15 +505,12 @@ let run_perf_gemm ?(smoke = false) () =
      certified this host, the Bigarray executor otherwise *)
   let nat_info = table.R.t_native_info in
   let serving_ukr = R.table_entry table ~mr ~nr in
-  let c4 = to_ba c0 in
+  let c4 = ba_copy c0 in
   serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c4 ~co:0;
-  Array.iteri
-    (fun i v ->
-      if not (Float.equal (Bigarray.Array1.get c4 i) v) then
-        failwith "perf-gemm: serving (native) and closure kernels disagree")
-    c1;
+  if c4 <> c1 then
+    failwith "perf-gemm: serving (native) and closure kernels disagree";
   let t_native_ukr =
-    let c = to_ba c0 in
+    let c = ba_copy c0 in
     time_runs ~min_time (fun () ->
         serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
@@ -539,13 +519,9 @@ let run_perf_gemm ?(smoke = false) () =
     nat_info.R.ni_target nat_info.R.ni_cc nat_info.R.ni_entries (mr * nr)
     nat_info.R.ni_reason;
   Fmt.pr "closure engine     : %12.1f us/call@." (t_closure *. 1e6);
-  Fmt.pr "specialized lowering: %11.1f us/call@." (t_fast *. 1e6);
   Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
   Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
-  Fmt.pr "speedup (flat)     : %12.1fx %s@." ukr_speedup
-    (if ukr_speedup >= 5.0 then "(>= 5x: ok)" else "(below the 5x target!)");
-  Fmt.pr "speedup (bigarray) : %12.1fx vs closure, %.1fx vs flat@." ba_speedup
-    (t_fast /. t_ba);
+  Fmt.pr "speedup (bigarray) : %12.1fx vs closure@." ba_speedup;
   Fmt.pr "speedup (native)   : %12.1fx vs bigarray (per ukr call)@."
     (t_ba /. t_native_ukr);
   (* 2. a full paper-scale GEMM through the macro-kernel, validated exactly
@@ -555,7 +531,6 @@ let run_perf_gemm ?(smoke = false) () =
   let blocking = Exo_blis.Analytical.compute machine ~mr ~nr ~dtype_bytes:4 in
   let a = M.random_int dim dim st and b = M.random_int dim dim st in
   let c_init = M.random_int dim dim st in
-  let exo_ukr = R.exo_ukr () in
   let kernels = R.exo_bank ~mr ~nr () in
   let run_width jobs =
     let c = M.copy c_init in
@@ -601,21 +576,6 @@ let run_perf_gemm ?(smoke = false) () =
   if not (M.equal c_serial c_ref) then
     failwith "perf-gemm: macro-kernel disagrees with naive f32 reference";
   Fmt.pr "validated exactly against naive f32@.";
-  (* the previous (flat-array tape) tier on the same problem: the
-     before/after of the Bigarray move, and a cross-tier bit-exactness
-     check on a full GEMM *)
-  let t_flat =
-    let c = M.copy c_init in
-    let pool = Exo_par.Pool.create ~jobs:1 () in
-    let t0 = Unix.gettimeofday () in
-    G.blis ~pool ~blocking ~mr ~nr ~ukr:exo_ukr a b c;
-    let t = Unix.gettimeofday () -. t0 in
-    if not (M.equal c c_serial) then
-      failwith "perf-gemm: Bigarray and flat tiers disagree on the GEMM result";
-    t
-  in
-  Fmt.pr "%d^3 GEMM, flat tier: %8.2f s  (%.3f GFLOPS, bigarray %.2fx)@." dim
-    t_flat (gflops_of t_flat) (t_flat /. t_serial);
   (* the Bigarray tier on the same problem through the pre-upgrade bank:
      the native tier's before/after A-B — the serving (native) result must
      be bit-identical, and on a full run with the tier serving it must be
@@ -736,7 +696,7 @@ let run_perf_gemm ?(smoke = false) () =
     (if sn_identical then "bit-identical" else "MISMATCH");
   if not sn_identical then
     failwith "perf-gemm: pool widths disagree on the small-n GEMM result";
-  (* 4. a DNN workload slice through Gemm.batch_ba: one arena + one pool
+  (* 4. a DNN workload slice through Gemm.batch_ba: one workspace + one pool
      for the whole layer list *)
   let layers =
     let by_flops =
@@ -783,7 +743,7 @@ let run_perf_gemm ?(smoke = false) () =
   in
   let batch_flops = List.fold_left (fun s (_, _, _, _, f) -> s +. f) 0.0 batch_rows in
   let batch_gflops = batch_flops /. t_batch /. 1e9 in
-  Fmt.pr "ResNet50 slice (%d layers) via Gemm.batch: %.2f s  (%.3f GFLOPS)@."
+  Fmt.pr "ResNet50 slice (%d layers) via Gemm.batch_ba: %.2f s  (%.3f GFLOPS)@."
     (List.length layers) t_batch batch_gflops;
   (* the post-reset phases (width sweeps, small-n, batch) get the same
      fallbacks-zero gate as the serial run *)
@@ -866,8 +826,6 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"kernel\": \"uk_%dx%d_neon-f32\",\n\
     \    \"kc\": %d,\n\
     \    \"closure_us_per_call\": %.3f,\n\
-    \    \"specialized_us_per_call\": %.3f,\n\
-    \    \"speedup\": %.2f,\n\
     \    \"bigarray_us_per_call\": %.3f,\n\
     \    \"bigarray_speedup\": %.2f\n\
     \  },\n\
@@ -896,9 +854,6 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"blocking\": [%d, %d, %d],\n\
     \    \"seconds_1job\": %.3f,\n\
     \    \"gflops_1job\": %.4f,\n\
-    \    \"flat_seconds_1job\": %.3f,\n\
-    \    \"flat_gflops_1job\": %.4f,\n\
-    \    \"speedup_vs_flat\": %.2f,\n\
     \    \"fast_calls\": %d,\n\
     \    \"fallback_calls\": %d,\n\
     \    \"sweep_batch_fallback_calls\": %d,\n\
@@ -934,9 +889,8 @@ let run_perf_gemm ?(smoke = false) () =
     \    \"gflops\": %.4f\n\
     \  }\n\
      }\n"
-    (meta_json ()) smoke mr nr kc (t_closure *. 1e6) (t_fast *. 1e6) ukr_speedup
-    (t_ba *. 1e6) ba_speedup nat_info.R.ni_enabled nat_info.R.ni_target
-    nat_info.R.ni_cc
+    (meta_json ()) smoke mr nr kc (t_closure *. 1e6) (t_ba *. 1e6) ba_speedup
+    nat_info.R.ni_enabled nat_info.R.ni_target nat_info.R.ni_cc
     (match Exo_native.Host.isas () with
     | [] -> "generic"
     | l -> String.concat "," (List.map Exo_native.Host.isa_name l))
@@ -945,8 +899,7 @@ let run_perf_gemm ?(smoke = false) () =
     tk.L.tk_proved tk.L.tk_total tk.L.tk_disagreements
     reg_certified dim blocking.Exo_blis.Analytical.mc
     blocking.Exo_blis.Analytical.kc blocking.Exo_blis.Analytical.nc t_serial
-    gemm_gflops t_flat (gflops_of t_flat) (t_flat /. t_serial) fast_calls
-    fallback_calls phase2_fallback par_blocking.Exo_blis.Analytical.nc
+    gemm_gflops fast_calls fallback_calls phase2_fallback par_blocking.Exo_blis.Analytical.nc
     par_blocking.Exo_blis.Analytical.mc par_tasks host_cores oversubscribed
     (String.concat ", "
        (List.map (fun (j, t) -> Printf.sprintf "\"%d\": %.3f" j t) par_times))
@@ -969,8 +922,6 @@ let run_perf_gemm ?(smoke = false) () =
          (t_ba *. 1e6);
        Ledger.metric ~unit_:"s" Ledger.Info "gemm.bigarray_seconds_1job"
          t_ba_gemm;
-       Ledger.metric ~unit_:"us" Ledger.Info "ukr.specialized_us_per_call"
-         (t_fast *. 1e6);
        Ledger.metric ~unit_:"GFLOPS" Ledger.Info "batch.gflops" batch_gflops;
        Ledger.metric Ledger.Info "attr.dim" (float_of_int dim);
        Ledger.metric ~unit_:"GFLOPS" Ledger.Info "attr.measured_gflops"

@@ -624,9 +624,9 @@ let trace_cmd =
              spans plus the provenance log ([Family.generate] directly, not
              the registry memo — a warm cache would skip the spans) *)
           let kern = Family.generate ~kit ~mr ~nr () in
-          (* 2. a small real GEMM through the BLIS macro-kernel, running
-             the generated kernel on the compiled engine: pack-A / pack-B /
-             macro-kernel / micro-kernel dispatch spans *)
+          (* 2. a small real GEMM through the BLIS macro-kernel over the
+             kit's kernel bank: table build, pack-A / pack-B / macro-kernel
+             / micro-kernel dispatch spans *)
           let m, n, k = (48, 48, 48) in
           let blocking =
             Exo_blis.Analytical.compute machine ~mr ~nr ~dtype_bytes:4
@@ -640,8 +640,8 @@ let trace_cmd =
                 float_of_int ((((2 * i) + j) mod 5) - 2))
           in
           let c = Exo_blis.Matrix.create m n in
-          Exo_blis.Gemm.blis ~blocking ~mr ~nr
-            ~ukr:(Exo_blis.Registry.exo_ukr ~kit ())
+          Exo_blis.Gemm.blis_ba ~blocking ~mr ~nr
+            ~kernels:(Exo_blis.Registry.exo_bank ~kit ~mr ~nr ())
             a b c;
           (* 3. a tuner sweep across the domain pool and a cache-simulator
              run: per-config spans, phase counters, pc-block progress *)
@@ -756,6 +756,7 @@ let run_cmd =
     let module W = Exo_workloads.Models in
     let module M = Exo_blis.Matrix in
     let module G = Exo_blis.Gemm in
+    let module R = Exo_blis.Registry in
     let mr = 8 and nr = 12 in
     let name, layers =
       match model with
@@ -782,10 +783,14 @@ let run_cmd =
           (l, a, b, c, if check then Some (M.copy c) else None))
         layers
     in
-    let ukr = Exo_blis.Registry.exo_ukr () in
+    let kernels = R.exo_bank ~mr ~nr () in
+    (* build the table outside the timed region, and count only the
+       batch's own dispatches *)
+    ignore (kernels ());
+    R.reset_dispatch_counts ();
     let ws = G.workspace () in
     let t0 = Unix.gettimeofday () in
-    G.batch ~pool ~ws ~ukr
+    G.batch_ba ~pool ~ws ~kernels
       (List.map
          (fun (_, a, b, c, _) ->
            {
@@ -800,6 +805,7 @@ let run_cmd =
            })
          probs);
     let elapsed = Unix.gettimeofday () -. t0 in
+    let native, ba, fallback = R.ukr_tier_counts () in
     let total_flops = ref 0.0 in
     let failures = ref 0 in
     List.iter
@@ -820,6 +826,7 @@ let run_cmd =
         let m, n, k = W.gemm_dims l in
         Fmt.pr "  layer %2d (x%d): m=%5d n=%4d k=%4d@." l.W.id l.W.count m n k)
       probs;
+    Fmt.pr "dispatch: %d native, %d bigarray, %d fallback@." native ba fallback;
     Fmt.pr "batch: %.2f s, %.3f GFLOPS aggregate%s@." elapsed
       (!total_flops /. elapsed /. 1e9)
       (if check then

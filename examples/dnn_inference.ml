@@ -5,7 +5,7 @@
    a monolithic 8x12 kernel. This example:
 
    1. takes a real conv layer, lowers it with the actual IM2ROW transform,
-      runs it through the BLIS-like GEMM with interpreted Exo-generated
+      runs it through the BLIS-like GEMM over the bank of Exo-generated
       kernels, and checks the result against direct convolution;
    2. sweeps every distinct ResNet50 v1.5 and VGG16 conv GEMM through the
       performance model (Figs. 15-18) and reports per-layer winners and the
@@ -32,10 +32,10 @@ let numeric_conv_demo () =
   let m, n, k = C.gemm_dims spec ~h:14 ~w:14 in
   Fmt.pr "lowered GEMM: m=%d n=%d k=%d@." m n k;
   let out = M.create m n in
-  Exo_blis.Gemm.blis
+  Exo_blis.Gemm.blis_ba
     ~blocking:(Exo_blis.Analytical.compute machine ~mr:8 ~nr:12 ~dtype_bytes:4)
     ~mr:8 ~nr:12
-    ~ukr:(Exo_blis.Registry.exo_ukr ())
+    ~kernels:(Exo_blis.Registry.exo_bank ~mr:8 ~nr:12 ())
     a weights out;
   let ok = ref true in
   for oi = 0 to 13 do

@@ -1,47 +1,24 @@
-(** GEMM: the BLIS/GotoBLAS macro-kernel (Fig. 1 of the paper) plus a naive
-    reference.
+(** GEMM: the BLIS/GotoBLAS macro-kernel (Fig. 1 of the paper) plus naive
+    references.
 
     The macro-kernel runs the canonical five loops around a micro-kernel:
     jc over n (nc), pc over k (kc, packing Bc), ic over m (mc, packing Ac),
-    jr over nc (nr), ir over mc (mr). The micro-kernel is a callback so the
-    same macro code runs the interpreted Exo-generated kernels, the
-    reference kernel, or anything else — mirroring how the paper swaps
-    micro-kernels under one ALG+ implementation.
+    jr over nc (nr), ir over mc (mr). The micro-kernel is looked up per
+    tile in a flat (mr' × nr') kernel table, so the same macro code runs
+    the native JIT bank, the monomorphized Bigarray executors, or an oracle
+    engine behind the Bigarray copy-through adapter — mirroring how the
+    paper swaps micro-kernels under one ALG+ implementation.
 
     The executable path is built for paper-scale runs: pack buffers and the
-    C tile live in a per-domain {!workspace} arena (no allocation steady
-    state), the C-tile gather/scatter is fused over unsafe accesses behind
-    one up-front bounds check, and the jc loop — disjoint C column blocks —
-    fans out on an {!Exo_par.Pool}, bit-identical at every pool width
-    because each task touches only its own columns and runs the same
-    per-column operation sequence. *)
+    C tile live in per-domain float32 Bigarray arenas (the store is the f32
+    rounding), the C-tile gather/scatter is fused over unsafe accesses
+    behind one up-front bounds check, and the jc and ic loops — disjoint C
+    blocks — fan out on an {!Exo_par.Pool} as one task grid, bit-identical
+    at every pool width because each task touches only its own block and
+    runs the same per-element operation sequence. *)
 
 module Obs = Exo_obs.Obs
 module Pool = Exo_par.Pool
-
-type ukr =
-  kc:int -> mr:int -> nr:int -> ac:float array -> ao:int -> bc:float array ->
-  bo:int -> c:float array -> unit
-(** Compute [c += acᵀ · bc] on a tile: [ac] holds a kc×mr k-major panel
-    starting at element [ao], [bc] a kc×nr panel starting at [bo] (panel
-    offsets into a packing arena), and [c] is the *transposed* tile, nr×mr
-    row-major — the layout conventions of the generated kernels
-    (Section III-A). *)
-
-(** Reference micro-kernel: the same arithmetic in plain OCaml, with
-    binary32 rounding to match the interpreted kernels bit for bit. *)
-let reference_ukr : ukr =
- fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
-  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
-  for k = 0 to kc - 1 do
-    for j = 0 to nr - 1 do
-      for i = 0 to mr - 1 do
-        let idx = (j * mr) + i in
-        c.(idx) <-
-          r32 (c.(idx) +. r32 (ac.(ao + (k * mr) + i) *. bc.(bo + (k * nr) + j)))
-      done
-    done
-  done
 
 (** C := alpha·A·B + beta·C, naive triple loop (f64 accumulation). *)
 let naive ?(alpha = 1.0) ?(beta = 1.0) (a : Matrix.t) (b : Matrix.t) (c : Matrix.t) :
@@ -84,38 +61,25 @@ let naive_f32 ?(alpha = 1.0) ?(beta = 1.0) (a : Matrix.t) (b : Matrix.t)
 type ba32 = Exo_interp.Compile.ba32
 
 type ukr_ba = Exo_interp.Compile.ukr_ba
-(** The monomorphized tier's per-tile entry point: same panel layout as
-    {!ukr}, operands in float32 Bigarrays, shape fixed per closure (the
-    driver picks the (mrb, nrb) entry out of a flat kernel table). *)
+(** A per-tile entry point: [c += acᵀ·bc] with [ac] a kc×mr k-major panel
+    at [ao], [bc] a kc×nr panel at [bo] (panel offsets into a packing
+    arena) and [c] the *transposed* nr×mr tile at [co] — the layout
+    conventions of the generated kernels (Section III-A). The tile shape is
+    fixed per entry; the driver picks the (mrb, nrb) entry out of a flat
+    kernel table. *)
 
 let ba_empty () : ba32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 0
 
-(** Per-domain scratch: one pack arena per operand plus the C tile — in
-    both float-array form (the flat-tape tier) and float32-Bigarray form
-    (the monomorphized tier) — grown monotonically (next power of two) and
-    reused across GEMMs. Per-domain because pool tasks on different
-    domains pack concurrently. *)
-type arena = {
-  mutable aw : float array;
-  mutable bw : float array;
-  mutable tw : float array;
-  mutable awb : ba32;
-  mutable bwb : ba32;
-  mutable twb : ba32;
-}
+(** Per-domain scratch: one pack arena per operand plus the C tile, grown
+    monotonically (next power of two) and reused across GEMMs. Per-domain
+    because pool tasks on different domains pack concurrently. *)
+type arena = { mutable aw : ba32; mutable bw : ba32; mutable tw : ba32 }
 
 type workspace = arena Domain.DLS.key
 
 let workspace () : workspace =
   Domain.DLS.new_key (fun () ->
-      {
-        aw = [||];
-        bw = [||];
-        tw = [||];
-        awb = ba_empty ();
-        bwb = ba_empty ();
-        twb = ba_empty ();
-      })
+      { aw = ba_empty (); bw = ba_empty (); tw = ba_empty () })
 
 (** The workspace used when callers don't thread their own. *)
 let default_workspace : workspace = workspace ()
@@ -128,10 +92,7 @@ let pow2_cap (n : int) : int =
   done;
   !p
 
-let grown (a : float array) (n : int) : float array =
-  if Array.length a >= n then a else Array.make (pow2_cap n) 0.0
-
-let grown_ba (a : ba32) (n : int) : ba32 =
+let grown (a : ba32) (n : int) : ba32 =
   if Bigarray.Array1.dim a >= n then a
   else begin
     let b =
@@ -148,164 +109,20 @@ let grown_ba (a : ba32) (n : int) : ba32 =
 (* The five-loop macro-kernel                                          *)
 
 (** The BLIS-like GEMM: C := alpha·A·B + beta·C with the five-loop blocked
-    algorithm, arena packing, and [ukr] as the micro-kernel. The jc loop
-    runs on [pool] (default: the global pool); output is bit-identical at
-    every pool width. *)
-let blis ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
-    ~(blocking : Analytical.blocking) ~(mr : int) ~(nr : int) ~(ukr : ukr)
-    (a : Matrix.t) (b : Matrix.t) (c : Matrix.t) : unit =
-  let m = a.Matrix.rows and k = a.Matrix.cols and n = b.Matrix.cols in
-  if b.Matrix.rows <> k || c.Matrix.rows <> m || c.Matrix.cols <> n then
-    invalid_arg "Gemm.blis: dimension mismatch";
-  (* the packing and gather/scatter loops run unsafe accesses: pin the
-     storage invariant the flat indexing relies on *)
-  if
-    Array.length a.Matrix.data < m * k
-    || Array.length b.Matrix.data < k * n
-    || Array.length c.Matrix.data < m * n
-  then invalid_arg "Gemm.blis: matrix storage shorter than rows*cols";
-  let { Analytical.mc; kc; nc } = blocking in
-  if mc < mr || nc < nr || kc < 1 then invalid_arg "Gemm.blis: degenerate blocking";
-  let pool = match pool with Some p -> p | None -> Pool.global () in
-  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
-  let ldc = c.Matrix.cols and cdata = c.Matrix.data in
-  let a_size = Packing.a_arena_size ~mcb:(min mc m) ~kcb:(min kc k) ~mr in
-  let b_size = Packing.b_arena_size ~ncb:(min nc n) ~kcb:(min kc k) ~nr in
-  (* token-style spans guarded inline at each site: when tracing is off the
-     loops pay one branch per span point and allocate nothing (the args
-     lists are built behind the guard); each span names its loop indices so
-     the BLIS loop structure reads directly off the trace. Spans inside the
-     jc tasks fall under the pool's per-task scopes, so the merged trace is
-     identical at every pool width. *)
-  let sp_blis =
-    if Obs.enabled () then
-      Obs.begin_span
-        ~args:
-          [ ("m", string_of_int m); ("n", string_of_int n); ("k", string_of_int k) ]
-        "gemm.blis"
-    else Obs.none
-  in
-  let jc_task jc =
-    let ar = Domain.DLS.get ws in
-    ar.aw <- grown ar.aw a_size;
-    ar.bw <- grown ar.bw b_size;
-    ar.tw <- grown ar.tw (mr * nr);
-    let tile = ar.tw in
-    let jc0 = jc * nc in
-    let ncb = min nc (n - jc0) in
-    (* beta scaling of this task's own column block (the macro-kernel form
-       of Fig. 4's Cb): every write of the jc task stays inside columns
-       jc0 .. jc0+ncb-1, which is what makes the fan-out deterministic *)
-    if not (Float.equal beta 1.0) then
-      for i = 0 to m - 1 do
-        let rb = (i * ldc) + jc0 in
-        for j = 0 to ncb - 1 do
-          cdata.(rb + j) <- r32 (beta *. cdata.(rb + j))
-        done
-      done;
-    for pc = 0 to ((k + kc - 1) / kc) - 1 do
-      let pc0 = pc * kc in
-      let kcb = min kc (k - pc0) in
-      (* Pack B (applying alpha) *)
-      let sp =
-        if Obs.enabled () then
-          Obs.begin_span
-            ~args:[ ("jc", string_of_int jc); ("pc", string_of_int pc) ]
-            "gemm.pack_b"
-        else Obs.none
-      in
-      let bp = Packing.pack_b_into ~alpha ar.bw b ~pc:pc0 ~jc:jc0 ~kcb ~ncb ~nr in
-      Obs.end_span sp;
-      for ic = 0 to ((m + mc - 1) / mc) - 1 do
-        let ic0 = ic * mc in
-        let mcb = min mc (m - ic0) in
-        (* Pack A *)
-        let sp =
-          if Obs.enabled () then
-            Obs.begin_span
-              ~args:[ ("ic", string_of_int ic); ("pc", string_of_int pc) ]
-              "gemm.pack_a"
-          else Obs.none
-        in
-        let ap = Packing.pack_a_into ar.aw a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr in
-        Obs.end_span sp;
-        let sp_macro =
-          if Obs.enabled () then
-            Obs.begin_span
-              ~args:
-                [
-                  ("jc", string_of_int jc);
-                  ("pc", string_of_int pc);
-                  ("ic", string_of_int ic);
-                ]
-              "gemm.macro_kernel"
-          else Obs.none
-        in
-        for jr = 0 to bp.Packing.num_panels - 1 do
-          let nrb = Packing.panel_width bp jr in
-          let bo = Packing.panel_off bp jr in
-          for ir = 0 to ap.Packing.num_panels - 1 do
-            let mrb = Packing.panel_width ap ir in
-            let ao = Packing.panel_off ap ir in
-            (* fused gather/scatter of the transposed C tile: flat base
-               addressing, unsafe behind the storage check at entry (every
-               index below is ≤ (m-1)*ldc + n-1 < m*n) *)
-            let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
-            for j = 0 to nrb - 1 do
-              for i = 0 to mrb - 1 do
-                Array.unsafe_set tile
-                  ((j * mrb) + i)
-                  (Array.unsafe_get cdata (cbase + (i * ldc) + j))
-              done
-            done;
-            let sp_ukr =
-              if Obs.enabled () then
-                Obs.begin_span
-                  ~args:
-                    [
-                      ("tile", Printf.sprintf "%dx%d" mrb nrb);
-                      ("jr", string_of_int jr);
-                      ("ir", string_of_int ir);
-                    ]
-                  "gemm.ukr"
-              else Obs.none
-            in
-            ukr ~kc:kcb ~mr:mrb ~nr:nrb ~ac:ap.Packing.data ~ao
-              ~bc:bp.Packing.data ~bo ~c:tile;
-            Obs.end_span sp_ukr;
-            for j = 0 to nrb - 1 do
-              for i = 0 to mrb - 1 do
-                Array.unsafe_set cdata
-                  (cbase + (i * ldc) + j)
-                  (Array.unsafe_get tile ((j * mrb) + i))
-              done
-            done
-          done
-        done;
-        Obs.end_span sp_macro
-      done
-    done
-  in
-  Pool.iter pool jc_task (List.init ((n + nc - 1) / nc) Fun.id);
-  Obs.end_span sp_blis
+    algorithm, packed panels and the C tile in float32 Bigarrays, per-tile
+    dispatch by O(1) array indexing into the table [kernels ()] returns,
+    and BOTH the jc and ic loops fanned out as one task grid — each task
+    owns the disjoint C block (rows ic·mc .., cols jc·nc ..), so small-n
+    problems where jc alone yields a single task still scale across the
+    pool, and the output stays bit-identical at every width.
 
-(* ------------------------------------------------------------------ *)
-(* The monomorphized Bigarray tier                                     *)
-
-(** The BLIS-like GEMM over the monomorphized kernel table: same five-loop
-    blocking as {!blis} with packed panels and the C tile in float32
-    Bigarrays, per-tile dispatch by O(1) array indexing into the table
-    [kernels ()] returns, and BOTH the jc and ic loops fanned out as one
-    task grid — each task owns the disjoint C block (rows ic·mc .., cols
-    jc·nc ..), so small-n problems where jc alone yields a single task
-    still scale across the pool, and the output stays bit-identical at
-    every width.
-
-    [kernels] is called once per task ON THE EXECUTING DOMAIN and must
+    [kernels] is called once per task on the executing domain and must
     return a table of at least mr·nr entries, entry [(mr'-1)·nr + nr'-1]
-    computing an mr'×nr' tile — kernel closures own scratch and are not
-    re-entrant across domains, which is why the driver takes the
-    table-producing thunk rather than a table. *)
+    computing an mr'×nr' tile. Every entry the registry serves is
+    re-entrant (native calls and Bigarray executors keep no shared state,
+    oracle entries resolve their engine per domain at call time), so the
+    thunk may hand every task the same shared array; it is a thunk so the
+    table can be built on first use ({!Registry.exo_bank}). *)
 let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     ~(blocking : Analytical.blocking) ~(mr : int) ~(nr : int)
     ~(kernels : unit -> ukr_ba array) (a : Matrix.t) (b : Matrix.t)
@@ -347,10 +164,10 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     if Array.length tbl < mr * nr then
       invalid_arg "Gemm.blis_ba: kernel table shorter than mr*nr";
     let ar = Domain.DLS.get ws in
-    ar.awb <- grown_ba ar.awb a_size;
-    ar.bwb <- grown_ba ar.bwb b_size;
-    ar.twb <- grown_ba ar.twb (mr * nr);
-    let tile = ar.twb in
+    ar.aw <- grown ar.aw a_size;
+    ar.bw <- grown ar.bw b_size;
+    ar.tw <- grown ar.tw (mr * nr);
+    let tile = ar.tw in
     let jc0 = jc * nc and ic0 = ic * mc in
     let ncb = min nc (n - jc0) and mcb = min mc (m - ic0) in
     (* beta scaling of this task's own C block: every write of the task
@@ -379,7 +196,7 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
         else Obs.none
       in
       let bp =
-        Packing.pack_b_ba_into ~alpha ar.bwb b ~pc:pc0 ~jc:jc0 ~kcb ~ncb ~nr
+        Packing.pack_b_ba_into ~alpha ar.bw b ~pc:pc0 ~jc:jc0 ~kcb ~ncb ~nr
       in
       Obs.end_span sp;
       let sp =
@@ -394,7 +211,7 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
             "gemm.pack_a"
         else Obs.none
       in
-      let ap = Packing.pack_a_ba_into ar.awb a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr in
+      let ap = Packing.pack_a_ba_into ar.aw a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr in
       Obs.end_span sp;
       let sp_macro =
         if Obs.enabled () then
@@ -415,8 +232,10 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
         for ir = 0 to ap.Packing.num_panels - 1 do
           let mrb = Packing.panel_width ap ir in
           let ao = Packing.panel_off ap ir in
-          (* fused gather/scatter of the transposed C tile, as in [blis];
-             the f32 rounding of each C element is the Bigarray store *)
+          (* fused gather/scatter of the transposed C tile: flat base
+             addressing, unsafe behind the storage check at entry (every
+             index is <= (m-1)*ldc + n-1 < m*n); the f32 rounding of each
+             C element is the Bigarray store *)
           let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
           for j = 0 to nrb - 1 do
             for i = 0 to mrb - 1 do
@@ -464,29 +283,10 @@ type problem = {
   p_nr : int;
 }
 
-(** Run a whole GEMM list (e.g. a DNN workload's layers) through one pool
-    and one set of per-domain arenas: after the first problem warms the
-    arenas, the batch allocates nothing in steady state. Problems run in
-    order (a layer's output may feed the next); each one's jc loop fans
-    out on [pool]. *)
-let batch ?pool ?(ws = default_workspace) ~(ukr : ukr) (ps : problem list) : unit =
-  let pool = match pool with Some p -> p | None -> Pool.global () in
-  let sp =
-    if Obs.enabled () then
-      Obs.begin_span
-        ~args:[ ("problems", string_of_int (List.length ps)) ]
-        "gemm.batch"
-    else Obs.none
-  in
-  List.iter
-    (fun p ->
-      blis ~alpha:p.p_alpha ~beta:p.p_beta ~pool ~ws ~blocking:p.p_blocking
-        ~mr:p.p_mr ~nr:p.p_nr ~ukr p.p_a p.p_b p.p_c)
-    ps;
-  Obs.end_span sp
-
-(** {!batch} over the monomorphized Bigarray tier: every problem runs
-    through {!blis_ba} with the same kernel table and arenas. *)
+(** Run a whole GEMM list (e.g. a DNN workload's layers) through one pool,
+    one kernel table and one workspace. Problems run in order (a layer's
+    output may feed the next); each one fans out on [pool] through
+    {!blis_ba}. *)
 let batch_ba ?pool ?(ws = default_workspace) ~(kernels : unit -> ukr_ba array)
     (ps : problem list) : unit =
   let pool = match pool with Some p -> p | None -> Pool.global () in

@@ -1,16 +1,17 @@
 (** BLIS packing routines.
 
-    [pack_a_into] re-lays an mc×kc block of A into micro-panels of [mr]
+    [pack_a_ba_into] re-lays an mc×kc block of A into micro-panels of [mr]
     rows, each panel k-major ([kc × mr], unit stride across the rows) —
     exactly the layout the generated micro-kernels' [Ac: f32[KC, MR]]
-    argument assumes. [pack_b_into] does the same for kc×nc blocks of B in
+    argument assumes. [pack_b_ba_into] does the same for kc×nc blocks of B in
     [nr]-column panels ([kc × nr]). Edge panels are packed at their true
     width (the Exo approach: a dedicated kernel per fringe shape) —
     [panel_width] reports it.
 
-    Panels live in one contiguous caller-provided arena at a fixed pitch
-    (the full-width panel size), so a steady-state GEMM driver reuses one
-    buffer per operand instead of allocating per (jc, pc, ic) block:
+    Panels live in one contiguous caller-provided float32 Bigarray arena
+    (the store is the f32 rounding) at a fixed pitch (the full-width panel
+    size), so a steady-state GEMM driver reuses one buffer per operand
+    instead of allocating per (jc, pc, ic) block:
     [panel_off] gives each panel's start, fringe panels occupy a prefix of
     their slot. The packing loops run unsafe accesses behind a single
     up-front range check (block within the matrix, arena large enough).
@@ -19,8 +20,10 @@
     Fig. 4), so the micro-kernels run the simplified alpha = beta = 1
     code. *)
 
-type 'arena gen_packed = {
-  data : 'arena;  (** the arena the panels were packed into *)
+type ba32 = Exo_interp.Compile.ba32
+
+type packed = {
+  data : ba32;  (** the arena the panels were packed into *)
   pitch : int;  (** elements between consecutive panel starts *)
   num_panels : int;
   depth : int;  (** kc of this packing *)
@@ -28,17 +31,9 @@ type 'arena gen_packed = {
   block : int;  (** packed block extent: mcb (A) or ncb (B) *)
 }
 
-type packed = float array gen_packed
+let panel_off (p : packed) (i : int) : int = i * p.pitch
 
-type ba32 = Exo_interp.Compile.ba32
-
-type packed_ba = ba32 gen_packed
-(** Same layout, arena in a float32 Bigarray — the monomorphized tier's
-    operand type, where the f32 rounding is the store itself. *)
-
-let panel_off (p : 'a gen_packed) (i : int) : int = i * p.pitch
-
-let panel_width (p : 'a gen_packed) (i : int) : int =
+let panel_width (p : packed) (i : int) : int =
   min p.full (p.block - (i * p.full))
 
 (** Arena sizes for a maximal block: full-width panels at full pitch. *)
@@ -48,88 +43,14 @@ let a_arena_size ~(mcb : int) ~(kcb : int) ~(mr : int) : int =
 let b_arena_size ~(ncb : int) ~(kcb : int) ~(nr : int) : int =
   (ncb + nr - 1) / nr * kcb * nr
 
-(** Pack A(ic .. ic+mcb-1, pc .. pc+kcb-1) into mr-row panels in [dst]. *)
-let pack_a_into (dst : float array) (a : Matrix.t) ~(ic : int) ~(pc : int)
-    ~(mcb : int) ~(kcb : int) ~(mr : int) : packed =
-  if mcb < 0 || kcb < 0 || ic < 0 || pc < 0 || ic + mcb > a.Matrix.rows
-     || pc + kcb > a.Matrix.cols
-  then invalid_arg "pack_a: block out of range";
-  if Array.length dst < a_arena_size ~mcb ~kcb ~mr then
-    invalid_arg "pack_a: arena too small";
-  let num_panels = (mcb + mr - 1) / mr in
-  let lda = a.Matrix.cols and src = a.Matrix.data in
-  (* the range check above bounds every access below: source indices stay
-     within the (ic..ic+mcb-1, pc..pc+kcb-1) block, destinations within the
-     arena prefix just checked *)
-  for ir = 0 to num_panels - 1 do
-    let w = min mr (mcb - (ir * mr)) in
-    let po = ir * kcb * mr in
-    let rbase = ((ic + (ir * mr)) * lda) + pc in
-    for kk = 0 to kcb - 1 do
-      let db = po + (kk * w) and sb = rbase + kk in
-      for i = 0 to w - 1 do
-        Array.unsafe_set dst (db + i) (Array.unsafe_get src (sb + (i * lda)))
-      done
-    done
-  done;
-  { data = dst; pitch = kcb * mr; num_panels; depth = kcb; full = mr; block = mcb }
-
-(** Pack B(pc .. pc+kcb-1, jc .. jc+ncb-1) into nr-column panels in [dst],
-    scaled by [alpha]. *)
-let pack_b_into ?(alpha = 1.0) (dst : float array) (b : Matrix.t) ~(pc : int)
-    ~(jc : int) ~(kcb : int) ~(ncb : int) ~(nr : int) : packed =
-  if ncb < 0 || kcb < 0 || pc < 0 || jc < 0 || pc + kcb > b.Matrix.rows
-     || jc + ncb > b.Matrix.cols
-  then invalid_arg "pack_b: block out of range";
-  if Array.length dst < b_arena_size ~ncb ~kcb ~nr then
-    invalid_arg "pack_b: arena too small";
-  let num_panels = (ncb + nr - 1) / nr in
-  let ldb = b.Matrix.cols and src = b.Matrix.data in
-  if Float.equal alpha 1.0 then
-    for jr = 0 to num_panels - 1 do
-      let w = min nr (ncb - (jr * nr)) in
-      let po = jr * kcb * nr in
-      let cbase = jc + (jr * nr) in
-      for kk = 0 to kcb - 1 do
-        let db = po + (kk * w) and sb = ((pc + kk) * ldb) + cbase in
-        for j = 0 to w - 1 do
-          Array.unsafe_set dst (db + j) (Array.unsafe_get src (sb + j))
-        done
-      done
-    done
-  else
-    for jr = 0 to num_panels - 1 do
-      let w = min nr (ncb - (jr * nr)) in
-      let po = jr * kcb * nr in
-      let cbase = jc + (jr * nr) in
-      for kk = 0 to kcb - 1 do
-        let db = po + (kk * w) and sb = ((pc + kk) * ldb) + cbase in
-        for j = 0 to w - 1 do
-          Array.unsafe_set dst (db + j) (alpha *. Array.unsafe_get src (sb + j))
-        done
-      done
-    done;
-  { data = dst; pitch = kcb * nr; num_panels; depth = kcb; full = nr; block = ncb }
-
-(** Allocating conveniences (tests, one-shot callers). *)
-let pack_a (a : Matrix.t) ~ic ~pc ~mcb ~kcb ~mr : packed =
-  if mcb < 0 || kcb < 0 then invalid_arg "pack_a: block out of range";
-  pack_a_into (Array.make (max 1 (a_arena_size ~mcb ~kcb ~mr)) 0.0) a ~ic ~pc ~mcb ~kcb ~mr
-
-let pack_b ?alpha (b : Matrix.t) ~pc ~jc ~kcb ~ncb ~nr : packed =
-  if ncb < 0 || kcb < 0 then invalid_arg "pack_b: block out of range";
-  pack_b_into ?alpha (Array.make (max 1 (b_arena_size ~ncb ~kcb ~nr)) 0.0) b ~pc ~jc ~kcb ~ncb ~nr
-
-(* ------------------------------------------------------------------ *)
-(* Bigarray-arena packing: the monomorphized tier's operands            *)
-
 module BA1 = Bigarray.Array1
 
-(** [pack_a_into] with a float32 Bigarray arena: identical layout, and the
-    store itself performs the f32 rounding the kernels' [Ac] operand
-    carries. Same single up-front range check, then unsafe accesses. *)
+(** Pack A(ic .. ic+mcb-1, pc .. pc+kcb-1) into mr-row panels in [dst].
+    The store itself performs the f32 rounding the kernels' [Ac] operand
+    carries. One up-front range check, then unsafe accesses: source indices
+    stay within the block, destinations within the checked arena prefix. *)
 let pack_a_ba_into (dst : ba32) (a : Matrix.t) ~(ic : int) ~(pc : int)
-    ~(mcb : int) ~(kcb : int) ~(mr : int) : packed_ba =
+    ~(mcb : int) ~(kcb : int) ~(mr : int) : packed =
   if mcb < 0 || kcb < 0 || ic < 0 || pc < 0 || ic + mcb > a.Matrix.rows
      || pc + kcb > a.Matrix.cols
   then invalid_arg "pack_a_ba: block out of range";
@@ -150,10 +71,10 @@ let pack_a_ba_into (dst : ba32) (a : Matrix.t) ~(ic : int) ~(pc : int)
   done;
   { data = dst; pitch = kcb * mr; num_panels; depth = kcb; full = mr; block = mcb }
 
-(** [pack_b_into] with a float32 Bigarray arena (alpha folded in, as in the
-    float-array version). *)
+(** Pack B(pc .. pc+kcb-1, jc .. jc+ncb-1) into nr-column panels in [dst],
+    scaled by [alpha]. *)
 let pack_b_ba_into ?(alpha = 1.0) (dst : ba32) (b : Matrix.t) ~(pc : int)
-    ~(jc : int) ~(kcb : int) ~(ncb : int) ~(nr : int) : packed_ba =
+    ~(jc : int) ~(kcb : int) ~(ncb : int) ~(nr : int) : packed =
   if ncb < 0 || kcb < 0 || pc < 0 || jc < 0 || pc + kcb > b.Matrix.rows
      || jc + ncb > b.Matrix.cols
   then invalid_arg "pack_b_ba: block out of range";

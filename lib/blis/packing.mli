@@ -4,15 +4,16 @@
     panels pack at their true width — the Exo approach of a dedicated kernel
     per fringe shape.
 
-    Panels are laid out in one contiguous arena at a fixed pitch (the
-    full-width panel size): [panel_off] gives panel starts, fringe panels
-    occupy a prefix of their slot. The [_into] variants pack into a
-    caller-owned arena — the steady-state GEMM path, which allocates
-    nothing — behind a single up-front range check; [pack_a]/[pack_b]
-    allocate a fresh arena. *)
+    Panels are laid out in one caller-owned float32 Bigarray arena at a
+    fixed pitch (the full-width panel size): [panel_off] gives panel starts,
+    fringe panels occupy a prefix of their slot. The store into the arena
+    is the f32 rounding, and the packers run behind a single up-front range
+    check. *)
 
-type 'arena gen_packed = {
-  data : 'arena;  (** the arena the panels were packed into *)
+type ba32 = Exo_interp.Compile.ba32
+
+type packed = {
+  data : ba32;  (** the arena the panels were packed into *)
   pitch : int;  (** elements between consecutive panel starts *)
   num_panels : int;
   depth : int;  (** kc of this packing *)
@@ -20,48 +21,27 @@ type 'arena gen_packed = {
   block : int;  (** packed block extent: mcb (A) or ncb (B) *)
 }
 
-type packed = float array gen_packed
-
-type ba32 = Exo_interp.Compile.ba32
-
-type packed_ba = ba32 gen_packed
-(** Same layout with the arena in a float32 Bigarray — the monomorphized
-    tier's operand type, where the f32 rounding is the store itself. *)
-
 (** Flat start of panel [i] in [data]. *)
-val panel_off : 'a gen_packed -> int -> int
+val panel_off : packed -> int -> int
 
 (** Rows (A) / columns (B) of panel [i] — [full] except on the fringe. *)
-val panel_width : 'a gen_packed -> int -> int
+val panel_width : packed -> int -> int
 
 (** Arena elements needed to pack an mcb×kcb A block / kcb×ncb B block. *)
 val a_arena_size : mcb:int -> kcb:int -> mr:int -> int
 
 val b_arena_size : ncb:int -> kcb:int -> nr:int -> int
 
-val pack_a_into :
-  float array ->
-  Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> packed
-
-val pack_b_into :
-  ?alpha:float ->
-  float array ->
-  Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> packed
-
-val pack_a :
-  Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> packed
-
-val pack_b :
-  ?alpha:float ->
-  Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> packed
-
-(** The [_into] packers with a float32 Bigarray arena: identical layout and
-    checks, and the store itself is the f32 rounding. *)
+(** Pack A(ic .. ic+mcb-1, pc .. pc+kcb-1) into mr-row panels of the
+    arena. [Invalid_argument] when the block leaves the matrix or the arena
+    is shorter than {!a_arena_size}. *)
 val pack_a_ba_into :
   ba32 ->
-  Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> packed_ba
+  Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> packed
 
+(** Pack alpha·B(pc .. pc+kcb-1, jc .. jc+ncb-1) into nr-column panels of
+    the arena, with the same checks. *)
 val pack_b_ba_into :
   ?alpha:float ->
   ba32 ->
-  Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> packed_ba
+  Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> packed

@@ -1,10 +1,14 @@
 (** The micro-kernel registry: the three competitors of Section IV, in both
-    numeric form (a {!Gemm.ukr} for running real GEMMs) and model form
-    (a {!Exo_sim.Kernel_model.impl} for the performance simulation).
+    numeric form (a kernel table for running real GEMMs through
+    {!Gemm.blis_ba}) and model form (a {!Exo_sim.Kernel_model.impl} for the
+    performance simulation).
 
     - [EXO]: the generated family — one specialized kernel per (mr, nr),
       produced on demand by {!Exo_ukr_gen.Family} and cached; numerics run
-      the scheduled IR through the reference interpreter.
+      through the serving table (native JIT code, else the monomorphized
+      Bigarray executors), checked against two oracles that run the
+      scheduled IR itself: the compiled closure engine and the
+      tree-walking interpreter.
     - [BLIS]: the monolithic 8×12 assembly kernel model (fringe logic,
       prefetch-capable).
     - [NEON]: the monolithic 8×12 hand-written-intrinsics kernel model
@@ -15,10 +19,10 @@
     ({!Exo_interp.Compile.t}) are NOT re-entrant — each carries a mutable
     argument frame and fused-loop plan cells — so the compiled cache is
     per-domain ([Domain.DLS]): each domain compiles its own closure once
-    and reuses it freely. The monomorphized Bigarray table is the
-    exception: its executors are re-entrant (per-call accumulators), so
-    one immutable table per (kit, mr, nr) is built once and shared by
-    every domain.
+    and reuses it freely. The kernel table is the exception: its entries
+    are re-entrant (per-call accumulators, or an oracle engine resolved
+    per domain at call time), so one immutable table per (kit, mr, nr) is
+    built once and shared by every domain.
 
     Persistence: when an {!Exo_cache.Store} is ambient, table entries are
     hydrated from their serialized artifacts — skipping the
@@ -71,105 +75,62 @@ let base_8x12 ?(kit = Kits.neon_f32) () = (exo_kernel ~kit ~mr:8 ~nr:12 ()).Fami
 let blis_impl ?kit () : KM.impl = KM.blis_asm_8x12 (base_8x12 ?kit ())
 let neon_impl ?kit () : KM.impl = KM.neon_intrinsics_8x12 (base_8x12 ?kit ())
 
-(* The specialized to_ukr tier: a generated kernel lowered to flat
-   descriptor-batched float-array loops (see Compile.to_ukr). The returned
-   closure owns a mutable scratch slab, so — like the compiled form — it is
-   cached per domain. [None] is cached too: an unsupported proc shape is
-   decided once, and callers fall back to the closure engine. Every kernel
-   this cache serves passed Family.certify's all-Proved bounds gate when it
-   was generated. *)
-let ukr_fast_key : (string * int * int, C.ukr_fn option) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let exo_ukr_fast ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
-    C.ukr_fn option =
-  let tbl = Domain.DLS.get ukr_fast_key in
-  let key = (kit.Kits.name, mr, nr) in
-  match Hashtbl.find_opt tbl key with
-  | Some u -> u
-  | None ->
-      let u =
-        Option.map fst (C.to_ukr (exo_kernel ~kit ~mr ~nr ()).Family.proc)
-      in
-      Hashtbl.replace tbl key u;
-      u
-
 (* ------------------------------------------------------------------ *)
-(* Numeric micro-kernels                                               *)
+(* Oracles                                                             *)
+
+type oracle = Closure | Interp
 
 (* Eager, not [lazy]: a [Lazy.t] forced concurrently from two domains
    raises [Lazy.Undefined] in OCaml 5. The buffer is read-only (it backs
    the α/β scalar arguments), so sharing one across domains is safe. *)
 let ones_buf = B.of_array Exo_ir.Dtype.F32 [ 1 ] [| 1.0 |]
 
-(* Zero-copy offset view over a caller array (row-major, dims as given):
-   how the engine paths see an arena panel starting at [offset]. *)
-let view dt (data : float array) (dims : int list) (offset : int) : B.t =
+(* A row-major buffer view over a whole float array. *)
+let view dt (data : float array) (dims : int list) : B.t =
   let dims = Array.of_list dims in
   let n = Array.length dims in
   let strides = Array.make n 1 in
   for i = n - 2 downto 0 do
     strides.(i) <- strides.(i + 1) * dims.(i + 1)
   done;
-  { B.data; dtype = dt; dims; strides; offset }
+  { B.data; dtype = dt; dims; strides; offset = 0 }
 
-(** Run a generated kernel on a packed tile. Dispatches to the specialized
-    flat-loop tier ({!Exo_interp.Compile.to_ukr}) when the kernel admits it
-    — the paper-scale GEMM hot path — and otherwise binds the caller's
-    arrays as zero-copy buffer views into the compiled closure engine. *)
-let exo_ukr ?(kit = Kits.neon_f32) () : Gemm.ukr =
- fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
-  match exo_ukr_fast ~kit ~mr ~nr () with
-  | Some u -> u ~kc ~ac ~ao ~bc ~bo ~c
-  | None ->
-      let ck = exo_compiled ~kit ~mr ~nr () in
-      let dt = kit.Kits.dt in
-      C.run ck
-        [
-          I.VInt kc;
-          I.VBuf ones_buf;
-          I.VBuf (view dt ac [ kc; mr ] ao);
-          I.VBuf (view dt bc [ kc; nr ] bo);
-          I.VBuf ones_buf;
-          I.VBuf (view dt c [ nr; mr ] 0);
-        ]
-
-(** The closure-engine path only — the PR 1 execution tier, kept addressable
-    as the baseline the specialized tier is measured against
-    ([bench/main.exe perf-gemm]). *)
-let exo_ukr_closure ?(kit = Kits.neon_f32) () : Gemm.ukr =
- fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
-  let ck = exo_compiled ~kit ~mr ~nr () in
+(* The one Bigarray copy-through adapter: copy the tile's operands out to
+   float arrays, run the engine over buffer views, copy C back. The engine
+   is resolved at call time (the compiled closure per domain), so the
+   entry is re-entrant. *)
+let oracle_entry ?(kit = Kits.neon_f32) (o : oracle) ~(mr : int) ~(nr : int)
+    () : C.ukr_ba =
+  let module BA1 = Bigarray.Array1 in
   let dt = kit.Kits.dt in
-  C.run ck
-    [
-      I.VInt kc;
-      I.VBuf ones_buf;
-      I.VBuf (view dt ac [ kc; mr ] ao);
-      I.VBuf (view dt bc [ kc; nr ] bo);
-      I.VBuf ones_buf;
-      I.VBuf (view dt c [ nr; mr ] 0);
-    ]
+  fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
+    let af = Array.init (max 1 (kc * mr)) (fun i -> BA1.get ac (ao + i)) in
+    let bf = Array.init (max 1 (kc * nr)) (fun i -> BA1.get bc (bo + i)) in
+    let cf = Array.init (nr * mr) (fun i -> BA1.get c (co + i)) in
+    let args =
+      [
+        I.VInt kc;
+        I.VBuf ones_buf;
+        I.VBuf (view dt af [ kc; mr ]);
+        I.VBuf (view dt bf [ kc; nr ]);
+        I.VBuf ones_buf;
+        I.VBuf (view dt cf [ nr; mr ]);
+      ]
+    in
+    (match o with
+    | Closure -> C.run (exo_compiled ~kit ~mr ~nr ()) args
+    | Interp -> I.run (exo_kernel ~kit ~mr ~nr ()).Family.proc args);
+    for i = 0 to (nr * mr) - 1 do
+      BA1.set c (co + i) cf.(i)
+    done
 
-(** The same tile run through the tree-walking interpreter — the
-    definitional oracle, kept for cross-checking the compiled paths. *)
-let exo_ukr_interp ?(kit = Kits.neon_f32) () : Gemm.ukr =
- fun ~kc ~mr ~nr ~ac ~ao ~bc ~bo ~c ->
-  let k = exo_kernel ~kit ~mr ~nr () in
-  let dt = kit.Kits.dt in
-  I.run k.Family.proc
-    [
-      I.VInt kc;
-      I.VBuf ones_buf;
-      I.VBuf (view dt ac [ kc; mr ] ao);
-      I.VBuf (view dt bc [ kc; nr ] bo);
-      I.VBuf ones_buf;
-      I.VBuf (view dt c [ nr; mr ] 0);
-    ]
-
-(** The monolithic kernels' numeric behaviour (identical arithmetic; their
-    differences are micro-architectural and live in the model impls). *)
-let monolithic_ukr : Gemm.ukr = Gemm.reference_ukr
+let oracle_bank ?kit (o : oracle) ~(mr : int) ~(nr : int) () :
+    unit -> C.ukr_ba array =
+  let bank =
+    Array.init (mr * nr) (fun idx ->
+        oracle_entry ?kit o ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1) ())
+  in
+  fun () -> bank
 
 (* ------------------------------------------------------------------ *)
 (* The monomorphized (mr' × nr') kernel table                          *)
@@ -200,8 +161,6 @@ let reset_dispatch_counts () =
   Atomic.set fast_calls 0;
   Atomic.set fallback_calls 0;
   Atomic.set native_calls 0
-
-let reset_ukr_dispatch_counts = reset_dispatch_counts
 
 (* Static translation-validation verdicts, counted at table-build time:
    entries Tierlint proves skip the dynamic integer probe; unproved ones
@@ -282,22 +241,15 @@ let count_native (u : C.ukr_ba) : C.ukr_ba =
   if Obs.enabled () then Obs.incr obs_native;
   u ~kc ~ac ~ao ~bc ~bo ~c ~co
 
-(* Hole filler: round-trip the Bigarray operands through float arrays into
-   the closure-engine ukr. Correct for every kit (integer-domain exact, like
-   the engines themselves) but slow — its call count is what the bench's
-   fallbacks-zero gate pins at 0 for f32 runs. *)
+(* Hole filler: the Closure oracle entry, counted. Correct for every kit
+   (integer-domain exact, like the engine itself) but slow — its call
+   count is what the bench's fallbacks-zero gate pins at 0 for f32 runs. *)
 let fallback_entry ~(kit : Kits.t) ~(mr : int) ~(nr : int) : C.ukr_ba =
-  let module BA1 = Bigarray.Array1 in
+  let u = oracle_entry ~kit Closure ~mr ~nr () in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
     Atomic.incr fallback_calls;
     if Obs.enabled () then Obs.incr obs_fallback;
-    let af = Array.init (max 1 (kc * mr)) (fun i -> BA1.get ac (ao + i)) in
-    let bf = Array.init (max 1 (kc * nr)) (fun i -> BA1.get bc (bo + i)) in
-    let cf = Array.init (nr * mr) (fun i -> BA1.get c (co + i)) in
-    (exo_ukr ~kit ()) ~kc ~mr ~nr ~ac:af ~ao:0 ~bc:bf ~bo:0 ~c:cf;
-    for i = 0 to (nr * mr) - 1 do
-      BA1.set c (co + i) cf.(i)
-    done
+    u ~kc ~ac ~ao ~bc ~bo ~c ~co
 
 (* ------------------------------------------------------------------ *)
 (* Persistent kernel artifacts (Exo_cache)                             *)
@@ -705,8 +657,7 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
 let clear_memos_for_bench () =
   Memo.clear cache;
   Memo.clear table_memo;
-  Hashtbl.reset (Domain.DLS.get compiled_key);
-  Hashtbl.reset (Domain.DLS.get ukr_fast_key)
+  Hashtbl.reset (Domain.DLS.get compiled_key)
 
 (** The {!Gemm.blis_ba} [kernels] thunk: called once per pool task, it
     resolves the shared table (building it on first use) and hands back

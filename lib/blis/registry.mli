@@ -1,14 +1,15 @@
 (** The micro-kernel registry: Section IV's three competitors, in numeric
-    form (a {!Gemm.ukr}) and model form (a {!Exo_sim.Kernel_model.impl}).
-    Generated kernels are produced on demand and cached. *)
+    form (a kernel table for {!Gemm.blis_ba}) and model form (a
+    {!Exo_sim.Kernel_model.impl}). Generated kernels are produced on
+    demand and cached. *)
 
 (** Generate (or fetch) a specialized kernel. *)
 val exo_kernel :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_ukr_gen.Family.kernel
 
-(** The closure-compiled form of a generated kernel — the fast execution
-    engine behind {!exo_ukr}. Compiled once per (kit, mr, nr) PER DOMAIN
-    and cached in domain-local storage: a compiled kernel carries a mutable
+(** The closure-compiled form of a generated kernel — the engine behind
+    the {!Closure} oracle. Compiled once per (kit, mr, nr) PER DOMAIN and
+    cached in domain-local storage: a compiled kernel carries a mutable
     argument frame and is not re-entrant across domains. *)
 val exo_compiled :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_interp.Compile.t
@@ -23,37 +24,40 @@ val base_8x12 : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_ir.Ir.proc
 val blis_impl : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_sim.Kernel_model.impl
 val neon_impl : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_sim.Kernel_model.impl
 
-(** The specialized flat-loop form of a generated kernel
-    ({!Exo_interp.Compile.to_ukr}), cached per domain like {!exo_compiled}
-    (the closure owns a mutable scratch slab). [None] — also cached — means
-    the kernel's shape isn't supported by the specialized tier. *)
-val exo_ukr_fast :
-  ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
-  Exo_interp.Compile.ukr_fn option
+(** {1 Oracles}
 
-(** Numeric micro-kernel for the GEMM driver: the specialized flat-loop
-    tier when the kernel admits it, otherwise the compiled closure engine
-    over zero-copy views of the caller's arrays. *)
-val exo_ukr : ?kit:Exo_ukr_gen.Kits.t -> unit -> Gemm.ukr
+    The two reference engines every serving tier is checked against: the
+    compiled closure engine and the tree-walking interpreter, each run on
+    the scheduled IR of the generated kernel. *)
 
-(** The closure-engine path only — the baseline the specialized tier is
-    measured against in [bench/main.exe perf-gemm]. *)
-val exo_ukr_closure : ?kit:Exo_ukr_gen.Kits.t -> unit -> Gemm.ukr
+type oracle =
+  | Closure  (** {!Exo_interp.Compile.run} — also serves non-f32 holes *)
+  | Interp  (** {!Exo_interp.Interp.run} — the definitional oracle *)
 
-(** The same numerics through the tree-walking interpreter — the
-    definitional oracle, kept for cross-checks and speedup measurement. *)
-val exo_ukr_interp : ?kit:Exo_ukr_gen.Kits.t -> unit -> Gemm.ukr
+(** One mr×nr tile through an oracle engine, as a table entry: the
+    Bigarray operands are copied out to float arrays, run through the
+    engine over buffer views, and the C tile is copied back. Slow, exact
+    on integer data, and re-entrant (the engine is resolved per domain at
+    call time). *)
+val oracle_entry :
+  ?kit:Exo_ukr_gen.Kits.t -> oracle -> mr:int -> nr:int -> unit ->
+  Exo_interp.Compile.ukr_ba
 
-(** The monolithic kernels' numerics (identical arithmetic; their differences
-    are micro-architectural and live in the model impls). *)
-val monolithic_ukr : Gemm.ukr
+(** A whole (mr' × nr') table of {!oracle_entry} values in {!exo_bank}'s
+    layout — the reference side of GEMM-level cross-checks. Uncounted:
+    oracle calls never touch the dispatch counters. *)
+val oracle_bank :
+  ?kit:Exo_ukr_gen.Kits.t -> oracle -> mr:int -> nr:int -> unit ->
+  unit -> Exo_interp.Compile.ukr_ba array
 
 (** {1 The monomorphized (mr' × nr') kernel table}
 
-    The third execution tier: one {!Exo_interp.Compile.ukr_ba} per
-    (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr, flat at index
-    [(mr'-1)·nr + nr'-1], so fringe macro-kernel calls dispatch by plain
-    array indexing and never fall back to the closure engine. Built once
+    The serving tiers: one {!Exo_interp.Compile.ukr_ba} per (mr', nr')
+    with mr' ∈ 1..mr, nr' ∈ 1..nr, flat at index [(mr'-1)·nr + nr'-1] —
+    JIT'd native code where the upgrade certified it, the monomorphized
+    Bigarray executor elsewhere, and a counted {!Closure} oracle entry
+    for the holes of non-f32 kits — so fringe macro-kernel calls dispatch
+    by plain array indexing and never fall back on an f32 kit. Built once
     per (kit, mr, nr) for the whole process and shared by every domain —
     the executors are re-entrant (per-call accumulators), so repeated
     {!exo_table} calls return the physically same table from any domain.
@@ -164,9 +168,6 @@ val ukr_tier_counts : unit -> int * int * int
 (** Zero both dispatch counters, so repeated in-process bench/test phases
     measure their own dispatches instead of accumulating across tiers. *)
 val reset_dispatch_counts : unit -> unit
-
-(** Historical alias of {!reset_dispatch_counts}. *)
-val reset_ukr_dispatch_counts : unit -> unit
 
 (** [(proved, unproved)] static {!Exo_check.Tierlint} verdict totals
     counted at table-build time (mirrored to the Obs counters

@@ -225,15 +225,17 @@ let put (t : t) ~(kind : string) ~(key : string) (v : 'a) : bool =
 
 (** Memoized read-through: the disk-backed analogue of
     {!Exo_par.Memo.find_or_add}. A miss (or corrupt entry) computes and
-    publishes; losing the publish race still returns this call's value
-    (identical inputs ⇒ equivalent values — computes must be pure). *)
+    publishes; a call that loses the publish race re-reads and returns the
+    winner's value, so every racer converges on the one published entry.
+    Only when that re-read misses too (the winner's entry vanished or is
+    unreadable) does the call fall back to its own value. *)
 let find_or_add (t : t) ~(kind : string) ~(key : string) (compute : unit -> 'a) : 'a =
   match get t ~kind ~key with
   | Some v -> v
   | None ->
       let v = compute () in
-      ignore (put t ~kind ~key v);
-      v
+      if put t ~kind ~key v then v
+      else Option.value (get t ~kind ~key) ~default:v
 
 type gc_stats = {
   gc_scanned : int;

@@ -48,8 +48,9 @@ val get : t -> kind:string -> key:string -> 'a option
     this call's bytes became the entry (first writer wins). *)
 val put : t -> kind:string -> key:string -> 'a -> bool
 
-(** Disk-backed {!Exo_par.Memo.find_or_add}: get, else compute + publish
-    (losing the race still returns this call's value). *)
+(** Disk-backed {!Exo_par.Memo.find_or_add}: get, else compute + publish.
+    First writer wins: a call that loses the publish race returns the
+    published value, falling back to its own only if that re-read misses. *)
 val find_or_add : t -> kind:string -> key:string -> (unit -> 'a) -> 'a
 
 (** Drop one entry (ignores absence). *)

@@ -1,11 +1,11 @@
 (** Translation validation for the lowered micro-kernel execution tiers.
 
-    The flat-tape ({!Exo_interp.Compile.to_ukr}) and Bigarray
-    ({!Exo_interp.Compile.to_ukr_ba}) tiers run [unsafe] accesses behind one
-    hoisted range check, and until now were certified only *dynamically*
-    (integer probes against the closure engine). This module is a static
-    validator over the auditable {!Exo_interp.Compile.Summary} each lowering
-    emits: the summary's affine addresses are evaluated in the
+    The Bigarray tier ({!Exo_interp.Compile.to_ukr_ba}) runs [unsafe]
+    accesses behind one hoisted range check, and was first certified only
+    *dynamically* (integer probes against the closure engine). This module
+    is a static validator over the auditable
+    {!Exo_interp.Compile.Summary} of each kernel's lowered tape: the
+    summary's affine addresses are evaluated in the
     affine-interval domain of the {!Effects} region algebra, with the
     k-loop counter ranging over [0, kc-1] and [kc] a symbolic size.
 

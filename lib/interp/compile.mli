@@ -12,7 +12,13 @@
     {!Buffer.Bounds} like the interpreter). The tree-walking {!Interp} stays
     as the definitional oracle; a qcheck property pins bit-identical buffers
     between the two. Use this engine anywhere a kernel runs more than once:
-    the GEMM numeric path, tuner sweeps, and property-test harnesses. *)
+    the GEMM oracle and non-f32 kernel entries, tuner sweeps, and
+    property-test harnesses.
+
+    The module also holds the micro-kernel tier built on top of the
+    engine: the tape lowering whose {!Summary} {!Exo_check.Tierlint}
+    proves over, and the monomorphized float32-Bigarray executors that
+    serve the GEMM driver wherever the native tier does not. *)
 
 type t
 
@@ -28,22 +34,16 @@ val proc : t -> Exo_ir.Ir.proc
     Preconditions are checked; violations raise {!Interp.Runtime_error}. *)
 val run : t -> Interp.value list -> unit
 
-(** A specialized micro-kernel entry point: [c += ac·bc] on one packed tile,
-    where [ac] is a kc×mr k-major panel starting at element [ao], [bc] a
-    kc×nr panel starting at [bo], and [c] the transposed nr×mr tile. Alpha
-    and beta are fixed at 1 (the macro-kernel folds them into packing and
-    the beta pre-pass, and the generated simple kernels never read them). *)
-type ukr_fn =
-  kc:int -> ac:float array -> ao:int -> bc:float array -> bo:int ->
-  c:float array -> unit
-
 (** The auditable access summary of a lowered micro-kernel tape: the exact
     per-statement memory operands (affine addresses [base + kstep·k] over
-    the k-loop counter) and read/write/accumulate structure the flat-tape
-    runtime executes. Derived from the same lowered value the executors
-    run, so it is faithful by construction — {!Exo_check.Tierlint} evaluates
-    it in an affine-interval domain to prove bounds, write-set containment
-    and accumulation shape statically. *)
+    the k-loop counter) and read/write/accumulate structure of a generated
+    kernel with the signature [(KC: size, alpha: dt[1], Ac: dt[KC,MR],
+    Bc: dt[KC,NR], beta: dt[1], C: dt[NR,MR])]. The proc is symbolically
+    executed (constant loops unrolled, instruction calls inlined, register
+    memory flattened into one scratch slab), so the summary describes
+    exactly the computation the proc performs — {!Exo_check.Tierlint}
+    evaluates it in an affine-interval domain to prove bounds, write-set
+    containment and accumulation shape statically. *)
 module Summary : sig
   type space = A | B | C | Slab
 
@@ -72,48 +72,33 @@ module Summary : sig
   val space_name : space -> string
 end
 
-(** The access summary alone, for procs whose tape lowering succeeds —
-    what {!to_ukr}/{!to_ukr_ba} would attach to their executors. *)
+(** The access summary of a proc, [None] when the tape lowering refuses
+    it (non-affine indices, reads of alpha/beta data, symbolic loop nests,
+    unsupported expression shapes) — such procs keep the closure engine. *)
 val summarize_ukr : Exo_ir.Ir.proc -> Summary.t option
 
-(** [to_ukr p] — the second, specialized lowering tier for procs with the
-    generated micro-kernel signature [(KC: size, alpha: dt[1], Ac: dt[KC,MR],
-    Bc: dt[KC,NR], beta: dt[1], C: dt[NR,MR])]: the proc is symbolically
-    executed, constant loops fully unrolled, instruction calls inlined with
-    window geometry folded to constants, register memory flattened into one
-    scratch slab, and the surviving straight-line tape batched into
-    descriptor-driven float-array loops — no closure dispatch or [Sym.Map]
-    lookups in the k loop. Bit-identical to {!run} (and to {!Interp.run}):
-    structurally unsupported procs return [None]; per-call conditions the
-    tape cannot honour (short arrays, failing KC-dependent preconditions,
-    [kc = 0] with loop-carried reads) divert that call to the general
-    closure engine, which raises the interpreter's errors verbatim.
-
-    The returned closure is NOT re-entrant (it owns a mutable scratch slab
-    and a compiled fallback): share per domain, like {!t}. The attached
-    {!Summary.t} describes exactly the tape the closure runs. *)
-val to_ukr : Exo_ir.Ir.proc -> (ukr_fn * Summary.t) option
-
-(** A float32 Bigarray: the storage type of the third execution tier's
-    packed panels and C tiles. Loads/stores compile to inline machine
+(** A float32 Bigarray: the storage type of the GEMM driver's packed
+    panels and C tiles. Loads/stores compile to inline machine
     f32<->f64 conversions — without flambda, the [Int32] bit-twiddling
     that rounds plain float-array stores costs two C calls per flop, and
     moving storage to Bigarray is what removes it from the inner loop. *)
 type ba32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(** A Bigarray-tier micro-kernel: [c += ac·bc] with the same panel layout
-    as {!ukr_fn} ([ac] kc×mr k-major at [ao], [bc] kc×nr at [bo], [c] the
-    transposed nr×mr tile at [co]). Operand ranges are checked once up
-    front ([Invalid_argument] on violation); the loops then run unsafe
-    accesses with a 4-wide k-blocked accumulator chain, accumulating each
-    C column in unboxed f64 and rounding once at the f32 store — exact
-    whenever the data is integer-valued (the repo's test/bench domain). *)
+(** A Bigarray-tier micro-kernel: [c += ac·bc] on one packed tile — [ac]
+    a kc×mr k-major panel at [ao], [bc] a kc×nr panel at [bo], [c] the
+    transposed nr×mr tile at [co]; alpha and beta are fixed at 1 (the
+    driver folds them into packing and a beta pre-pass). Operand ranges
+    are checked once up front ([Invalid_argument] on violation); the loops
+    then run unsafe accesses with a 4-wide k-blocked accumulator chain,
+    accumulating each C column in unboxed f64 and rounding once at the f32
+    store — exact whenever the data is integer-valued (the repo's
+    test/bench domain). *)
 type ukr_ba =
   kc:int -> ac:ba32 -> ao:int -> bc:ba32 -> bo:int -> c:ba32 -> co:int ->
   unit
 
-(** [to_ukr_ba p] — the third, monomorphized execution tier: for f32 procs
-    the flat-tape lowering accepts (with no runtime preconditions), the
+(** [to_ukr_ba p] — the monomorphized execution tier: for f32 procs the
+    tape lowering accepts (with no runtime preconditions), the
     proc's semantics are certified against the canonical GEMM formula on
     integer probes via the compiled closure engine, and the returned
     executor is a straight-line OCaml loop nest specialized to (mr, nr) —
@@ -125,9 +110,9 @@ type ukr_ba =
     reduction — the dynamic integer probe is then skipped (it would
     establish the same fact). Default [false]: probe as before.
 
-    Unlike {!to_ukr}, the returned executor is re-entrant — its unboxed
-    accumulator is allocated per call — so one executor can be shared by
-    every domain of a pool. *)
+    The returned executor is re-entrant — its unboxed accumulator is
+    allocated per call — so one executor can be shared by every domain of
+    a pool. *)
 val to_ukr_ba :
   ?certified:bool -> Exo_ir.Ir.proc -> (ukr_ba * Summary.t) option
 

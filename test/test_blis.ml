@@ -41,40 +41,62 @@ let test_blocking_f16 () =
 
 (* --- packing ------------------------------------------------------------ *)
 
+let arena n =
+  let b = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (max 1 n) in
+  Bigarray.Array1.fill b 0.0;
+  b
+
+let pack_a a ~ic ~pc ~mcb ~kcb ~mr =
+  P.pack_a_ba_into (arena (P.a_arena_size ~mcb ~kcb ~mr)) a ~ic ~pc ~mcb ~kcb ~mr
+
 let test_pack_a_layout () =
   let a = M.init 10 6 (fun i j -> float_of_int ((100 * i) + j)) in
-  let p = P.pack_a a ~ic:2 ~pc:1 ~mcb:8 ~kcb:4 ~mr:4 in
+  let p = pack_a a ~ic:2 ~pc:1 ~mcb:8 ~kcb:4 ~mr:4 in
   Alcotest.(check int) "two panels" 2 p.P.num_panels;
   Alcotest.(check int) "panel width" 4 (P.panel_width p 0);
   (* panel 0, k-major: element (kk=0, i=0) is A[2,1] *)
-  Alcotest.(check (float 0.0)) "k-major origin" 201.0 p.P.data.(P.panel_off p 0);
+  Alcotest.(check (float 0.0)) "k-major origin" 201.0
+    (Bigarray.Array1.get p.P.data (P.panel_off p 0));
   (* (kk=1, i=2) of panel 1 is A[2+4+2, 1+1] *)
   Alcotest.(check (float 0.0)) "panel 1 interior" 802.0
-    p.P.data.(P.panel_off p 1 + (1 * 4) + 2)
+    (Bigarray.Array1.get p.P.data (P.panel_off p 1 + (1 * 4) + 2))
 
 let test_pack_a_edge_panel () =
   let a = M.init 10 6 (fun i j -> float_of_int ((100 * i) + j)) in
-  let p = P.pack_a a ~ic:0 ~pc:0 ~mcb:10 ~kcb:3 ~mr:4 in
+  let p = pack_a a ~ic:0 ~pc:0 ~mcb:10 ~kcb:3 ~mr:4 in
   Alcotest.(check int) "three panels" 3 p.P.num_panels;
   Alcotest.(check int) "last panel is the 2-row fringe" 2 (P.panel_width p 2)
 
 let test_pack_b_alpha () =
   let b = M.init 4 8 (fun i j -> float_of_int (i + j)) in
-  let p = P.pack_b ~alpha:2.0 b ~pc:0 ~jc:0 ~kcb:4 ~ncb:8 ~nr:4 in
+  let p =
+    P.pack_b_ba_into ~alpha:2.0
+      (arena (P.b_arena_size ~ncb:8 ~kcb:4 ~nr:4))
+      b ~pc:0 ~jc:0 ~kcb:4 ~ncb:8 ~nr:4
+  in
   Alcotest.(check (float 0.0)) "alpha applied" (2.0 *. 5.0)
-    p.P.data.(P.panel_off p 1 + 1)
+    (Bigarray.Array1.get p.P.data (P.panel_off p 1 + 1))
 
 let test_pack_bounds () =
   let a = M.init 4 4 (fun _ _ -> 0.0) in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "out-of-range block rejected" true
-    (try
-       ignore (P.pack_a a ~ic:2 ~pc:0 ~mcb:4 ~kcb:4 ~mr:4);
-       false
-     with Invalid_argument _ -> true)
+    (raises (fun () -> pack_a a ~ic:2 ~pc:0 ~mcb:4 ~kcb:4 ~mr:4));
+  Alcotest.(check bool) "short A arena rejected" true
+    (raises (fun () ->
+         P.pack_a_ba_into (arena 15) a ~ic:0 ~pc:0 ~mcb:4 ~kcb:4 ~mr:4));
+  Alcotest.(check bool) "out-of-range B block rejected" true
+    (raises (fun () ->
+         P.pack_b_ba_into (arena 64) a ~pc:1 ~jc:0 ~kcb:4 ~ncb:4 ~nr:4))
 
 (* --- macro-kernel numerics ---------------------------------------------- *)
 
 let small_blocking = { A.mc = 16; kc = 8; nc = 24 }
+
+(* the serving bank (native where certified, Bigarray executors elsewhere)
+   and the interpreter oracle bank of the 8x12 family *)
+let serving () = R.exo_bank ~mr:8 ~nr:12 ()
+let interp_bank = R.oracle_bank R.Interp ~mr:8 ~nr:12 ()
 
 let test_blis_exact_vs_naive () =
   let st = Random.State.make [| 1 |] in
@@ -84,7 +106,7 @@ let test_blis_exact_vs_naive () =
       let c1 = M.random_int m n st in
       let c2 = M.copy c1 in
       G.naive_f32 a b c1;
-      G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:G.reference_ukr a b c2;
+      G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:interp_bank a b c2;
       Alcotest.(check bool) (Fmt.str "%dx%dx%d exact" m n k) true (M.equal c1 c2))
     [ (8, 12, 8); (16, 24, 16); (17, 25, 9); (1, 1, 1); (40, 36, 33); (5, 7, 31) ]
 
@@ -95,20 +117,22 @@ let test_blis_with_exo_kernels () =
   let c1 = M.random_int m n st in
   let c2 = M.copy c1 in
   G.naive_f32 a b c1;
-  G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:(R.exo_ukr ()) a b c2;
-  Alcotest.(check bool) "compiled Exo kernels drive the macro-kernel" true
+  G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b c2;
+  Alcotest.(check bool) "the Exo kernel bank drives the macro-kernel" true
     (M.equal c1 c2)
 
 let test_blis_compiled_vs_interpreted_ukr () =
-  (* the compiled engine behind exo_ukr against the tree-walking oracle,
-     through the full macro-kernel: bit-identical C *)
+  (* the compiled closure engine against the tree-walking oracle, through
+     the full macro-kernel: bit-identical C *)
   let st = Random.State.make [| 4 |] in
   let m, n, k = (19, 23, 13) in
   let a = M.random_int m k st and b = M.random_int k n st in
   let c1 = M.random_int m n st in
   let c2 = M.copy c1 in
-  G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:(R.exo_ukr ()) a b c1;
-  G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:(R.exo_ukr_interp ()) a b c2;
+  G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12
+    ~kernels:(R.oracle_bank R.Closure ~mr:8 ~nr:12 ())
+    a b c1;
+  G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:interp_bank a b c2;
   Alcotest.(check bool) "compiled ≡ interpreted through the macro-kernel" true
     (M.equal c1 c2)
 
@@ -119,8 +143,8 @@ let test_blis_alpha_beta () =
   let c1 = M.random_int m n st in
   let c2 = M.copy c1 in
   G.naive_f32 ~alpha:2.0 ~beta:(-1.0) a b c1;
-  G.blis ~alpha:2.0 ~beta:(-1.0) ~blocking:small_blocking ~mr:8 ~nr:12
-    ~ukr:G.reference_ukr a b c2;
+  G.blis_ba ~alpha:2.0 ~beta:(-1.0) ~blocking:small_blocking ~mr:8 ~nr:12
+    ~kernels:interp_bank a b c2;
   Alcotest.(check bool) "alpha/beta handled" true (M.equal c1 c2)
 
 (* fringe-heavy DL shapes: m and n deliberately not multiples of mr/nr, so
@@ -129,32 +153,32 @@ let fringe_shapes = [ (49, 50, 16); (23, 100, 7); (50, 13, 21); (49, 31, 33) ]
 
 let test_blis_exo_fringe_heavy () =
   let st = Random.State.make [| 7 |] in
-  let ukr = R.exo_ukr () in
   List.iter
     (fun (m, n, k) ->
       let a = M.random_int m k st and b = M.random_int k n st in
       let c1 = M.random_int m n st in
       let c2 = M.copy c1 in
       G.naive_f32 a b c1;
-      G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr a b c2;
+      G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b
+        c2;
       Alcotest.(check bool)
         (Fmt.str "%dx%dx%d fringe-heavy exact" m n k)
         true (M.equal c1 c2))
     fringe_shapes
 
 let test_blis_pool_width_invariance () =
-  (* the jc loop fans out over disjoint C column blocks: the result is
-     bit-identical no matter how many domains execute it *)
+  (* nc = nr splits n into many jc blocks: the result is bit-identical no
+     matter how many domains execute them *)
   let st = Random.State.make [| 11 |] in
   let m, n, k = (49, 100, 33) in
   let a = M.random_int m k st and b = M.random_int k n st in
   let c0 = M.random_int m n st in
-  let ukr = R.exo_ukr () in
   let run jobs =
     let c = M.copy c0 in
     let pool = Exo_par.Pool.create ~jobs () in
-    G.blis ~alpha:2.0 ~beta:(-1.0) ~pool ~ws:(G.workspace ())
-      ~blocking:{ A.mc = 16; kc = 8; nc = 12 } ~mr:8 ~nr:12 ~ukr a b c;
+    G.blis_ba ~alpha:2.0 ~beta:(-1.0) ~pool ~ws:(G.workspace ())
+      ~blocking:{ A.mc = 16; kc = 8; nc = 12 } ~mr:8 ~nr:12
+      ~kernels:(serving ()) a b c;
     c
   in
   let c1 = run 1 and c2 = run 2 and c4 = run 4 in
@@ -162,25 +186,24 @@ let test_blis_pool_width_invariance () =
   Alcotest.(check bool) "jobs 1 ≡ jobs 4 (bit-exact)" true (M.equal c1 c4)
 
 let test_blis_workspace_reuse () =
-  (* repeated GEMMs through one workspace reuse the same arenas and stay
-     correct — the steady-state zero-allocation path *)
+  (* repeated GEMMs through one workspace reuse (and grow) the same arenas
+     and stay correct *)
   let st = Random.State.make [| 13 |] in
   let ws = G.workspace () in
-  let ukr = R.exo_ukr () in
   List.iter
     (fun (m, n, k) ->
       let a = M.random_int m k st and b = M.random_int k n st in
       let c1 = M.random_int m n st in
       let c2 = M.copy c1 in
       G.naive_f32 a b c1;
-      G.blis ~ws ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr a b c2;
+      G.blis_ba ~ws ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:(serving ())
+        a b c2;
       Alcotest.(check bool) (Fmt.str "%dx%dx%d via shared ws" m n k) true
         (M.equal c1 c2))
     [ (40, 36, 33); (5, 7, 31); (49, 50, 16); (16, 24, 16) ]
 
-let test_gemm_batch () =
-  (* a workload list through one arena + pool matches per-problem naive *)
-  let st = Random.State.make [| 17 |] in
+let batch_problems seed =
+  let st = Random.State.make [| seed |] in
   let mk (m, n, k) =
     let a = M.random_int m k st and b = M.random_int k n st in
     let c = M.random_int m n st in
@@ -203,7 +226,13 @@ let test_gemm_batch () =
         })
       probs
   in
-  G.batch ~ws:(G.workspace ()) ~ukr:(R.exo_ukr ()) ps;
+  (probs, ps)
+
+let test_gemm_batch () =
+  (* a workload list through one workspace + pool on the interpreter
+     oracle bank matches per-problem naive *)
+  let probs, ps = batch_problems 17 in
+  G.batch_ba ~ws:(G.workspace ()) ~kernels:interp_bank ps;
   List.iter
     (fun (_, _, c, c_ref) ->
       Alcotest.(check bool) "batch layer exact" true (M.equal c c_ref))
@@ -280,7 +309,7 @@ let test_blis_ba_exact_and_counters () =
      touches the closure fallback on an f32 family *)
   let st = Random.State.make [| 19 |] in
   let kernels = R.exo_bank ~mr:8 ~nr:12 () in
-  R.reset_ukr_dispatch_counts ();
+  R.reset_dispatch_counts ();
   List.iter
     (fun (m, n, k) ->
       let a = M.random_int m k st and b = M.random_int k n st in
@@ -320,31 +349,9 @@ let test_blis_ba_pool_width_invariance () =
   Alcotest.(check bool) "jobs 1 ≡ jobs 4 (bit-exact)" true (M.equal c1 c4)
 
 let test_gemm_batch_ba () =
-  (* the workload batch through the Bigarray tier matches per-problem naive *)
-  let st = Random.State.make [| 31 |] in
-  let mk (m, n, k) =
-    let a = M.random_int m k st and b = M.random_int k n st in
-    let c = M.random_int m n st in
-    (a, b, M.copy c, c)
-  in
-  let probs = List.map mk [ (49, 50, 16); (16, 24, 16); (5, 7, 31) ] in
-  List.iter (fun (a, b, _, c_ref) -> G.naive_f32 ~beta:0.5 a b c_ref) probs;
-  let ps =
-    List.map
-      (fun (a, b, c, _) ->
-        {
-          G.p_a = a;
-          p_b = b;
-          p_c = c;
-          p_alpha = 1.0;
-          p_beta = 0.5;
-          p_blocking = small_blocking;
-          p_mr = 8;
-          p_nr = 12;
-        })
-      probs
-  in
-  G.batch_ba ~ws:(G.workspace ()) ~kernels:(R.exo_bank ~mr:8 ~nr:12 ()) ps;
+  (* the workload batch through the serving bank matches per-problem naive *)
+  let probs, ps = batch_problems 31 in
+  G.batch_ba ~ws:(G.workspace ()) ~kernels:(serving ()) ps;
   List.iter
     (fun (_, _, c, c_ref) ->
       Alcotest.(check bool) "batch_ba layer exact" true (M.equal c c_ref))
@@ -352,11 +359,11 @@ let test_gemm_batch_ba () =
 
 let prop_blis_ba_cross_tier_all_kits =
   (* random shapes including m < mr, n < nr and k = 0, across every kit:
-     the Bigarray tier, the flat-array tier and the closure engine agree
-     bit for bit, and all match naive_f32 (integer data keeps every dtype
-     exact: |Σ| ≤ 3·3·24 + 3 < 2^11, within f16's exact-integer range) *)
+     the serving bank and the closure oracle agree bit for bit, and both
+     match naive_f32 (integer data keeps every dtype exact:
+     |Σ| ≤ 3·3·24 + 3 < 2^11, within f16's exact-integer range) *)
   QCheck2.Test.make
-    ~name:"Bigarray tier ≡ flat tier ≡ closure engine ≡ naive (all kits)"
+    ~name:"serving bank ≡ closure oracle ≡ naive (all kits)"
     ~count:8
     QCheck2.Gen.(triple (int_range 1 20) (int_range 1 30) (int_range 0 24))
     (fun (m, n, k) ->
@@ -367,18 +374,14 @@ let prop_blis_ba_cross_tier_all_kits =
           let c0 = M.random_int m n st in
           let c_naive = M.copy c0 in
           G.naive_f32 a b c_naive;
-          let c_ba = M.copy c0 in
-          G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12
-            ~kernels:(R.exo_bank ~kit ~mr:8 ~nr:12 ())
-            a b c_ba;
-          let c_flat = M.copy c0 in
-          G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:(R.exo_ukr ~kit ())
-            a b c_flat;
-          let c_closure = M.copy c0 in
-          G.blis ~blocking:small_blocking ~mr:8 ~nr:12
-            ~ukr:(R.exo_ukr_closure ~kit ()) a b c_closure;
-          M.equal c_naive c_ba && M.equal c_ba c_flat
-          && M.equal c_ba c_closure)
+          let run kernels =
+            let c = M.copy c0 in
+            G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels a b c;
+            c
+          in
+          let c_ba = run (R.exo_bank ~kit ~mr:8 ~nr:12 ()) in
+          let c_closure = run (R.oracle_bank ~kit R.Closure ~mr:8 ~nr:12 ()) in
+          M.equal c_naive c_ba && M.equal c_ba c_closure)
         K.all)
 
 let prop_blis_exo_fringe_random =
@@ -395,7 +398,8 @@ let prop_blis_exo_fringe_random =
       let c1 = M.random_int m n st in
       let c2 = M.copy c1 in
       G.naive_f32 a b c1;
-      G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:(R.exo_ukr ()) a b c2;
+      G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b
+        c2;
       M.equal c1 c2)
 
 let prop_blis_equals_naive =
@@ -407,7 +411,7 @@ let prop_blis_equals_naive =
       let c1 = M.random_int m n st in
       let c2 = M.copy c1 in
       G.naive_f32 a b c1;
-      G.blis ~blocking:small_blocking ~mr:8 ~nr:12 ~ukr:G.reference_ukr a b c2;
+      G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:interp_bank a b c2;
       M.equal c1 c2)
 
 let prop_blis_exo_random_blocking =
@@ -421,7 +425,7 @@ let prop_blis_exo_random_blocking =
       let c1 = M.random_int m n st in
       let c2 = M.copy c1 in
       G.naive_f32 a b c1;
-      G.blis ~blocking ~mr:8 ~nr:12 ~ukr:G.reference_ukr a b c2;
+      G.blis_ba ~blocking ~mr:8 ~nr:12 ~kernels:interp_bank a b c2;
       M.equal c1 c2)
 
 (* --- driver (performance model) ----------------------------------------- *)

@@ -195,21 +195,27 @@ let test_family_kernels_agree_f16 () =
         true (B.equal c1 c2))
     [ (8, 8); (8, 4); (16, 8); (1, 8) ]
 
-(* --- the specialized micro-kernel tier (to_ukr) -------------------------- *)
+(* --- the two oracles on offset panels -------------------------------------- *)
 
-(* Run one generated kernel through all three engines — tree-walking
-   interpreter, general closure engine, and the specialized to_ukr tape —
-   on inputs regenerated from the same seed. The engines take offset
-   buffer views; the ukr_fn takes raw arrays plus panel offsets. *)
-let run_ukr_triple ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
+(* Run one generated kernel through both oracle engines — tree-walking
+   interpreter and compiled closure engine — over offset buffer views into
+   raw arrays (panels starting at [ao]/[bo], as in a packing arena), on
+   inputs regenerated from the same seed. *)
+(* A row-major buffer view over a raw array, starting at [offset]. *)
+let view dt data dims offset =
+  let dims = Array.of_list dims in
+  let n = Array.length dims in
+  let strides = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    strides.(i) <- strides.(i + 1) * dims.(i + 1)
+  done;
+  { B.data; dtype = dt; dims; strides; offset }
+
+let run_ukr_pair ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
   let proc = (Exo_blis.Registry.exo_kernel ~kit ~mr ~nr ()).Family.proc in
   let ck = C.compile proc in
-  let uk =
-    match C.to_ukr proc with
-    | Some (u, _) -> u
-    | None -> Alcotest.failf "to_ukr refused %s %dx%d" kit.Kits.name mr nr
-  in
-  let one = B.of_array kit.Kits.dt [ 1 ] [| 1.0 |] in
+  let dt = kit.Kits.dt in
+  let one = B.of_array dt [ 1 ] [| 1.0 |] in
   let mk_arrays () =
     let st = Random.State.make [| seed; mr; nr; kc; ao; bo |] in
     let mk n =
@@ -217,33 +223,20 @@ let run_ukr_triple ~(kit : Kits.t) ~mr ~nr ~kc ~ao ~bo ~seed =
     in
     (mk (ao + (kc * mr)), mk (bo + (kc * nr)), mk (nr * mr))
   in
-  let view data dims offset =
-    let dims = Array.of_list dims in
-    let n = Array.length dims in
-    let strides = Array.make n 1 in
-    for i = n - 2 downto 0 do
-      strides.(i) <- strides.(i + 1) * dims.(i + 1)
-    done;
-    { B.data; dtype = kit.Kits.dt; dims; strides; offset }
-  in
   let via_engine run =
     let ac, bc, c = mk_arrays () in
     run
       [
         I.VInt kc;
         I.VBuf one;
-        I.VBuf (view ac [ kc; mr ] ao);
-        I.VBuf (view bc [ kc; nr ] bo);
+        I.VBuf (view dt ac [ kc; mr ] ao);
+        I.VBuf (view dt bc [ kc; nr ] bo);
         I.VBuf one;
-        I.VBuf (view c [ nr; mr ] 0);
+        I.VBuf (view dt c [ nr; mr ] 0);
       ];
     c
   in
-  let c_interp = via_engine (I.run proc) in
-  let c_closure = via_engine (C.run ck) in
-  let ac, bc, c_fast = mk_arrays () in
-  uk ~kc ~ac ~ao ~bc ~bo ~c:c_fast;
-  (c_interp, c_closure, c_fast)
+  (via_engine (I.run proc), via_engine (C.run ck))
 
 let arrays_bit_equal a b =
   Array.length a = Array.length b
@@ -251,69 +244,80 @@ let arrays_bit_equal a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-let check_ukr_triple ~kit ~mr ~nr ~kc ~ao ~bo ~seed =
-  let ci, cc, cf = run_ukr_triple ~kit ~mr ~nr ~kc ~ao ~bo ~seed in
-  arrays_bit_equal ci cc && arrays_bit_equal ci cf
+let check_ukr_pair ~kit ~mr ~nr ~kc ~ao ~bo ~seed =
+  let ci, cc = run_ukr_pair ~kit ~mr ~nr ~kc ~ao ~bo ~seed in
+  arrays_bit_equal ci cc
 
-let test_to_ukr_family_f32 () =
+let test_oracles_family_f32 () =
   List.iter
     (fun (mr, nr) ->
       Alcotest.(check bool)
-        (Fmt.str "%dx%d f32: to_ukr ≡ closure ≡ interp" mr nr)
+        (Fmt.str "%dx%d f32: closure ≡ interp" mr nr)
         true
-        (check_ukr_triple ~kit:Kits.neon_f32 ~mr ~nr ~kc:24 ~ao:0 ~bo:0 ~seed:11))
+        (check_ukr_pair ~kit:Kits.neon_f32 ~mr ~nr ~kc:24 ~ao:0 ~bo:0 ~seed:11))
     Family.paper_shapes
 
-let test_to_ukr_family_f16 () =
+let test_oracles_family_f16 () =
   List.iter
     (fun (mr, nr) ->
       Alcotest.(check bool)
-        (Fmt.str "%dx%d f16: to_ukr ≡ closure ≡ interp" mr nr)
+        (Fmt.str "%dx%d f16: closure ≡ interp" mr nr)
         true
-        (check_ukr_triple ~kit:Kits.neon_f16 ~mr ~nr ~kc:16 ~ao:8 ~bo:4 ~seed:3))
+        (check_ukr_pair ~kit:Kits.neon_f16 ~mr ~nr ~kc:16 ~ao:8 ~bo:4 ~seed:3))
     [ (8, 8); (8, 4); (16, 8); (1, 8) ]
 
-let test_to_ukr_all_kits () =
+let test_oracles_all_kits () =
   (* one shape per kit: covers Packed, PackedBcast, Row and Scalar styles
      plus the i32 rounding path *)
   List.iter
     (fun (kit : Kits.t) ->
       Alcotest.(check bool)
-        (Fmt.str "%s 8x12: to_ukr ≡ closure ≡ interp" kit.Kits.name)
+        (Fmt.str "%s 8x12: closure ≡ interp" kit.Kits.name)
         true
-        (check_ukr_triple ~kit ~mr:8 ~nr:12 ~kc:9 ~ao:3 ~bo:5 ~seed:17))
+        (check_ukr_pair ~kit ~mr:8 ~nr:12 ~kc:9 ~ao:3 ~bo:5 ~seed:17))
     Kits.all
 
-let test_to_ukr_kc_zero () =
+let test_oracles_kc_zero () =
   (* kc = 0 still runs the C round-trip through register memory *)
   Alcotest.(check bool)
-    "kc=0: to_ukr ≡ closure ≡ interp" true
-    (check_ukr_triple ~kit:Kits.neon_f32 ~mr:8 ~nr:12 ~kc:0 ~ao:0 ~bo:0 ~seed:5)
+    "kc=0: closure ≡ interp" true
+    (check_ukr_pair ~kit:Kits.neon_f32 ~mr:8 ~nr:12 ~kc:0 ~ao:0 ~bo:0 ~seed:5)
 
-let test_to_ukr_short_array_raises () =
-  (* a call whose panels don't cover kc must divert to the general engine
-     and raise exactly like the interpreter (no unsafe access) *)
+let test_oracles_short_array_raises () =
+  (* a panel view whose backing array doesn't cover kc must raise in both
+     engines (no unsafe access past the array) *)
   let proc = (Exo_blis.Registry.exo_kernel ~kit:Kits.neon_f32 ~mr:8 ~nr:12 ()).Family.proc in
-  let uk = fst (Option.get (C.to_ukr proc)) in
-  let c = Array.make (12 * 8) 0.0 in
-  Alcotest.(check bool) "short Ac raises" true
-    (try
-       uk ~kc:4 ~ac:(Array.make 8 1.0) ~ao:0 ~bc:(Array.make (4 * 12) 1.0)
-         ~bo:0 ~c;
-       false
-     with
+  let ck = C.compile proc in
+  let one = B.of_array Dtype.F32 [ 1 ] [| 1.0 |] in
+  let view data dims = view Dtype.F32 data dims 0 in
+  let raises run =
+    try
+      run
+        [
+          I.VInt 4;
+          I.VBuf one;
+          I.VBuf (view (Array.make 8 1.0) [ 4; 8 ]);
+          I.VBuf (view (Array.make (4 * 12) 1.0) [ 4; 12 ]);
+          I.VBuf one;
+          I.VBuf (view (Array.make (12 * 8) 0.0) [ 12; 8 ]);
+        ];
+      false
+    with
     | Exo_interp.Buffer.Bounds _ | I.Runtime_error _ | Invalid_argument _ ->
-        true)
+        true
+  in
+  Alcotest.(check bool) "short Ac raises (closure)" true (raises (C.run ck));
+  Alcotest.(check bool) "short Ac raises (interp)" true (raises (I.run proc))
 
-let prop_to_ukr_equiv =
-  QCheck2.Test.make ~name:"to_ukr ≡ closure ≡ interp (random kc/offsets/seeds)"
+let prop_oracles_equiv =
+  QCheck2.Test.make ~name:"closure ≡ interp on offset panels (random kc/seeds)"
     ~count:120
     QCheck2.Gen.(
       quad
         (oneofl Family.paper_shapes)
         (int_range 0 33) (pair (int_range 0 5) (int_range 0 7)) (int_range 0 1000))
     (fun ((mr, nr), kc, (ao, bo), seed) ->
-      check_ukr_triple ~kit:Kits.neon_f32 ~mr ~nr ~kc ~ao ~bo ~seed)
+      check_ukr_pair ~kit:Kits.neon_f32 ~mr ~nr ~kc ~ao ~bo ~seed)
 
 (* --- runtime contracts --------------------------------------------------- *)
 
@@ -461,7 +465,7 @@ let () =
       [
         prop_compiled_equals_interpreted;
         prop_compiled_equals_interpreted_scheduled;
-        prop_to_ukr_equiv;
+        prop_oracles_equiv;
       ]
   in
   Alcotest.run "compile"
@@ -472,15 +476,15 @@ let () =
           Alcotest.test_case "paper family f32" `Quick test_family_kernels_agree;
           Alcotest.test_case "family f16" `Quick test_family_kernels_agree_f16;
         ] );
-      ( "to_ukr",
+      ( "oracles",
         [
-          Alcotest.test_case "paper family f32" `Quick test_to_ukr_family_f32;
+          Alcotest.test_case "paper family f32" `Quick test_oracles_family_f32;
           Alcotest.test_case "family f16, offset panels" `Quick
-            test_to_ukr_family_f16;
-          Alcotest.test_case "every kit (all styles)" `Quick test_to_ukr_all_kits;
-          Alcotest.test_case "kc = 0" `Quick test_to_ukr_kc_zero;
-          Alcotest.test_case "short array diverts and raises" `Quick
-            test_to_ukr_short_array_raises;
+            test_oracles_family_f16;
+          Alcotest.test_case "every kit (all styles)" `Quick test_oracles_all_kits;
+          Alcotest.test_case "kc = 0" `Quick test_oracles_kc_zero;
+          Alcotest.test_case "short array raises" `Quick
+            test_oracles_short_array_raises;
         ] );
       ( "contracts",
         [

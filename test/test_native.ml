@@ -177,7 +177,8 @@ let test_differential kit () =
     Alcotest.(check int) (kit.K.name ^ ": no fallbacks") 0 fallback;
     let c_ba = run (R.exo_bank_ba ~kit ~mr ~nr ()) in
     let c_closure = M.create m n in
-    G.blis ~blocking ~mr ~nr ~ukr:(R.exo_ukr ~kit ()) a b c_closure;
+    G.blis_ba ~blocking ~mr ~nr ~kernels:(R.oracle_bank ~kit R.Closure ~mr ~nr ())
+      a b c_closure;
     let c_naive = M.create m n in
     G.naive_f32 a b c_naive;
     Alcotest.(check bool) (kit.K.name ^ ": native = bigarray") true

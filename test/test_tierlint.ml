@@ -115,12 +115,6 @@ let test_reset_dispatch_counts () =
   R.reset_dispatch_counts ();
   Alcotest.(check (pair int int))
     "reset_dispatch_counts zeroes both" (0, 0)
-    (R.ukr_dispatch_counts ());
-  (* the historical alias is the same operation *)
-  u ~kc:2 ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0;
-  R.reset_ukr_dispatch_counts ();
-  Alcotest.(check (pair int int))
-    "alias zeroes both" (0, 0)
     (R.ukr_dispatch_counts ())
 
 (* --- negative tests: corrupted lowerings are rejected per property ------ *)

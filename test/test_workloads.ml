@@ -98,10 +98,10 @@ let test_conv_via_blis_gemm () =
   let d = C.direct spec input weights in
   let a = C.im2row spec input in
   let c = M.create 36 8 in
-  Exo_blis.Gemm.blis
+  Exo_blis.Gemm.blis_ba
     ~blocking:{ Exo_blis.Analytical.mc = 16; kc = 8; nc = 24 }
     ~mr:8 ~nr:12
-    ~ukr:(Exo_blis.Registry.exo_ukr ())
+    ~kernels:(Exo_blis.Registry.exo_bank ~mr:8 ~nr:12 ())
     a weights c;
   let ok = ref true in
   for oi = 0 to 5 do
