@@ -12,10 +12,11 @@
     The executable path is built for paper-scale runs: pack buffers and the
     C tile live in per-domain float32 Bigarray arenas (the store is the f32
     rounding), the C-tile gather/scatter is fused over unsafe accesses
-    behind one up-front bounds check, and the jc and ic loops — disjoint C
-    blocks — fan out on an {!Exo_par.Pool} as one task grid, bit-identical
-    at every pool width because each task touches only its own block and
-    runs the same per-element operation sequence. *)
+    behind one up-front bounds check, each B block is packed once across
+    the {!Exo_par.Pool}, and the m range is split into mr-aligned row
+    slices, one per pool domain — bit-identical at every pool width because
+    each slice writes only its own rows and every element sees the same
+    kernel calls in the same k order. *)
 
 module Obs = Exo_obs.Obs
 module Pool = Exo_par.Pool
@@ -72,7 +73,8 @@ let ba_empty () : ba32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layo
 
 (** Per-domain scratch: one pack arena per operand plus the C tile, grown
     monotonically (next power of two) and reused across GEMMs. Per-domain
-    because pool tasks on different domains pack concurrently. *)
+    because row slices on different domains pack A concurrently; the B
+    arena of the domain that calls {!blis_ba} holds the shared B block. *)
 type arena = { mutable aw : ba32; mutable bw : ba32; mutable tw : ba32 }
 
 type workspace = arena Domain.DLS.key
@@ -109,20 +111,24 @@ let grown (a : ba32) (n : int) : ba32 =
 (* The five-loop macro-kernel                                          *)
 
 (** The BLIS-like GEMM: C := alpha·A·B + beta·C with the five-loop blocked
-    algorithm, packed panels and the C tile in float32 Bigarrays, per-tile
-    dispatch by O(1) array indexing into the table [kernels ()] returns,
-    and BOTH the jc and ic loops fanned out as one task grid — each task
-    owns the disjoint C block (rows ic·mc .., cols jc·nc ..), so small-n
-    problems where jc alone yields a single task still scale across the
-    pool, and the output stays bit-identical at every width.
+    algorithm, packed panels and the C tile in float32 Bigarrays, and
+    per-tile dispatch by O(1) array indexing into the table [kernels ()]
+    returns.
 
-    [kernels] is called once per task on the executing domain and must
+    Decomposition: jc and pc run sequentially on the caller. For each
+    (jc, pc) the kc×nc B block is packed once into the caller's arena,
+    contiguous panel ranges split across the pool. The m range is split
+    into [Pool.jobs] contiguous, mr-aligned row slices balanced by panel
+    count (Smith et al.'s ic/ir partitioning); each slice walks its rows in
+    mc blocks, packs A into its own domain's arena and runs the jr/ir loops
+    over the shared B. Row blocks stay mr-aligned (mc is rounded down to a
+    multiple of mr), so every C element is computed by the same kernel
+    calls in the same k order at every pool width: the output is
+    bit-identical at every width.
+
+    [kernels] is called once per GEMM, on the calling domain, and must
     return a table of at least mr·nr entries, entry [(mr'-1)·nr + nr'-1]
-    computing an mr'×nr' tile. Every entry the registry serves is
-    re-entrant (native calls and Bigarray executors keep no shared state,
-    oracle entries resolve their engine per domain at call time), so the
-    thunk may hand every task the same shared array; it is a thunk so the
-    table can be built on first use ({!Registry.exo_bank}). *)
+    computing an mr'×nr' tile — one table serves every tile of one C. *)
 let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     ~(blocking : Analytical.blocking) ~(mr : int) ~(nr : int)
     ~(kernels : unit -> ukr_ba array) (a : Matrix.t) (b : Matrix.t)
@@ -139,133 +145,163 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   if mc < mr || nc < nr || kc < 1 then
     invalid_arg "Gemm.blis_ba: degenerate blocking";
   let pool = match pool with Some p -> p | None -> Pool.global () in
+  let tbl = kernels () in
+  if Array.length tbl < mr * nr then
+    invalid_arg "Gemm.blis_ba: kernel table shorter than mr*nr";
+  let mc = mc / mr * mr in
   let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
   let ldc = c.Matrix.cols and cdata = c.Matrix.data in
   let a_size = Packing.a_arena_size ~mcb:(min mc m) ~kcb:(min kc k) ~mr in
   let b_size = Packing.b_arena_size ~ncb:(min nc n) ~kcb:(min kc k) ~nr in
-  let n_jc = (n + nc - 1) / nc and n_ic = (m + mc - 1) / mc in
+  let n_jc = (n + nc - 1) / nc and n_pc = (k + kc - 1) / kc in
+  let jobs = Pool.jobs pool in
+  (* the m range as contiguous mr-aligned slices, balanced by panel count *)
+  let m_panels = (m + mr - 1) / mr in
+  let n_slices = max 1 (min jobs m_panels) in
+  let slice_rows s =
+    ( s * m_panels / n_slices * mr,
+      min m ((s + 1) * m_panels / n_slices * mr) )
+  in
+  let slices = List.init n_slices Fun.id in
+  (* B panels of column block jc, and the pack-B tasks they split into *)
+  let b_panels jc = (min nc (n - (jc * nc)) + nr - 1) / nr in
+  let b_tasks jc = min jobs (b_panels jc) in
   let sp_blis =
-    if Obs.enabled () then
+    if Obs.enabled () then begin
+      let tasks = ref (if Float.equal beta 1.0 then 0 else n_slices) in
+      for jc = 0 to n_jc - 1 do
+        tasks := !tasks + (n_pc * (b_tasks jc + n_slices))
+      done;
       Obs.begin_span
         ~args:
           [
             ("m", string_of_int m);
             ("n", string_of_int n);
             ("k", string_of_int k);
-            ("tasks", string_of_int (n_jc * n_ic));
+            ("tasks", string_of_int !tasks);
           ]
         "gemm.blis_ba"
+    end
     else Obs.none
   in
-  (* one task per (jc, ic) cell of the C block grid, jc-major *)
-  let task t =
-    let jc = t / n_ic and ic = t mod n_ic in
-    let tbl = kernels () in
-    if Array.length tbl < mr * nr then
-      invalid_arg "Gemm.blis_ba: kernel table shorter than mr*nr";
-    let ar = Domain.DLS.get ws in
-    ar.aw <- grown ar.aw a_size;
-    ar.bw <- grown ar.bw b_size;
-    ar.tw <- grown ar.tw (mr * nr);
-    let tile = ar.tw in
-    let jc0 = jc * nc and ic0 = ic * mc in
-    let ncb = min nc (n - jc0) and mcb = min mc (m - ic0) in
-    (* beta scaling of this task's own C block: every write of the task
-       stays inside rows ic0 .. ic0+mcb-1 × cols jc0 .. jc0+ncb-1, which
-       is what keeps the two-axis fan-out deterministic *)
-    if not (Float.equal beta 1.0) then
-      for i = ic0 to ic0 + mcb - 1 do
-        let rb = (i * ldc) + jc0 in
-        for j = 0 to ncb - 1 do
-          cdata.(rb + j) <- r32 (beta *. cdata.(rb + j))
-        done
-      done;
-    for pc = 0 to ((k + kc - 1) / kc) - 1 do
+  let span name args =
+    if Obs.enabled () then
+      Obs.begin_span
+        ~args:(List.map (fun (k, v) -> (k, string_of_int v)) args)
+        name
+    else Obs.none
+  in
+  (* beta scaling of each slice's own C rows, before any pc block: every
+     write of a slice task stays inside its rows, and k = 0 (no pc block
+     at all) still scales *)
+  if not (Float.equal beta 1.0) then
+    Pool.iter pool
+      (fun s ->
+        let r0, r1 = slice_rows s in
+        for i = r0 to r1 - 1 do
+          let rb = i * ldc in
+          for j = 0 to n - 1 do
+            cdata.(rb + j) <- r32 (beta *. cdata.(rb + j))
+          done
+        done)
+      slices;
+  let bw =
+    let own = Domain.DLS.get ws in
+    own.bw <- grown own.bw b_size;
+    own.bw
+  in
+  for jc = 0 to n_jc - 1 do
+    let jc0 = jc * nc in
+    let ncb = min nc (n - jc0) in
+    let num_panels = b_panels jc and nbt = b_tasks jc in
+    for pc = 0 to n_pc - 1 do
       let pc0 = pc * kc in
       let kcb = min kc (k - pc0) in
-      let sp =
-        if Obs.enabled () then
-          Obs.begin_span
-            ~args:
-              [
-                ("jc", string_of_int jc);
-                ("ic", string_of_int ic);
-                ("pc", string_of_int pc);
-              ]
-            "gemm.pack_b"
-        else Obs.none
-      in
+      let pitch = kcb * nr in
+      (* pack the kc×nc B block once: task t packs panels p0 .. p1-1 into
+         their slots of the shared arena through a sub view *)
+      Pool.iter pool
+        (fun t ->
+          let p0 = t * num_panels / nbt and p1 = (t + 1) * num_panels / nbt in
+          let sp = span "gemm.pack_b" [ ("jc", jc); ("pc", pc); ("task", t) ] in
+          ignore
+            (Packing.pack_b_ba_into ~alpha
+               (Bigarray.Array1.sub bw (p0 * pitch) ((p1 - p0) * pitch))
+               b ~pc:pc0
+               ~jc:(jc0 + (p0 * nr))
+               ~kcb
+               ~ncb:(min ncb (p1 * nr) - (p0 * nr))
+               ~nr);
+          Obs.end_span sp)
+        (List.init nbt Fun.id);
       let bp =
-        Packing.pack_b_ba_into ~alpha ar.bw b ~pc:pc0 ~jc:jc0 ~kcb ~ncb ~nr
+        { Packing.data = bw; pitch; num_panels; depth = kcb; full = nr;
+          block = ncb }
       in
-      Obs.end_span sp;
-      let sp =
-        if Obs.enabled () then
-          Obs.begin_span
-            ~args:
-              [
-                ("jc", string_of_int jc);
-                ("ic", string_of_int ic);
-                ("pc", string_of_int pc);
-              ]
-            "gemm.pack_a"
-        else Obs.none
-      in
-      let ap = Packing.pack_a_ba_into ar.aw a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr in
-      Obs.end_span sp;
-      let sp_macro =
-        if Obs.enabled () then
-          Obs.begin_span
-            ~args:
-              [
-                ("jc", string_of_int jc);
-                ("pc", string_of_int pc);
-                ("ic", string_of_int ic);
-              ]
-            "gemm.macro_kernel"
-        else Obs.none
-      in
-      let adata = ap.Packing.data and bdata = bp.Packing.data in
-      for jr = 0 to bp.Packing.num_panels - 1 do
-        let nrb = Packing.panel_width bp jr in
-        let bo = Packing.panel_off bp jr in
-        for ir = 0 to ap.Packing.num_panels - 1 do
-          let mrb = Packing.panel_width ap ir in
-          let ao = Packing.panel_off ap ir in
-          (* fused gather/scatter of the transposed C tile: flat base
-             addressing, unsafe behind the storage check at entry (every
-             index is <= (m-1)*ldc + n-1 < m*n); the f32 rounding of each
-             C element is the Bigarray store *)
-          let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
-          for j = 0 to nrb - 1 do
-            for i = 0 to mrb - 1 do
-              Bigarray.Array1.unsafe_set tile
-                ((j * mrb) + i)
-                (Array.unsafe_get cdata (cbase + (i * ldc) + j))
-            done
-          done;
-          (* O(1) dispatch: plain array indexing, in range because
-             1 <= mrb <= mr, 1 <= nrb <= nr and the table length was
-             checked at task entry *)
-          let sp_ukr =
-            if Obs.enabled () then Obs.begin_span "gemm.ukr" else Obs.none
-          in
-          (Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1))
-            ~kc:kcb ~ac:adata ~ao ~bc:bdata ~bo ~c:tile ~co:0;
-          Obs.end_span sp_ukr;
-          for j = 0 to nrb - 1 do
-            for i = 0 to mrb - 1 do
-              Array.unsafe_set cdata
-                (cbase + (i * ldc) + j)
-                (Bigarray.Array1.unsafe_get tile ((j * mrb) + i))
-            done
-          done
-        done
-      done;
-      Obs.end_span sp_macro
+      Pool.iter pool
+        (fun s ->
+          let r0, r1 = slice_rows s in
+          let ar = Domain.DLS.get ws in
+          ar.aw <- grown ar.aw a_size;
+          ar.tw <- grown ar.tw (mr * nr);
+          let tile = ar.tw in
+          for blk = 0 to ((r1 - r0 + mc - 1) / mc) - 1 do
+            let ic0 = r0 + (blk * mc) in
+            let mcb = min mc (r1 - ic0) in
+            let sp =
+              span "gemm.pack_a"
+                [ ("jc", jc); ("pc", pc); ("slice", s); ("row", ic0) ]
+            in
+            let ap =
+              Packing.pack_a_ba_into ar.aw a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr
+            in
+            Obs.end_span sp;
+            let sp_macro =
+              span "gemm.macro_kernel"
+                [ ("jc", jc); ("pc", pc); ("slice", s); ("row", ic0) ]
+            in
+            let adata = ap.Packing.data in
+            for jr = 0 to bp.Packing.num_panels - 1 do
+              let nrb = Packing.panel_width bp jr in
+              let bo = Packing.panel_off bp jr in
+              for ir = 0 to ap.Packing.num_panels - 1 do
+                let mrb = Packing.panel_width ap ir in
+                let ao = Packing.panel_off ap ir in
+                (* fused gather/scatter of the transposed C tile: flat base
+                   addressing, unsafe behind the storage check at entry
+                   (every index is <= (m-1)*ldc + n-1 < m*n); the f32
+                   rounding of each C element is the Bigarray store *)
+                let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
+                for j = 0 to nrb - 1 do
+                  for i = 0 to mrb - 1 do
+                    Bigarray.Array1.unsafe_set tile
+                      ((j * mrb) + i)
+                      (Array.unsafe_get cdata (cbase + (i * ldc) + j))
+                  done
+                done;
+                (* O(1) dispatch: plain array indexing, in range because
+                   1 <= mrb <= mr, 1 <= nrb <= nr and the table length was
+                   checked at entry *)
+                let sp_ukr =
+                  if Obs.enabled () then Obs.begin_span "gemm.ukr" else Obs.none
+                in
+                (Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1))
+                  ~kc:kcb ~ac:adata ~ao ~bc:bw ~bo ~c:tile ~co:0;
+                Obs.end_span sp_ukr;
+                for j = 0 to nrb - 1 do
+                  for i = 0 to mrb - 1 do
+                    Array.unsafe_set cdata
+                      (cbase + (i * ldc) + j)
+                      (Bigarray.Array1.unsafe_get tile ((j * mrb) + i))
+                  done
+                done
+              done
+            done;
+            Obs.end_span sp_macro
+          done)
+        slices
     done
-  in
-  Pool.iter pool task (List.init (n_jc * n_ic) Fun.id);
+  done;
   Obs.end_span sp_blis
 
 (* ------------------------------------------------------------------ *)

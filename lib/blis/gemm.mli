@@ -1,6 +1,7 @@
 (** GEMM: the BLIS/GotoBLAS five-loop macro-kernel (Fig. 1 of the paper)
     plus naive references, over {!Matrix} values. The executable path packs
-    into per-domain {!workspace} arenas, fans the jc and ic loops out on an
+    each B block once into a shared arena and A into per-domain
+    {!workspace} arenas, splits the m range into row slices across an
     {!Exo_par.Pool} with bit-identical output at every width, dispatches
     every tile into a flat (mr' × nr') kernel table, and batches whole
     workloads through {!batch_ba}. *)
@@ -22,11 +23,10 @@ val naive_f32 :
   ?alpha:float -> ?beta:float -> Matrix.t -> Matrix.t -> Matrix.t -> unit
 
 (** Per-domain reusable scratch (pack arenas + C tile), grown on demand and
-    reused across GEMMs by whichever domain runs a task. A domain that
-    keeps running tasks reuses its arenas, so repeated calls at pool width
-    1 allocate nothing in steady state. At width > 1 the worker domains
-    are scoped to one pool region and start with empty arenas, so every
-    call still allocates fresh arenas on them. *)
+    reused across GEMMs by whichever domain runs a task. The pool's helper
+    domains are persistent, so their arenas survive from one GEMM to the
+    next: repeated calls allocate no arenas in steady state, at width 1 and
+    at width > 1 alike. *)
 type workspace
 
 (** A fresh workspace (its arenas materialize per domain on first use). *)
@@ -36,15 +36,21 @@ val workspace : unit -> workspace
 val default_workspace : workspace
 
 (** The BLIS-like GEMM: jc/pc/ic/jr/ir blocking, float32-Bigarray arena
-    packing (alpha folded into Bc, beta applied per C block), O(1)
-    array-indexed dispatch into the table [kernels ()] returns (entry
-    [(mr'-1)·nr + nr'-1] computes an mr'×nr' tile; at least mr·nr
-    entries), and BOTH the jc and ic loops fanned out as one (jc × ic) task
-    grid — disjoint C row×column block per task, so small-n problems where
-    the jc-only split yields a single task still scale, bit-identical at
-    every pool width. [kernels] is invoked once per task on the executing
-    domain. Every entry {!Registry} serves is re-entrant, so the thunk may
-    hand every task the same shared array ({!Registry.exo_bank} does). *)
+    packing (alpha folded into Bc, beta applied to C before the first pc
+    block, so also at k = 0), and O(1) array-indexed dispatch into the
+    table [kernels ()] returns (entry [(mr'-1)·nr + nr'-1] computes an
+    mr'×nr' tile; at least mr·nr entries).
+
+    Decomposition: jc and pc run sequentially. For each (jc, pc) the kc×nc
+    B block is packed once, into the calling domain's arena, with
+    contiguous panel ranges split across the pool. The m range is split
+    into [Pool.jobs pool] contiguous mr-aligned row slices balanced by
+    panel count; each slice walks its rows in mc blocks (mc rounded down
+    to a multiple of mr), packs A into its own domain's arena and runs the
+    jr/ir loops over the shared B. Every C element is computed by the same
+    kernel calls in the same k order at every width, so the output is
+    bit-identical at every pool width. [kernels] is invoked once per call,
+    on the calling domain, so one table serves every tile of one C. *)
 val blis_ba :
   ?alpha:float ->
   ?beta:float ->

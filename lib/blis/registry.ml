@@ -368,11 +368,24 @@ let native_target_for (kit : Kits.t) : C_emit.native_target option =
     | Some isa when Host.supports isa -> Some C_emit.Nat_intrinsics
     | _ -> Some C_emit.Nat_portable
 
-(* The shared object's content address. No source digest on purpose: every
-   part that determines the source (kit content, shape, pipeline variant,
-   target) is a key part, so a warm hit skips source generation entirely.
-   Compiler identity and tuning flags are parts too — a .so built by a
-   different compiler, or for a different -march, is a different entry. *)
+(* Digest of the portable nests a (mr, nr) bank emits — every entry's,
+   since the intrinsics wrapper keeps the nest as its other path. It is
+   the part of the source an emitter change moves without touching any
+   other key part; rendering it is cheap and needs no kernel build. *)
+let portable_digest ~(mr : int) ~(nr : int) : string =
+  let b = Buffer.create 65536 in
+  for idx = 0 to (mr * nr) - 1 do
+    C_emit.portable_body b ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The shared object's content address. Every input that determines the
+   source (kit content, shape, pipeline variant, target) is a key part, and
+   so is a digest of the emitter's portable nests, so a changed emitter is
+   a different entry rather than a stale .so served under the old key; a
+   warm hit still skips generating the bank's source. Compiler identity and
+   tuning flags are parts too — a .so built by a different compiler, or
+   for a different -march, is a different entry. *)
 let native_key (kit : Kits.t) ~(mr : int) ~(nr : int)
     ~(target : C_emit.native_target) : string =
   Store.key
@@ -388,6 +401,7 @@ let native_key (kit : Kits.t) ~(mr : int) ~(nr : int)
       C_emit.native_target_name target;
       Host.cc_identity ();
       String.concat " " (Host.march_flags ());
+      portable_digest ~mr ~nr;
     ]
 
 (** The native-ABI C source for a whole kernel bank — one exported

@@ -138,6 +138,14 @@ val exo_bank_ba :
 val native_target_for :
   Exo_ukr_gen.Kits.t -> Exo_codegen.C_emit.native_target option
 
+(** The store key a bank's shared object is filed under: kit content,
+    table shape, target, compiler identity and tuning flags, plus a digest
+    of the portable nests the emitter renders for the bank — so a .so
+    built by an older emitter is never loaded as this one's. *)
+val native_key :
+  Exo_ukr_gen.Kits.t -> mr:int -> nr:int ->
+  target:Exo_codegen.C_emit.native_target -> string
+
 (** The native-ABI C source for a whole bank, with the target this host
     would pick — [ukrgen native]'s artifact, [None] for non-f32 kits. *)
 val native_emit :

@@ -106,10 +106,10 @@ let check_bounds (s : S.t) : verdict =
 
 (* Every store must target the entry's own nr·mr C tile or its private
    scratch slab — never the shared packed panels. Combined with the
-   (jc × ic) task-grid geometry of [Gemm.blis_ba] (each task owns a
-   disjoint C row×column block and its own arenas/slabs), this is a static
-   race-freedom and width-invariance proof for the pool fan-out: no two
-   tasks can write one location, at any pool width. *)
+   row-slice geometry of [Gemm.blis_ba] (each task owns disjoint C rows
+   and its own A arena, tile and slabs; the shared B block is only read),
+   this is a static race-freedom and width-invariance proof for the pool
+   fan-out: no two tasks can write one location, at any pool width. *)
 let check_writes (s : S.t) : verdict =
   let kc = Sym.fresh "kc" and k = Sym.fresh "k" in
   let kcv = Affine.var kc and kv = Affine.var k in

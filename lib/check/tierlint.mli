@@ -19,9 +19,9 @@
       [kc ≥ 0] — panel accesses outside the k loop are rejected because the
       contract is empty at [kc = 0].
     - {b write-set containment}: stores touch only the entry's own C tile
-      and private scratch. Combined with the disjoint (jc × ic) C blocks of
-      {!Exo_blis.Gemm.blis_ba}'s task grid, this is a static race-freedom
-      and width-invariance proof for the pool fan-out.
+      and private scratch. Combined with the disjoint C row slices of
+      {!Exo_blis.Gemm.blis_ba}'s pool fan-out, this is a static
+      race-freedom and width-invariance proof for that fan-out.
     - {b accumulation shape}: symbolic execution of the tape shows each C
       element [C[j,i]] ends as exactly
       [C₀[j,i] + Σ_{k<kc} A[i+k·mr]·B[j+k·nr]] (factors may commute) — the

@@ -419,24 +419,40 @@ let native_abi_signature (sym : string) : string =
    restrict qualifiers and the ivdep pragma tell the host compiler the
    loops carry no aliasing, so it autovectorizes the i-loop for whatever
    ISA it targets — the fallback lowering for hosts without the kit's
-   intrinsics, and the non-contiguous-C path of the intrinsics wrapper. *)
+   intrinsics, and the non-contiguous-C path of the intrinsics wrapper.
+
+   Register blocking: when mr is a multiple of 4 the i-loop fills whole
+   128-bit vectors, and the j and i loops are fully unrolled (GCC unroll
+   pragmas; compilers that do not know them ignore them) so the nr×mr
+   accumulators live in vector registers across the k-loop instead of
+   being shuffled through memory. Other shapes keep the rolled nest:
+   unrolled, gcc 12 made 7×7, 7×11 and 5×11 1.8–2.5× slower.
+   Each element still accumulates in k order — no k-splitting, no
+   reassociation. *)
 let portable_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
   let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let unroll n = if mr mod 4 = 0 then bf "#pragma GCC unroll %d\n" n in
   bf "  float acc[%d][%d];\n" nr mr;
+  unroll nr;
   bf "  for (int j = 0; j < %d; j++)\n" nr;
+  unroll mr;
   bf "    for (int i = 0; i < %d; i++)\n" mr;
   bf "      acc[j][i] = 0.0f;\n";
   bf "  for (int k = 0; k < kc; k++) {\n";
   bf "    const float *restrict a = A + (ptrdiff_t)k * %d;\n" mr;
   bf "    const float *restrict bp = B + (ptrdiff_t)k * %d;\n" nr;
+  unroll nr;
   bf "    for (int j = 0; j < %d; j++) {\n" nr;
   bf "      const float bj = bp[j];\n";
   bf "#pragma GCC ivdep\n";
+  unroll mr;
   bf "      for (int i = 0; i < %d; i++)\n" mr;
   bf "        acc[j][i] += a[i] * bj;\n";
   bf "    }\n";
   bf "  }\n";
+  unroll nr;
   bf "  for (int j = 0; j < %d; j++)\n" nr;
+  unroll mr;
   bf "    for (int i = 0; i < %d; i++)\n" mr;
   bf "      C[(ptrdiff_t)j * ldc + i] += acc[j][i];\n"
 

@@ -39,6 +39,11 @@ val native_sym : mr:int -> nr:int -> string
     C tile. *)
 val native_abi_signature : string -> string
 
+(** Append the portable C nest of one (mr, nr) kernel body under the
+    native ABI: f32 accumulators in k order, fully unrolled over j and i
+    (register-blocked) when [mr] is a multiple of 4, rolled otherwise. *)
+val portable_body : Buffer.t -> mr:int -> nr:int -> unit
+
 (** One native-ABI compilation unit for a whole kernel bank — one exported
     [exo_ukr_<mr>x<nr>] per [(mr, nr, proc)] triple. Under
     [Nat_intrinsics], each scheduled proc is emitted [static] behind a

@@ -1,18 +1,23 @@
 (** Fixed-width domain pool for data-parallel sweeps.
 
-    One engine behind every sweep in the repo: a fixed number of domains
-    consume a chunked work queue (atomic cursor, a few items per grab) and
-    write results into index-addressed slots, so for a pure [f] the output
-    of [map pool f xs] equals [List.map f xs] for every pool width. At
-    width 1 (the sequential fallback — one core, [--jobs 1], or a
-    single-item list) no domain is spawned at all.
+    One engine behind every sweep in the repo: the calling domain and up to
+    [width - 1] helper domains consume a chunked work queue (atomic cursor,
+    a few items per grab) and write results into index-addressed slots, so
+    for a pure [f] the output of [map pool f xs] equals [List.map f xs] for
+    every pool width. At width 1 (the sequential fallback — one core,
+    [--jobs 1], or a single-item list) no helper is involved at all.
 
-    Domains are region-scoped: each [map] spawns [width - 1] workers, the
-    caller works too, and all join before [map] returns — nothing leaks
-    past a parallel region.
+    Helper domains are persistent, not region-scoped: they are spawned
+    lazily, up to the largest [width - 1] ever requested, parked between
+    regions and reused, so their domain-local state (the GEMM packing
+    arenas) survives from one region to the next. One domain at a time
+    owns the helpers for a region; a region started while they are owned —
+    nested inside a task, or on another domain — runs inline on its caller.
+    Parked helpers never keep the process from exiting.
 
-    If [f] raises, the pool stops handing out chunks, joins, and re-raises
-    the exception of the lowest-indexed failing item (deterministic). *)
+    If [f] raises, the pool stops handing out chunks, waits for every
+    participant, and re-raises the exception of the lowest-indexed failing
+    item (deterministic). *)
 
 type t
 
@@ -37,4 +42,8 @@ val global : unit -> t
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
+
+(** Helper domains spawned so far in this process — never more than the
+    largest [width - 1] any region has requested (read-only). *)
+val helpers : unit -> int
 val iter : t -> ('a -> unit) -> 'a list -> unit

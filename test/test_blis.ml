@@ -327,8 +327,8 @@ let test_blis_ba_exact_and_counters () =
   Alcotest.(check int) "no closure fallbacks on an f32 family" 0 fallback
 
 let test_blis_ba_pool_width_invariance () =
-  (* the (jc × ic) task grid: a small-n shape where the jc-only split
-     yields one task still fans out over ic, bit-identical at every width *)
+  (* the row-slice split: a small-n shape with a single B panel still fans
+     out over m, bit-identical at every width *)
   let st = Random.State.make [| 29 |] in
   let m, n, k = (61, 12, 17) in
   let a = M.random_int m k st and b = M.random_int k n st in
@@ -347,6 +347,44 @@ let test_blis_ba_pool_width_invariance () =
   Alcotest.(check bool) "width 1 exact vs naive" true (M.equal c_ref c1);
   Alcotest.(check bool) "jobs 1 ≡ jobs 2 (bit-exact)" true (M.equal c1 c2);
   Alcotest.(check bool) "jobs 1 ≡ jobs 4 (bit-exact)" true (M.equal c1 c4)
+
+let test_blis_ba_decomposition_edges () =
+  (* the pack-B-once, row-sliced decomposition against naive f32 at widths
+     1-4, on the shapes where its split arithmetic is easiest to get wrong *)
+  let st = Random.State.make [| 37 |] in
+  let default = A.compute Mach.carmel ~mr:8 ~nr:12 ~dtype_bytes:4 in
+  let kernels = serving () in
+  let cases =
+    [
+      (* name, (m, n, k), blocking, alpha, beta *)
+      ("default blocking, m crosses mc", (903, 25, 21), default, 1.0, 1.0);
+      ("default blocking, beta 0", (40, 36, 33), default, 1.0, 0.0);
+      ("m < mr (one panel)", (5, 30, 9), small_blocking, 1.0, 1.0);
+      ("m < mr * width", (12, 30, 9), small_blocking, 2.0, 0.5);
+      ("width > B panels", (29, 7, 11), small_blocking, 1.0, 1.0);
+      ("n_jc > 1 and n_pc > 1", (37, 61, 30), small_blocking, 1.0, 1.0);
+      ("fringe rows, alpha and beta", (61, 50, 19), small_blocking, 2.0, -1.0);
+      ("mc not a multiple of mr", (45, 26, 17), { A.mc = 20; kc = 8; nc = 24 },
+       -1.0, 2.0);
+      ("k = 0 still scales by beta", (13, 14, 0), small_blocking, 2.0, -1.0);
+    ]
+  in
+  List.iter
+    (fun (name, (m, n, k), blocking, alpha, beta) ->
+      let a = M.random_int m k st and b = M.random_int k n st in
+      let c0 = M.random_int m n st in
+      let c_ref = M.copy c0 in
+      G.naive_f32 ~alpha ~beta a b c_ref;
+      List.iter
+        (fun jobs ->
+          let c = M.copy c0 in
+          G.blis_ba ~alpha ~beta ~pool:(Exo_par.Pool.create ~jobs ())
+            ~ws:(G.workspace ()) ~blocking ~mr:8 ~nr:12 ~kernels a b c;
+          Alcotest.(check bool)
+            (Fmt.str "%s (%dx%dx%d), width %d" name m n k jobs)
+            true (M.equal c c_ref))
+        [ 1; 2; 3; 4 ])
+    cases
 
 let test_gemm_batch_ba () =
   (* the workload batch through the serving bank matches per-problem naive *)
@@ -679,8 +717,10 @@ let () =
             test_table_dispatch_is_array_indexing;
           Alcotest.test_case "bigarray tier exact + no fallbacks" `Quick
             test_blis_ba_exact_and_counters;
-          Alcotest.test_case "bigarray tier (jc x ic) width invariance" `Quick
+          Alcotest.test_case "bigarray tier row-slice invariance" `Quick
             test_blis_ba_pool_width_invariance;
+          Alcotest.test_case "row-sliced decomposition edges, widths 1-4"
+            `Quick test_blis_ba_decomposition_edges;
           Alcotest.test_case "batch (bigarray tier)" `Quick test_gemm_batch_ba;
         ]
         @ props );

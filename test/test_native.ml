@@ -15,7 +15,8 @@
 
    3. Cache robustness — a corrupted cached [.so] reads as a miss and is
       recompiled; the rebuilt table serves native code again and computes
-      the same tiles.
+      the same tiles. A [.so] filed under the key formula that predates the
+      emitter digest is never loaded.
 
    4. Graceful degradation — with the tier disabled or the compiler
       masked, the table still builds complete, serves the Bigarray tier
@@ -226,6 +227,73 @@ let test_corrupted_so_recompiles () =
       (exec (R.table_entry t2 ~mr:3 ~nr:4) ~mr:3 ~nr:4 ~kc:17 ~seed:7)
   end
 
+(* The store key before it carried a digest of the emitted portable nests:
+   a .so built by an older emitter sits under exactly this key. *)
+let pre_digest_key (kit : K.t) ~mr ~nr ~target =
+  Store.key
+    [
+      "native-v1";
+      Sys.ocaml_version;
+      kit.K.name;
+      K.digest kit;
+      string_of_int kit.K.sched_steps;
+      string_of_int mr;
+      string_of_int nr;
+      "simple";
+      Exo_codegen.C_emit.native_target_name target;
+      Host.cc_identity ();
+      String.concat " " (Host.march_flags ());
+    ]
+
+(* every exported kernel a no-op: certification rejects any entry served
+   from it, so loading it cannot go unnoticed *)
+let decoy_source ~mr ~nr =
+  String.concat ""
+    (List.init (mr * nr) (fun idx ->
+         let sym =
+           Exo_codegen.C_emit.native_sym ~mr:((idx / nr) + 1)
+             ~nr:((idx mod nr) + 1)
+         in
+         Exo_codegen.C_emit.native_abi_signature sym ^ " { (void)kc; }\n"))
+
+let test_stale_emitter_so_not_loaded () =
+  with_fresh_tables @@ fun dir ->
+  let kit = K.neon_f32 and mr, nr = (4, 4) in
+  match (R.native_target_for kit, Host.cc ()) with
+  | None, _ -> skip "neon-f32 has no native target"
+  | _, None -> skip "no C compiler on host"
+  | Some target, Some _ -> (
+      match Jit.compile_c ~src:(decoy_source ~mr ~nr) with
+      | Error e -> Alcotest.fail ("decoy did not compile: " ^ e)
+      | Ok decoy ->
+          let st = Store.of_dir dir in
+          let stale = pre_digest_key kit ~mr ~nr ~target in
+          Alcotest.(check bool) "key now differs from the pre-digest key" true
+            (R.native_key kit ~mr ~nr ~target <> stale);
+          ignore (Store.put st ~kind:Jit.so_kind ~key:stale decoy);
+          Jit.reset_counts ();
+          let t = R.exo_table ~kit ~mr ~nr () in
+          let compiles, hits, _, _ = Jit.counts () in
+          let ni = t.R.t_native_info in
+          Alcotest.(check int) "the stale .so was not loaded" 0 hits;
+          Alcotest.(check int) "the bank was compiled afresh" 1 compiles;
+          Alcotest.(check int) "no entry rejected" 0 ni.R.ni_rejected;
+          Alcotest.(check int) "every entry native" (mr * nr) ni.R.ni_entries;
+          (* control: the same decoy under the current key IS loaded, and
+             certification catches it — so a zero hit count above means
+             the key moved, not that the decoy was unloadable *)
+          let current = R.native_key kit ~mr ~nr ~target in
+          R.clear_memos_for_bench ();
+          Store.remove st ~kind:Jit.so_kind ~key:current;
+          ignore (Store.put st ~kind:Jit.so_kind ~key:current decoy);
+          Jit.reset_counts ();
+          let t' = R.exo_table ~kit ~mr ~nr () in
+          let _, hits', _, _ = Jit.counts () in
+          Alcotest.(check int) "control: decoy under the current key loads" 1
+            hits';
+          Alcotest.(check bool) "control: certification rejects the decoy" true
+            (t'.R.t_native_info.R.ni_rejected > 0))
+
 (* --- graceful degradation ------------------------------------------------- *)
 
 (* the table must still build, serve the Bigarray tier for every call, and
@@ -298,6 +366,8 @@ let () =
         [
           Alcotest.test_case "corrupted cached .so recompiles" `Quick
             test_corrupted_so_recompiles;
+          Alcotest.test_case "stale-emitter .so is not loaded" `Quick
+            test_stale_emitter_so_not_loaded;
         ] );
       ( "degradation",
         [
