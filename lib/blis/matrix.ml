@@ -21,11 +21,26 @@ let init rows cols f =
 
 let copy m = { m with data = Array.copy m.data }
 
+(** Fill the first [rows·cols] entries of [t.data], in index order, with
+    small integers in [\[-bound, bound\]]: one [Random.State.int] draw per
+    element, row-major. Entries past [rows·cols] are left as they are, so
+    a buffer sized for a larger matrix can be refilled in place. *)
+let fill_random_int ?(bound = 3) t (st : Random.State.t) =
+  let n = t.rows * t.cols in
+  if Array.length t.data < n then
+    invalid_arg "Matrix.fill_random_int: storage shorter than rows*cols";
+  let span = (2 * bound) + 1 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set t.data i (float_of_int (Random.State.int st span - bound))
+  done
+
 (** Random matrix of small integer values: sums of products stay exactly
     representable in binary32, so differently-blocked GEMMs compare for
     exact equality in tests. *)
-let random_int ?(bound = 3) rows cols (st : Random.State.t) =
-  init rows cols (fun _ _ -> float_of_int (Random.State.int st (2 * bound + 1) - bound))
+let random_int ?bound rows cols (st : Random.State.t) =
+  let m = create rows cols in
+  fill_random_int ?bound m st;
+  m
 
 let random rows cols (st : Random.State.t) =
   init rows cols (fun _ _ -> Random.State.float st 2.0 -. 1.0)

@@ -13,6 +13,13 @@ val copy : t -> t
     in binary32, so differently-blocked GEMMs compare for exact equality. *)
 val random_int : ?bound:int -> int -> int -> Random.State.t -> t
 
+(** [fill_random_int ?bound t st] makes the draws {!random_int} makes for a
+    [t.rows × t.cols] matrix — one [Random.State.int st (2·bound+1) − bound]
+    per element, row-major — into the first [rows·cols] entries of
+    [t.data], in place; the rest of the storage is untouched. Raises
+    [Invalid_argument] when the storage is shorter than [rows·cols]. *)
+val fill_random_int : ?bound:int -> t -> Random.State.t -> unit
+
 val random : int -> int -> Random.State.t -> t
 val equal : t -> t -> bool
 val max_abs_diff : t -> t -> float

@@ -6,10 +6,14 @@
     lines, and a lone ["."] terminator. The daemon answers generate / lint
     / tune requests from the warm in-memory {!Exo_blis.Registry} table
     (hydrated from the ambient {!Exo_cache.Store} when one is configured,
-    so restarts are cheap) and batches run requests through
-    {!Exo_blis.Gemm.batch_ba} — cold-start elimination for every client
+    so restarts are cheap) — cold-start elimination for every client
     that would otherwise pay the schedule → certify → lower pipeline per
-    invocation.
+    invocation. A run request streams its problems one at a time through
+    {!Exo_blis.Gemm.blis_ba}: each problem's inputs are synthesized in
+    place into per-domain buffers, so a warm RUN allocates almost nothing
+    and its memory does not grow with [count]. The buffers are kept and
+    grow to the largest request a worker domain has served — at most
+    3 × 2048² f64 = 96 MiB per worker domain at the dimension caps.
 
     Verbs:
     - [PING] — liveness.
@@ -19,8 +23,9 @@
       the lowered tape.
     - [TUNE <m> <n> <k>] — the {!Exo_blis.Tuner} ranking for one problem
       (persisted across restarts via the ambient store).
-    - [RUN <m> <n> <k> [count]] — execute [count] GEMMs through the
-      monomorphized table; replies with a checksum and wall seconds.
+    - [RUN <m> <n> <k> [count]] — execute [count] GEMMs, one after the
+      other, through the monomorphized table; replies with a checksum and
+      the GEMMs' summed wall seconds.
     - [STATS] — request/cache counters, per-verb latency quantiles, uptime.
     - [METRICS] — Prometheus-style text exposition (counters + per-verb
       request-latency histograms).
@@ -199,6 +204,21 @@ let handle_tune m n k =
 let run_dim_cap = 2048
 let run_count_cap = 64
 
+(* The RUN workspace: per domain, one buffer per operand, each grown to
+   the largest request the domain has served (at the caps, 3 × 2048² f64
+   = 96 MiB) and refilled in place by every later RUN. *)
+type run_buffers = {
+  mutable ra : float array;
+  mutable rb : float array;
+  mutable rc : float array;
+}
+
+let run_workspace =
+  Domain.DLS.new_key (fun () -> { ra = [||]; rb = [||]; rc = [||] })
+
+let at_least (a : float array) (n : int) : float array =
+  if Array.length a >= n then a else Array.make n 0.0
+
 let handle_run m n k count =
   let m = parse_int "m" m and n = parse_int "n" n and k = parse_int "k" k in
   let count = match count with None -> 1 | Some c -> parse_int "count" c in
@@ -207,34 +227,37 @@ let handle_run m n k count =
   if count > run_count_cap then fail "count capped at %d" run_count_cap;
   let mr = table_mr and nr = table_nr in
   let blocking = Analytical.compute Machine.carmel ~mr ~nr ~dtype_bytes:4 in
-  let problems =
-    List.init count (fun i ->
-        let st = Random.State.make [| 0x5e12e; m; n; k; i |] in
-        {
-          Gemm.p_a = Matrix.random_int m k st;
-          p_b = Matrix.random_int k n st;
-          p_c = Matrix.create m n;
-          p_alpha = 1.0;
-          p_beta = 0.0;
-          p_blocking = blocking;
-          p_mr = mr;
-          p_nr = nr;
-        })
-  in
-  let t0 = Unix.gettimeofday () in
-  Gemm.batch_ba ~kernels:(R.exo_bank ~mr ~nr ()) problems;
-  let dt = Unix.gettimeofday () -. t0 in
-  let checksum =
-    List.fold_left
-      (fun acc p -> Array.fold_left ( +. ) acc p.Gemm.p_c.Matrix.data)
-      0.0 problems
-  in
+  let kernels = R.exo_bank ~mr ~nr () in
+  let bufs = Domain.DLS.get run_workspace in
+  bufs.ra <- at_least bufs.ra (m * k);
+  bufs.rb <- at_least bufs.rb (k * n);
+  bufs.rc <- at_least bufs.rc (m * n);
+  let a = { Matrix.rows = m; cols = k; data = bufs.ra }
+  and b = { Matrix.rows = k; cols = n; data = bufs.rb }
+  and c = { Matrix.rows = m; cols = n; data = bufs.rc } in
+  (* Problems stream one at a time through the shared buffers. Each draws
+     its inputs from its own state, B before A, and its C adds to the
+     checksum over exactly its m·n entries: the buffers' tails may still
+     hold a larger earlier request. *)
+  let dt = ref 0.0 and checksum = ref 0.0 in
+  for i = 0 to count - 1 do
+    let st = Random.State.make [| 0x5e12e; m; n; k; i |] in
+    Matrix.fill_random_int b st;
+    Matrix.fill_random_int a st;
+    Array.fill c.Matrix.data 0 (m * n) 0.0;
+    let t0 = Unix.gettimeofday () in
+    Gemm.blis_ba ~beta:0.0 ~blocking ~mr ~nr ~kernels a b c;
+    dt := !dt +. (Unix.gettimeofday () -. t0);
+    for j = 0 to (m * n) - 1 do
+      checksum := !checksum +. Array.unsafe_get c.Matrix.data j
+    done
+  done;
   let fast, fallback = R.ukr_dispatch_counts () in
   let native, _, _ = R.ukr_tier_counts () in
   ( Fmt.str "ran %d problem%s" count (if count = 1 then "" else "s"),
     [
-      Fmt.str "checksum %.17g" checksum;
-      Fmt.str "seconds %.6f" dt;
+      Fmt.str "checksum %.17g" !checksum;
+      Fmt.str "seconds %.6f" !dt;
       Fmt.str "fast_calls %d" fast;
       Fmt.str "fallback_calls %d" fallback;
       Fmt.str "native_calls %d" native;

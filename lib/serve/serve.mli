@@ -8,11 +8,15 @@
     [SHUTDOWN].
 
     Requests are answered from the warm in-memory {!Exo_blis.Registry}
-    table (hydrated from the ambient {!Exo_cache.Store} when configured);
-    run requests batch through {!Exo_blis.Gemm.batch_ba}. Each request
-    runs under an Obs span ([serve.request]) and bumps always-on per-verb
-    counters. [workers] domains share the listening socket; shutdown is
-    graceful — in-flight connections drain before {!wait} returns. *)
+    table (hydrated from the ambient {!Exo_cache.Store} when configured).
+    A run request streams its problems one at a time through
+    {!Exo_blis.Gemm.blis_ba}, synthesizing each problem's inputs in place
+    into per-domain buffers that are kept across requests: at most
+    3 × 2048² f64 = 96 MiB per worker domain at the dimension caps, and
+    independent of [count]. Each request runs under an Obs span
+    ([serve.request]) and bumps always-on per-verb counters. [workers]
+    domains share the listening socket; shutdown is graceful — in-flight
+    connections drain before {!wait} returns. *)
 
 type t
 

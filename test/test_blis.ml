@@ -39,6 +39,54 @@ let test_blocking_f16 () =
   let b16 = A.compute Mach.carmel ~mr:8 ~nr:12 ~dtype_bytes:2 in
   Alcotest.(check int) "f16 kc doubles" (2 * b32.A.kc) b16.A.kc
 
+(* --- matrix synthesis ---------------------------------------------------- *)
+
+(* The draw order random_int promises: one Random.State.int per element,
+   row-major — written out here the long way, through init's closure. *)
+let reference_random_int ~bound rows cols st =
+  M.init rows cols (fun _ _ ->
+      float_of_int (Random.State.int st ((2 * bound) + 1) - bound))
+
+let draw_shapes = [ (1, 1); (3, 5); (64, 7) ]
+
+let test_random_int_draw_order () =
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun (rows, cols) ->
+          let seed = [| 17; rows; cols; bound |] in
+          let want =
+            reference_random_int ~bound rows cols (Random.State.make seed)
+          in
+          let got = M.random_int ~bound rows cols (Random.State.make seed) in
+          Alcotest.(check bool)
+            (Fmt.str "%dx%d bound %d" rows cols bound)
+            true (M.equal want got))
+        draw_shapes)
+    [ 3; 1 ]
+
+let test_fill_random_int_in_place () =
+  List.iter
+    (fun (rows, cols) ->
+      let seed = [| 29; rows; cols |] in
+      let want = reference_random_int ~bound:3 rows cols (Random.State.make seed) in
+      let n = rows * cols in
+      let data = Array.make (n + 5) 42.0 in
+      M.fill_random_int { M.rows; cols; data } (Random.State.make seed);
+      Alcotest.(check bool)
+        (Fmt.str "%dx%d prefix" rows cols)
+        true
+        (M.equal want { M.rows; cols; data = Array.sub data 0 n });
+      Alcotest.(check (array (float 0.0)))
+        (Fmt.str "%dx%d tail untouched" rows cols)
+        (Array.make 5 42.0) (Array.sub data n 5))
+    draw_shapes;
+  Alcotest.check_raises "short storage rejected"
+    (Invalid_argument "Matrix.fill_random_int: storage shorter than rows*cols")
+    (fun () ->
+      M.fill_random_int { M.rows = 2; cols = 3; data = Array.make 5 0.0 }
+        (Random.State.make [| 1 |]))
+
 (* --- packing ------------------------------------------------------------ *)
 
 let arena n =
@@ -690,6 +738,13 @@ let () =
           Alcotest.test_case "fits caches" `Quick test_blocking_fits_caches;
           Alcotest.test_case "multiples" `Quick test_blocking_multiples;
           Alcotest.test_case "f16 doubles kc" `Quick test_blocking_f16;
+        ] );
+      ( "matrix",
+        [
+          Alcotest.test_case "random_int draw order" `Quick
+            test_random_int_draw_order;
+          Alcotest.test_case "fill_random_int in place" `Quick
+            test_fill_random_int_in_place;
         ] );
       ( "packing",
         [

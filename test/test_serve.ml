@@ -160,6 +160,86 @@ let test_metrics_exposition () =
           (fun (ok, prev) n -> (ok && n >= prev, n))
           (true, 0) cums))
 
+(* --- RUN: checksums, draw order, memory ------------------------------------ *)
+
+module Matrix = Exo_blis.Matrix
+
+(* The inputs of problem [i] of [RUN m n k]: one state per problem, B drawn
+   before A. *)
+let run_inputs ~m ~n ~k i =
+  let st = Random.State.make [| 0x5e12e; m; n; k; i |] in
+  let b = Matrix.random_int k n st in
+  let a = Matrix.random_int m k st in
+  (a, b)
+
+(* Σᵢ Σₚ colsum(Aᵢ)ₚ · rowsumₚ(Bᵢ): the sum of every C entry of every
+   problem, without forming any product (exact on these integer inputs) *)
+let expected_checksum ~m ~n ~k count =
+  let acc = ref 0.0 in
+  for i = 0 to count - 1 do
+    let a, b = run_inputs ~m ~n ~k i in
+    for p = 0 to k - 1 do
+      let col = ref 0.0 and row = ref 0.0 in
+      for r = 0 to m - 1 do
+        col := !col +. Matrix.get a r p
+      done;
+      for j = 0 to n - 1 do
+        row := !row +. Matrix.get b p j
+      done;
+      acc := !acc +. (!col *. !row)
+    done
+  done;
+  !acc
+
+let run_field name line =
+  let prefix = name ^ " " in
+  let l = find_line ~prefix (payload line) in
+  float_of_string
+    (String.sub l (String.length prefix) (String.length l - String.length prefix))
+
+let check_run ~m ~n ~k count literal =
+  let line = Fmt.str "RUN %d %d %d %d" m n k count in
+  let got = run_field "checksum" line in
+  Alcotest.(check (float 0.0))
+    (line ^ " checksum is the colsum·rowsum identity")
+    (expected_checksum ~m ~n ~k count)
+    got;
+  Alcotest.(check (float 0.0)) (line ^ " checksum pinned") literal got
+
+let test_run_checksums () =
+  check_run ~m:49 ~n:64 ~k:40 1 713.0;
+  check_run ~m:33 ~n:20 ~k:17 3 53.0;
+  (* a larger request leaves its data in the buffers' tails; the smaller
+     one after it must not read any of it *)
+  check_run ~m:256 ~n:256 ~k:256 4 60179.0;
+  check_run ~m:33 ~n:20 ~k:17 3 53.0;
+  Alcotest.(check (float 0.0)) "no closure fallback" 0.0
+    (run_field "fallback_calls" "RUN 33 20 17 3")
+
+(* Words allocated on this domain (minor + major) while [line] is served. *)
+let run_words line =
+  let minor0, _, major0 = Gc.counters () in
+  ignore (req line);
+  let minor1, _, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0)
+
+let test_run_allocation_free () =
+  let line = "RUN 196 256 1024" in
+  ignore (req line);
+  let words = run_words line in
+  Alcotest.(check bool)
+    (Fmt.str "a warm %s allocates under 10k words (got %.0f)" line words)
+    true (words < 10_000.0)
+
+let test_run_memory_flat_in_count () =
+  ignore (req "RUN 128 128 128 16");
+  let one = run_words "RUN 128 128 128 1" in
+  let sixteen = run_words "RUN 128 128 128 16" in
+  Alcotest.(check bool)
+    (Fmt.str "16 problems allocate %.0f words, 1 problem %.0f" sixteen one)
+    true
+    (sixteen <= one +. 4096.0)
+
 (* --- the JSONL access log -------------------------------------------------- *)
 
 module Ledger = Exo_ledger.Ledger
@@ -308,6 +388,15 @@ let () =
           Alcotest.test_case "shutdown raises the stop flag" `Quick
             test_shutdown_sets_stop;
           Alcotest.test_case "request counters" `Quick test_request_counters;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "checksums and stale buffer tails" `Quick
+            test_run_checksums;
+          Alcotest.test_case "a warm RUN allocates almost nothing" `Quick
+            test_run_allocation_free;
+          Alcotest.test_case "RUN memory does not grow with count" `Quick
+            test_run_memory_flat_in_count;
         ] );
       ( "observability",
         [
