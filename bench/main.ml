@@ -476,7 +476,7 @@ let run_perf_gemm ?(smoke = false) () =
     L.run_tiers ~kits:[ Exo_ukr_gen.Kits.neon_f32 ] ~jobs:1 ~mr ~nr ()
   in
   let tk = List.hd tiers.L.tier_kits in
-  let reg_certified = Array.for_all Fun.id table.R.t_proved in
+  let reg_certified = Array.for_all (fun e -> e.R.e_proved) table.R.t_entries in
   Fmt.pr
     "static tier validation: proved %d/%d, probe disagreements %d; registry \
      build: %s@."
@@ -491,7 +491,7 @@ let run_perf_gemm ?(smoke = false) () =
     failwith
       "perf-gemm: registry served a table entry without a static certificate";
   (* the Bigarray-tier entry (pre-upgrade bank): the native tier's A side *)
-  let ba_ukr = R.table_base_entry table ~mr ~nr in
+  let ba_ukr = (R.entry table ~mr ~nr).R.e_base in
   let c3 = ba_copy c0 in
   ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c3 ~co:0;
   if c3 <> c1 then failwith "perf-gemm: Bigarray and closure kernels disagree";
@@ -544,8 +544,8 @@ let run_perf_gemm ?(smoke = false) () =
   let c_serial, t_serial = run_width 1 in
   (* the fallbacks-zero gate: with the complete monomorphized table no
      tile of a full f32 GEMM may reach the closure engine *)
-  let fast_calls, fallback_calls = R.ukr_dispatch_counts () in
-  let native_calls_run, ba_calls_run, _ = R.ukr_tier_counts () in
+  let native_calls_run, ba_calls_run, fallback_calls = R.ukr_tier_counts () in
+  let fast_calls = native_calls_run + ba_calls_run in
   Fmt.pr "dispatch: %d monomorphized calls, %d closure fallbacks@." fast_calls
     fallback_calls;
   Fmt.pr "tier dispatch: %d native, %d bigarray, %d fallback@." native_calls_run
@@ -758,7 +758,7 @@ let run_perf_gemm ?(smoke = false) () =
     (List.length layers) t_batch batch_gflops;
   (* the post-reset phases (width sweeps, small-n, batch) get the same
      fallbacks-zero gate as the serial run *)
-  let _, phase2_fallback = R.ukr_dispatch_counts () in
+  let _, _, phase2_fallback = R.ukr_tier_counts () in
   if phase2_fallback > 0 then
     failwith
       "perf-gemm: closure-engine fallbacks fired in the sweep/batch phases";
@@ -1078,7 +1078,7 @@ let run_perf_serve ?(smoke = false) () =
   let tk = List.hd tiers.L.tier_kits in
   if not (L.tiers_ok tiers) || tk.L.tk_proved <> tk.L.tk_total then
     failwith "perf-serve: tierlint failed on the hydrated build";
-  if not (Array.for_all Fun.id table_warm.R.t_proved) then
+  if not (Array.for_all (fun e -> e.R.e_proved) table_warm.R.t_entries) then
     failwith "perf-serve: hydrated table entry without a static certificate";
   Fmt.pr "tierlint on the hydrated build: proved %d/%d@." tk.L.tk_proved
     tk.L.tk_total;

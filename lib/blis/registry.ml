@@ -19,10 +19,16 @@
     ({!Exo_interp.Compile.t}) are NOT re-entrant — each carries a mutable
     argument frame and fused-loop plan cells — so the compiled cache is
     per-domain ([Domain.DLS]): each domain compiles its own closure once
-    and reuses it freely. The kernel table is the exception: its entries
+    and reuses it freely. The kernel table is the exception: its executors
     are re-entrant (per-call accumulators, or an oracle engine resolved
     per domain at call time), so one immutable table per (kit, mr, nr) is
     built once and shared by every domain.
+
+    The table holds one {!entry} record per (mr', nr'): shape, Tierlint
+    verdict, tier, and two bare executors (pre-upgrade and serving). Build-
+    time probes call them bare; the one counting wrapper, {!counted}, is
+    applied when the table publishes its bank, so the dispatch counters
+    count dispatches only.
 
     Persistence: when an {!Exo_cache.Store} is ambient, table entries are
     hydrated from their serialized artifacts — skipping the
@@ -137,30 +143,41 @@ let oracle_bank ?kit (o : oracle) ~(mr : int) ~(nr : int) () :
 
 module Obs = Exo_obs.Obs
 
-(* Dispatch counters. The bench's fallback gate must see every call even
-   in plain (non-profile) runs, so the authoritative cells are process-wide
-   atomics that are always on; the Obs counters mirror them for the profile
-   exporter (Obs drops mutations while disabled). *)
-let fast_calls = Atomic.make 0
-let fallback_calls = Atomic.make 0
-let native_calls = Atomic.make 0
-let obs_fast = Obs.counter "gemm.ukr_fast_calls"
-let obs_fallback = Obs.counter "gemm.ukr_fallback_calls"
-let obs_native = Obs.counter "gemm.ukr_native_calls"
+type tier = Native | Bigarray | Fallback
 
-(* (fast, fallback) with native dispatches counted as fast: the native tier
-   serves exactly the calls the Bigarray tier would have, so every existing
-   fallbacks-zero gate keeps its meaning; ukr_tier_counts splits them. *)
-let ukr_dispatch_counts () =
-  (Atomic.get fast_calls + Atomic.get native_calls, Atomic.get fallback_calls)
+(* Dispatch counters, one per tier. The bench's fallback gate must see every
+   call even in plain (non-profile) runs, so the authoritative cells are
+   process-wide atomics that are always on; the Obs counters mirror them for
+   the profile exporter (Obs drops mutations while disabled). *)
+let native_calls = Atomic.make 0
+let ba_calls = Atomic.make 0
+let fallback_calls = Atomic.make 0
+let obs_native = Obs.counter "gemm.ukr_native_calls"
+let obs_ba = Obs.counter "gemm.ukr_fast_calls"
+let obs_fallback = Obs.counter "gemm.ukr_fallback_calls"
 
 let ukr_tier_counts () =
-  (Atomic.get native_calls, Atomic.get fast_calls, Atomic.get fallback_calls)
+  (Atomic.get native_calls, Atomic.get ba_calls, Atomic.get fallback_calls)
 
 let reset_dispatch_counts () =
-  Atomic.set fast_calls 0;
-  Atomic.set fallback_calls 0;
-  Atomic.set native_calls 0
+  Atomic.set native_calls 0;
+  Atomic.set ba_calls 0;
+  Atomic.set fallback_calls 0
+
+(* The one counting wrapper, applied when a table publishes its bank: one
+   closure hop + one atomic add per tile call (~21k calls on the 1008³
+   run — noise next to the kernel work). *)
+let counted (tier : tier) (u : C.ukr_ba) : C.ukr_ba =
+  let cell, obs =
+    match tier with
+    | Native -> (native_calls, obs_native)
+    | Bigarray -> (ba_calls, obs_ba)
+    | Fallback -> (fallback_calls, obs_fallback)
+  in
+  fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
+    Atomic.incr cell;
+    if Obs.enabled () then Obs.incr obs;
+    u ~kc ~ac ~ao ~bc ~bo ~c ~co
 
 (* Static translation-validation verdicts, counted at table-build time:
    entries Tierlint proves skip the dynamic integer probe; unproved ones
@@ -183,8 +200,6 @@ let count_verdict certified =
     if Obs.enabled () then Obs.incr obs_unproved
   end
 
-(** Provenance of a table's native-tier upgrade (always present — a
-    degraded host records why it serves the Bigarray tier instead). *)
 type native_info = {
   ni_enabled : bool;  (** at least one entry serves JIT'd machine code *)
   ni_target : string;  (** ["intrinsics"] | ["portable"] | ["none"] *)
@@ -194,62 +209,52 @@ type native_info = {
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
 }
 
-(** The complete monomorphized table for a kernel family: one entry per
-    (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr, flat at index
-    [(mr'-1)·nr + nr'-1]. Entries the Bigarray tier certified are direct
-    monomorphized executors (upgraded in place to JIT'd machine code where
-    the native tier certified); the rest ([t_fast] false — only non-f32
-    kits today) copy through the closure engine and count as fallbacks. *)
+(* Both executors are bare (uncounted): [e_base] is the pre-upgrade one,
+   [e_exec] the serving one — [e_base] unless the upgrade went native. *)
+type entry = {
+  e_mr : int;
+  e_nr : int;
+  e_proved : bool;
+  e_tier : tier;
+  e_base : C.ukr_ba;
+  e_exec : C.ukr_ba;
+}
+
+(* Entries flat at index [(mr'-1)·nr + nr'-1]; [t_bank] holds the same
+   slots' [e_exec] wrapped by {!counted} — what {!Gemm.blis_ba} indexes. *)
 type table = {
   t_kit : Kits.t;
   t_mr : int;
   t_nr : int;
-  t_entries : C.ukr_ba array;
-  t_base : C.ukr_ba array;
-  t_fast : bool array;
-  t_proved : bool array;
-  t_native : bool array;
+  t_entries : entry array;
+  t_bank : C.ukr_ba array;
   t_native_info : native_info;
 }
 
+let bare ~mr ~nr ~proved tier u =
+  { e_mr = mr; e_nr = nr; e_proved = proved; e_tier = tier; e_base = u; e_exec = u }
+
+(* Hole filler: the Closure oracle entry. Correct for every kit
+   (integer-domain exact, like the engine itself) but slow — its call
+   count is what the bench's fallbacks-zero gate pins at 0 for f32 runs. *)
+let fallback_entry ~(kit : Kits.t) ~mr ~nr ~proved =
+  bare ~mr ~nr ~proved Fallback (oracle_entry ~kit Closure ~mr ~nr ())
+
 let table_holes (t : table) : int =
-  Array.fold_left (fun n f -> if f then n else n + 1) 0 t.t_fast
+  Array.fold_left (fun n e -> if e.e_tier = Fallback then n + 1 else n) 0 t.t_entries
 
 let table_complete (t : table) : bool = table_holes t = 0
 
+let slot who (t : table) ~mr ~nr =
+  if mr < 1 || mr > t.t_mr || nr < 1 || nr > t.t_nr then
+    invalid_arg ("Registry." ^ who ^ ": shape outside the table");
+  ((mr - 1) * t.t_nr) + nr - 1
+
+let entry (t : table) ~(mr : int) ~(nr : int) : entry =
+  t.t_entries.(slot "entry" t ~mr ~nr)
+
 let table_entry (t : table) ~(mr : int) ~(nr : int) : C.ukr_ba =
-  if mr < 1 || mr > t.t_mr || nr < 1 || nr > t.t_nr then
-    invalid_arg "Registry.table_entry: shape outside the table";
-  t.t_entries.(((mr - 1) * t.t_nr) + nr - 1)
-
-let table_base_entry (t : table) ~(mr : int) ~(nr : int) : C.ukr_ba =
-  if mr < 1 || mr > t.t_mr || nr < 1 || nr > t.t_nr then
-    invalid_arg "Registry.table_base_entry: shape outside the table";
-  t.t_base.(((mr - 1) * t.t_nr) + nr - 1)
-
-(* A counting wrapper per entry: one closure hop + one atomic add per tile
-   call (~30k calls on the 1008³ run — noise next to the kernel work). *)
-let count_fast (u : C.ukr_ba) : C.ukr_ba =
- fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
-  Atomic.incr fast_calls;
-  if Obs.enabled () then Obs.incr obs_fast;
-  u ~kc ~ac ~ao ~bc ~bo ~c ~co
-
-let count_native (u : C.ukr_ba) : C.ukr_ba =
- fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
-  Atomic.incr native_calls;
-  if Obs.enabled () then Obs.incr obs_native;
-  u ~kc ~ac ~ao ~bc ~bo ~c ~co
-
-(* Hole filler: the Closure oracle entry, counted. Correct for every kit
-   (integer-domain exact, like the engine itself) but slow — its call
-   count is what the bench's fallbacks-zero gate pins at 0 for f32 runs. *)
-let fallback_entry ~(kit : Kits.t) ~(mr : int) ~(nr : int) : C.ukr_ba =
-  let u = oracle_entry ~kit Closure ~mr ~nr () in
-  fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
-    Atomic.incr fallback_calls;
-    if Obs.enabled () then Obs.incr obs_fallback;
-    u ~kc ~ac ~ao ~bc ~bo ~c ~co
+  t.t_bank.(slot "table_entry" t ~mr ~nr)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent kernel artifacts (Exo_cache)                             *)
@@ -290,22 +295,37 @@ let entry_key (kit : Kits.t) ~(mr : int) ~(nr : int) : string =
       "simple";
     ]
 
-(* Cold path: generate + certify + lower one table entry, returning the
-   executor, the tier/verdict flags, and the summary to persist. *)
-let build_entry ~(kit : Kits.t) ~(mr : int) ~(nr : int) :
-    C.ukr_ba * bool * bool * C.Summary.t option =
+(* Cold path: generate + certify + lower one table entry, and persist its
+   artifact when a store is ambient. *)
+let build_entry ~(store : Store.t option) ~key ~(kit : Kits.t) ~(mr : int)
+    ~(nr : int) : entry =
   let proc = (exo_kernel ~kit ~mr ~nr ()).Family.proc in
   (* static translation validation of the lowered tape:
      a proved entry skips the dynamic integer probe *)
   let summary = C.summarize_ukr proc in
-  let certified =
+  let proved =
     match summary with
     | Some s -> Tierlint.proved (Tierlint.check s)
     | None -> false
   in
-  match C.to_ukr_ba ~certified proc with
-  | Some (u, _) -> (count_fast u, true, certified, summary)
-  | None -> (fallback_entry ~kit ~mr ~nr, false, certified, summary)
+  let e =
+    match C.to_ukr_ba ~certified:proved proc with
+    | Some (u, _) -> bare ~mr ~nr ~proved Bigarray u
+    | None -> fallback_entry ~kit ~mr ~nr ~proved
+  in
+  Option.iter
+    (fun st ->
+      ignore
+        (Store.put st ~kind:entry_kind ~key
+           {
+             ta_mr = mr;
+             ta_nr = nr;
+             ta_fast = e.e_tier = Bigarray;
+             ta_proved = proved;
+             ta_summary = summary;
+           }))
+    store;
+  e
 
 (* Warm path: re-materialize an entry from its stored artifact. The hit
    skips schedule+certify+lower but NOT the verification gate: the stored
@@ -315,7 +335,7 @@ let build_entry ~(kit : Kits.t) ~(mr : int) ~(nr : int) :
    artifact is inconsistent or no longer proves — the caller drops it and
    rebuilds cold. *)
 let hydrate_entry (a : table_artifact) ~(kit : Kits.t) ~(mr : int) ~(nr : int)
-    : (C.ukr_ba * bool * bool) option =
+    : entry option =
   if a.ta_mr <> mr || a.ta_nr <> nr then None
   else
     match a.ta_summary with
@@ -327,14 +347,27 @@ let hydrate_entry (a : table_artifact) ~(kit : Kits.t) ~(mr : int) ~(nr : int)
         if a.ta_fast then
           if not (a.ta_proved && proved) then None
           else
-            Option.map
-              (fun u -> (count_fast u, true, true))
-              (C.ukr_ba_of_summary s)
-        else Some (fallback_entry ~kit ~mr ~nr, false, proved)
+            Option.map (bare ~mr ~nr ~proved Bigarray) (C.ukr_ba_of_summary s)
+        else Some (fallback_entry ~kit ~mr ~nr ~proved)
     | Some _ -> None
     | None ->
         if a.ta_fast then None
-        else Some (fallback_entry ~kit ~mr ~nr, false, false)
+        else Some (fallback_entry ~kit ~mr ~nr ~proved:false)
+
+(* One entry, warm when the ambient store holds a still-proving artifact
+   (an inconsistent or no-longer-proving one is dropped), cold otherwise. *)
+let load_entry ~(store : Store.t option) ~(kit : Kits.t) ~(mr : int)
+    ~(nr : int) : entry =
+  let key = entry_key kit ~mr ~nr in
+  let warm st =
+    Option.bind (Store.get st ~kind:entry_kind ~key) (fun a ->
+        let e = hydrate_entry a ~kit ~mr ~nr in
+        if Option.is_none e then Store.remove st ~kind:entry_kind ~key;
+        e)
+  in
+  match Option.bind store warm with
+  | Some e -> e
+  | None -> build_entry ~store ~key ~kit ~mr ~nr
 
 (* ------------------------------------------------------------------ *)
 (* The native JIT tier                                                 *)
@@ -490,38 +523,35 @@ let no_native reason =
 (* Upgrade a freshly built table's eligible entries to JIT'd machine code:
    one compilation unit for the whole bank (one cc run, one dlopen, one
    dlsym per kernel), cache-first through the ambient store, then each
-   bound kernel certified against the Bigarray entry it would replace
-   before it may serve. Any failure — no compiler, compile error on both
-   targets, a certification mismatch — degrades that scope gracefully to
-   the Bigarray tier and says why in the returned info. *)
+   bound kernel certified against the bare Bigarray executor it would
+   replace before it may serve. Any failure — no compiler, compile error on
+   both targets, a certification mismatch — degrades that scope gracefully
+   to the Bigarray tier and says why in the returned info. *)
 let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
-    ~(store : Store.t option) ~(entries : C.ukr_ba array) ~(fast : bool array)
-    ~(proved : bool array) ~(native : bool array) : native_info =
+    ~(store : Store.t option) (entries : entry array) :
+    entry array * native_info =
+  let degraded reason = (entries, no_native reason) in
   match native_target_for kit with
-  | None -> no_native (Fmt.str "kit %s is not f32" kit.Kits.name)
+  | None -> degraded (Fmt.str "kit %s is not f32" kit.Kits.name)
   | Some primary -> (
       if not (Host.enabled ()) then
-        no_native (Fmt.str "disabled (%s=0)" Host.env_native)
+        degraded (Fmt.str "disabled (%s=0)" Host.env_native)
       else
         match Host.cc () with
-        | None -> no_native "no C compiler on host"
+        | None -> degraded "no C compiler on host"
         | Some cc_path -> (
             (* eligibility: entries the Bigarray tier certified AND whose
                lowered tape Tierlint proved — the proof (bounds, write-set,
                accumulation shape) is what justifies emitting the canonical
                nest for the shape *)
-            let idxs =
-              List.filter
-                (fun idx -> fast.(idx) && proved.(idx))
-                (List.init (mr * nr) Fun.id)
-            in
-            if idxs = [] then no_native "no eligible entries"
+            let eligible i = entries.(i).e_tier = Bigarray && entries.(i).e_proved in
+            let idxs = List.filter eligible (List.init (mr * nr) Fun.id) in
+            if idxs = [] then degraded "no eligible entries"
             else
               let syms =
                 List.map
                   (fun idx ->
-                    let mr' = (idx / nr) + 1 and nr' = (idx mod nr) + 1 in
-                    C_emit.native_sym ~mr:mr' ~nr:nr')
+                    C_emit.native_sym ~mr:entries.(idx).e_mr ~nr:entries.(idx).e_nr)
                   idxs
               in
               let try_target target =
@@ -541,35 +571,34 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
                     [ C_emit.Nat_intrinsics; C_emit.Nat_portable ]
               in
               match List.find_map try_target targets with
-              | None -> no_native "native compilation failed"
+              | None -> degraded "native compilation failed"
               | Some (target, slots) ->
+                  let upgraded = Array.copy entries in
                   let certified = ref 0 and rejected = ref 0 in
                   List.iteri
                     (fun si idx ->
-                      let mr' = (idx / nr) + 1 and nr' = (idx mod nr) + 1 in
-                      let cand =
-                        native_raw ~mr:mr' ~nr:nr' ~slot:slots.(si)
-                      in
+                      let e = entries.(idx) in
+                      let cand = native_raw ~mr:e.e_mr ~nr:e.e_nr ~slot:slots.(si) in
                       if
-                        certify_native ~mr:mr' ~nr:nr' ~base:entries.(idx)
+                        certify_native ~mr:e.e_mr ~nr:e.e_nr ~base:e.e_base
                           ~native:cand
                       then begin
-                        entries.(idx) <- count_native cand;
-                        native.(idx) <- true;
+                        upgraded.(idx) <- { e with e_tier = Native; e_exec = cand };
                         incr certified
                       end
                       else incr rejected)
                     idxs;
-                  {
-                    ni_enabled = !certified > 0;
-                    ni_target = C_emit.native_target_name target;
-                    ni_cc = cc_path;
-                    ni_entries = !certified;
-                    ni_rejected = !rejected;
-                    ni_reason =
-                      (if !certified > 0 then "ok"
-                       else "all entries failed certification");
-                  }))
+                  ( upgraded,
+                    {
+                      ni_enabled = !certified > 0;
+                      ni_target = C_emit.native_target_name target;
+                      ni_cc = cc_path;
+                      ni_entries = !certified;
+                      ni_rejected = !rejected;
+                      ni_reason =
+                        (if !certified > 0 then "ok"
+                         else "all entries failed certification");
+                    } )))
 
 (** The native-ABI artifacts for a bank without building a table: the
     target this host would pick and the C source ([None] for non-f32
@@ -581,10 +610,10 @@ let native_emit ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
     (fun target -> (target, native_source ~kit ~mr ~nr ~target ()))
     (native_target_for kit)
 
-(* One immutable table per (kit, mr, nr) for the whole process. Entries
-   are re-entrant (executors allocate their accumulator per call; the
-   fallback resolves its per-domain engine at call time), so every domain
-   of a pool shares the same entry array — no per-domain rebuilds. *)
+(* One immutable table per (kit, mr, nr) for the whole process. Executors
+   are re-entrant (they allocate their accumulator per call; the fallback
+   resolves its per-domain engine at call time), so every domain of a pool
+   shares the same table — no per-domain rebuilds. *)
 let table_memo : (string * int * int, table) Memo.t = Memo.create ()
 
 let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
@@ -598,69 +627,22 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
         "registry.build_table"
         (fun () ->
           let store = Store.ambient () in
-          let fast = Array.make (mr * nr) false in
-          let proved = Array.make (mr * nr) false in
-          let entries =
+          let built =
             Array.init (mr * nr) (fun idx ->
-                let mr' = (idx / nr) + 1 and nr' = (idx mod nr) + 1 in
-                let key = entry_key kit ~mr:mr' ~nr:nr' in
-                let hydrated =
-                  match store with
-                  | None -> None
-                  | Some st -> (
-                      match Store.get st ~kind:entry_kind ~key with
-                      | None -> None
-                      | Some (a : table_artifact) -> (
-                          match hydrate_entry a ~kit ~mr:mr' ~nr:nr' with
-                          | Some r -> Some r
-                          | None ->
-                              (* inconsistent or no-longer-proving artifact:
-                                 drop it and rebuild from source *)
-                              Store.remove st ~kind:entry_kind ~key;
-                              None))
+                let e =
+                  load_entry ~store ~kit ~mr:((idx / nr) + 1)
+                    ~nr:((idx mod nr) + 1)
                 in
-                let u, fast', proved' =
-                  match hydrated with
-                  | Some r -> r
-                  | None ->
-                      let u, fast', proved', summary =
-                        build_entry ~kit ~mr:mr' ~nr:nr'
-                      in
-                      (match store with
-                      | Some st ->
-                          ignore
-                            (Store.put st ~kind:entry_kind ~key
-                               {
-                                 ta_mr = mr';
-                                 ta_nr = nr';
-                                 ta_fast = fast';
-                                 ta_proved = proved';
-                                 ta_summary = summary;
-                               })
-                      | None -> ());
-                      (u, fast', proved')
-                in
-                count_verdict proved';
-                fast.(idx) <- fast';
-                proved.(idx) <- proved';
-                u)
+                count_verdict e.e_proved;
+                e)
           in
-          (* the Bigarray-tier bank, frozen before the native upgrade: the
-             certification oracle and the A side of the bench's tier A-B *)
-          let base = Array.copy entries in
-          let native = Array.make (mr * nr) false in
-          let native_info =
-            native_upgrade ~kit ~mr ~nr ~store ~entries ~fast ~proved ~native
-          in
+          let entries, native_info = native_upgrade ~kit ~mr ~nr ~store built in
           {
             t_kit = kit;
             t_mr = mr;
             t_nr = nr;
             t_entries = entries;
-            t_base = base;
-            t_fast = fast;
-            t_proved = proved;
-            t_native = native;
+            t_bank = Array.map (fun e -> counted e.e_tier e.e_exec) entries;
             t_native_info = native_info;
           }))
 
@@ -675,14 +657,14 @@ let clear_memos_for_bench () =
 
 (** The {!Gemm.blis_ba} [kernels] thunk: called once per pool task, it
     resolves the shared table (building it on first use) and hands back
-    the flat entry array for O(1) dispatch. *)
+    the flat counted bank for O(1) dispatch. *)
 let exo_bank ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
     unit -> C.ukr_ba array =
- fun () -> (exo_table ~kit ~mr ~nr ()).t_entries
+ fun () -> (exo_table ~kit ~mr ~nr ()).t_bank
 
-(** The Bigarray-tier bank of the same table (entries as they were before
-    the native upgrade): the baseline side of the bench's native-vs-BA
-    A-B comparison. *)
+(** The same table's bare pre-upgrade executors: the baseline side of the
+    bench's native-vs-Bigarray A-B comparison. Uncounted, like the oracle
+    banks. *)
 let exo_bank_ba ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
     unit -> C.ukr_ba array =
- fun () -> (exo_table ~kit ~mr ~nr ()).t_base
+ fun () -> Array.map (fun e -> e.e_base) (exo_table ~kit ~mr ~nr ()).t_entries

@@ -52,15 +52,15 @@ val oracle_bank :
 
 (** {1 The monomorphized (mr' × nr') kernel table}
 
-    The serving tiers: one {!Exo_interp.Compile.ukr_ba} per (mr', nr')
-    with mr' ∈ 1..mr, nr' ∈ 1..nr, flat at index [(mr'-1)·nr + nr'-1] —
-    JIT'd native code where the upgrade certified it, the monomorphized
-    Bigarray executor elsewhere, and a counted {!Closure} oracle entry
-    for the holes of non-f32 kits — so fringe macro-kernel calls dispatch
-    by plain array indexing and never fall back on an f32 kit. Built once
-    per (kit, mr, nr) for the whole process and shared by every domain —
-    the executors are re-entrant (per-call accumulators), so repeated
-    {!exo_table} calls return the physically same table from any domain.
+    One {!entry} record per (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr,
+    flat at index [(mr'-1)·nr + nr'-1]. Each entry serves JIT'd native
+    code where the upgrade certified it, the monomorphized Bigarray
+    executor elsewhere, and the {!Closure} oracle for the holes of non-f32
+    kits — so fringe macro-kernel calls dispatch by plain array indexing
+    and never fall back on an f32 kit. Built once per (kit, mr, nr) for
+    the whole process and shared by every domain — the executors are
+    re-entrant (per-call accumulators), so repeated {!exo_table} calls
+    return the physically same table from any domain.
 
     When an {!Exo_cache.Store} is ambient ([UKRGEN_CACHE_DIR] or the CLI's
     [--cache]), entries hydrate from persisted artifacts — skipping
@@ -81,27 +81,34 @@ type native_info = {
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
 }
 
+type tier =
+  | Native  (** JIT'd machine code, certified bit-exact against [e_base] *)
+  | Bigarray  (** the certified monomorphized Bigarray executor *)
+  | Fallback  (** the {!Closure} oracle round-trip (non-f32 kits only) *)
+
+type entry = {
+  e_mr : int;
+  e_nr : int;
+  e_proved : bool;
+      (** the static {!Exo_check.Tierlint} verdict of the lowered tape
+          (bounds, write-set containment and accumulation shape). Proved
+          entries entered service without the dynamic integer probe. *)
+  e_tier : tier;  (** the tier [e_exec] serves from *)
+  e_base : Exo_interp.Compile.ukr_ba;
+      (** the pre-upgrade executor (Bigarray, or the oracle for a
+          [Fallback] hole): the certification oracle. Uncounted. *)
+  e_exec : Exo_interp.Compile.ukr_ba;
+      (** the serving executor, uncounted; [e_base] unless [Native] *)
+}
+
 type table = {
   t_kit : Exo_ukr_gen.Kits.t;
   t_mr : int;
   t_nr : int;
-  t_entries : Exo_interp.Compile.ukr_ba array;
-      (** the serving bank: native executors where the upgrade certified
-          them, Bigarray-tier executors everywhere else *)
-  t_base : Exo_interp.Compile.ukr_ba array;
-      (** the Bigarray-tier bank, frozen before the native upgrade — the
-          certification oracle and the bench's A-B baseline *)
-  t_fast : bool array;
-      (** per entry: certified monomorphized executor (true) or a counting
-          closure-engine round-trip (false — only non-f32 kits today) *)
-  t_proved : bool array;
-      (** per entry: the static {!Exo_check.Tierlint} verdict of its
-          lowered tape (bounds, write-set containment and accumulation
-          shape all proved). Proved entries entered service without the
-          dynamic integer probe. *)
-  t_native : bool array;
-      (** per entry: serving JIT'd machine code (dlopen'd, certified
-          bit-exact against the Bigarray entry it replaced) *)
+  t_entries : entry array;
+  t_bank : Exo_interp.Compile.ukr_ba array;
+      (** each entry's [e_exec] wrapped by its tier's dispatch counter —
+          the array {!exo_bank} hands {!Gemm.blis_ba} *)
   t_native_info : native_info;
 }
 
@@ -114,20 +121,21 @@ val table_holes : table -> int
 
 val table_complete : table -> bool
 
-(** Bounds-checked lookup (tests; the GEMM driver indexes the flat array). *)
+(** Bounds-checked entry lookup. *)
+val entry : table -> mr:int -> nr:int -> entry
+
+(** Bounds-checked lookup into the counted bank (the GEMM driver indexes
+    the flat array). *)
 val table_entry : table -> mr:int -> nr:int -> Exo_interp.Compile.ukr_ba
 
-(** Same lookup into the pre-upgrade Bigarray-tier bank. *)
-val table_base_entry : table -> mr:int -> nr:int -> Exo_interp.Compile.ukr_ba
-
 (** The {!Gemm.blis_ba} [kernels] thunk: resolves the shared table
-    (building on first use) and returns its flat entry array. *)
+    (building on first use) and returns its counted bank. *)
 val exo_bank :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   unit -> Exo_interp.Compile.ukr_ba array
 
-(** The Bigarray-tier bank of the same table — the baseline side of the
-    bench's native-vs-Bigarray A-B comparison. *)
+(** The same table's [e_base] executors — the baseline side of the bench's
+    native-vs-Bigarray A-B comparison. Uncounted, like {!oracle_bank}. *)
 val exo_bank_ba :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   unit -> Exo_interp.Compile.ukr_ba array
@@ -159,21 +167,18 @@ val clear_memos_for_bench : unit -> unit
 
 (** {1 Dispatch counters}
 
-    Process-wide atomics counting every table-entry call — always on (the
-    bench's fallbacks-zero gate reads them in plain runs), mirrored into
-    the Obs counters [gemm.ukr_fast_calls] / [gemm.ukr_fallback_calls]
-    when tracing is enabled. *)
+    Process-wide atomics, one per {!tier}, bumped by the published bank
+    ({!exo_bank}, {!table_entry}) and by nothing else: build-time probes
+    and native certification call the bare executors, so the counts are
+    dispatches only. Always on (the bench's fallbacks-zero gate reads them
+    in plain runs), mirrored into the Obs counters
+    [gemm.ukr_native_calls] / [gemm.ukr_fast_calls] (Bigarray) /
+    [gemm.ukr_fallback_calls] when tracing is enabled. *)
 
-(** [(fast, fallback)] totals since start or the last reset. Native
-    dispatches count as fast — the native tier serves exactly the calls
-    the Bigarray tier would have, so the fallbacks-zero gates keep their
-    meaning; {!ukr_tier_counts} splits them. *)
-val ukr_dispatch_counts : unit -> int * int
-
-(** [(native, bigarray_fast, fallback)] — the per-tier split. *)
+(** [(native, bigarray, fallback)] totals since start or the last reset. *)
 val ukr_tier_counts : unit -> int * int * int
 
-(** Zero both dispatch counters, so repeated in-process bench/test phases
+(** Zero the dispatch counters, so repeated in-process bench/test phases
     measure their own dispatches instead of accumulating across tiers. *)
 val reset_dispatch_counts : unit -> unit
 

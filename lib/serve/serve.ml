@@ -150,9 +150,8 @@ let handle_generate kit shape =
   let k = R.exo_kernel ~kit ~mr ~nr () in
   let fast, proved =
     if mr <= table_mr && nr <= table_nr then
-      let t = R.exo_table ~kit ~mr:table_mr ~nr:table_nr () in
-      let idx = ((mr - 1) * table_nr) + nr - 1 in
-      (t.R.t_fast.(idx), t.R.t_proved.(idx))
+      let e = R.entry (R.exo_table ~kit ~mr:table_mr ~nr:table_nr ()) ~mr ~nr in
+      (e.R.e_tier <> R.Fallback, e.R.e_proved)
     else
       match C.summarize_ukr k.Family.proc with
       | Some s -> (false, Tierlint.proved (Tierlint.check s))
@@ -252,13 +251,12 @@ let handle_run m n k count =
       checksum := !checksum +. Array.unsafe_get c.Matrix.data j
     done
   done;
-  let fast, fallback = R.ukr_dispatch_counts () in
-  let native, _, _ = R.ukr_tier_counts () in
+  let native, ba, fallback = R.ukr_tier_counts () in
   ( Fmt.str "ran %d problem%s" count (if count = 1 then "" else "s"),
     [
       Fmt.str "checksum %.17g" !checksum;
       Fmt.str "seconds %.6f" !dt;
-      Fmt.str "fast_calls %d" fast;
+      Fmt.str "fast_calls %d" (native + ba);
       Fmt.str "fallback_calls %d" fallback;
       Fmt.str "native_calls %d" native;
     ] )

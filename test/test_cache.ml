@@ -261,6 +261,12 @@ let test_family_generate_cached_hydrates () =
   Alcotest.(check bool) "fresh kernel after hydration certifies" true
     (r.Exo_check.Bounds.violations = [] && r.Exo_check.Bounds.unknowns = [])
 
+(* per entry: served by a certified executor (not the closure round-trip) *)
+let fast_flags (t : R.table) =
+  Array.map (fun e -> e.R.e_tier <> R.Fallback) t.R.t_entries
+
+let proved_flags (t : R.table) = Array.map (fun e -> e.R.e_proved) t.R.t_entries
+
 let test_corrupted_kernel_artifacts_rebuild () =
   with_ambient @@ fun dir ->
   let t1 = R.exo_table ~mr:8 ~nr:12 () in
@@ -280,9 +286,9 @@ let test_corrupted_kernel_artifacts_rebuild () =
   Alcotest.(check bool) "corruption detected" true (corrupt > 0);
   Alcotest.(check bool) "rebuilt table complete" true (R.table_complete t2);
   Alcotest.(check bool) "rebuilt table certified" true
-    (Array.for_all Fun.id t2.R.t_proved);
+    (Array.for_all (fun e -> e.R.e_proved) t2.R.t_entries);
   Alcotest.(check (array bool)) "same flags as the pristine build"
-    t1.R.t_fast t2.R.t_fast
+    (fast_flags t1) (fast_flags t2)
 
 (* --- hydration fidelity (qcheck, all kits) ------------------------------- *)
 
@@ -314,10 +320,10 @@ let test_hydrated_tables_bit_identical () =
     (fun (kit, (tc : R.table)) (_, (tw : R.table)) ->
       Alcotest.(check (array bool))
         (kit.K.name ^ ": fast flags survive hydration")
-        tc.R.t_fast tw.R.t_fast;
+        (fast_flags tc) (fast_flags tw);
       Alcotest.(check (array bool))
         (kit.K.name ^ ": proved flags survive hydration")
-        tc.R.t_proved tw.R.t_proved)
+        (proved_flags tc) (proved_flags tw))
     cold warm;
   (* executable fidelity on the f32 kits: every hydrated executor computes
      the same C tile as the one compiled from scratch *)

@@ -1,5 +1,5 @@
 (* The native JIT execution tier: Exo_native.{Host,Jit} and the registry's
-   table upgrade (Registry.native_info / t_native / table dispatch).
+   table upgrade (Registry.native_info / entry tiers / table dispatch).
 
    The load-bearing contracts pinned here:
 
@@ -153,8 +153,7 @@ let test_differential kit () =
             (pair (int_bound 33) (int_bound 1000)))
         (fun ((mr', nr'), (kc, seed)) ->
           exec (R.table_entry t ~mr:mr' ~nr:nr') ~mr:mr' ~nr:nr' ~kc ~seed
-          = exec (R.table_base_entry t ~mr:mr' ~nr:nr') ~mr:mr' ~nr:nr' ~kc
-              ~seed)
+          = exec (R.entry t ~mr:mr' ~nr:nr').R.e_base ~mr:mr' ~nr:nr' ~kc ~seed)
     in
     QCheck2.Test.check_exn q;
     (* whole-GEMM level, fringes in both m and n: native bank = bigarray
@@ -188,6 +187,42 @@ let test_differential kit () =
       (M.equal c_native c_closure);
     Alcotest.(check bool) (kit.K.name ^ ": native = naive f32") true
       (M.equal c_native c_naive)
+  end
+
+(* --- dispatch counters ------------------------------------------------------ *)
+
+(* the counters count dispatches only: a cold build (Bigarray probes, native
+   certification) and a warm rebuild from the store (re-proof, hydration,
+   certification of the cached .so) move none of them; a GEMM moves the
+   native counter by exactly its tile count *)
+let test_counters_count_dispatches_only () =
+  with_fresh_tables @@ fun _dir ->
+  let kit = K.avx2_f32 and mr, nr = (4, 6) in
+  let zero = Alcotest.(check (triple int int int)) in
+  R.reset_dispatch_counts ();
+  let t = R.exo_table ~kit ~mr ~nr () in
+  if t.R.t_native_info.R.ni_entries = 0 then
+    skip (Fmt.str "native tier unavailable (%s)" t.R.t_native_info.R.ni_reason)
+  else begin
+    zero "cold build dispatches nothing" (0, 0, 0) (R.ukr_tier_counts ());
+    R.clear_memos_for_bench ();
+    Store.reset_counts ();
+    let t' = R.exo_table ~kit ~mr ~nr () in
+    let hits, misses = Store.hit_miss_counts () in
+    Alcotest.(check bool) "warm rebuild hydrated from the store" true
+      (hits > 0 && misses = 0);
+    Alcotest.(check int) "warm rebuild serves every entry native" (mr * nr)
+      t'.R.t_native_info.R.ni_entries;
+    zero "warm rebuild dispatches nothing" (0, 0, 0) (R.ukr_tier_counts ());
+    (* 14×15 over 4×6 tiles is 4 row × 3 column panels, and k fits one kc
+       block: 12 kernel calls *)
+    let m, n, k = (14, 15, 37) in
+    let a = M.init m k (fun i j -> float_of_int (((i + j) mod 5) - 2)) in
+    let b = M.init k n (fun i j -> float_of_int ((((2 * i) + j) mod 5) - 2)) in
+    let blocking = { Exo_blis.Analytical.mc = 64; kc = 64; nc = 60 } in
+    G.blis_ba ~blocking ~mr ~nr ~kernels:(R.exo_bank ~kit ~mr ~nr ()) a b
+      (M.create m n);
+    zero "a GEMM counts its tiles, all native" (12, 0, 0) (R.ukr_tier_counts ())
   end
 
 (* --- cached .so robustness ------------------------------------------------ *)
@@ -315,7 +350,7 @@ let check_degraded ~name ~reason_fragment () =
     true
     (contains ni.R.ni_reason reason_fragment);
   Alcotest.(check bool) (name ^ ": no native flags") true
-    (Array.for_all not t.R.t_native);
+    (Array.for_all (fun e -> e.R.e_tier <> R.Native) t.R.t_entries);
   Alcotest.(check bool) (name ^ ": table still complete") true
     (R.table_complete t);
   let m, n, k = (14, 10, 23) in
@@ -362,6 +397,11 @@ let () =
               (kit.K.name ^ ": native = bigarray = closures = naive")
               `Quick (test_differential kit))
           f32_kits );
+      ( "counters",
+        [
+          Alcotest.test_case "counters count dispatches only" `Quick
+            test_counters_count_dispatches_only;
+        ] );
       ( "robustness",
         [
           Alcotest.test_case "corrupted cached .so recompiles" `Quick

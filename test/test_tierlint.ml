@@ -5,7 +5,7 @@
      properties (bounds, write-set containment, accumulation shape), and
      the static verdict agrees with the dynamic integer certification
    - the sweep outcome is pool-width invariant
-   - the registry's tables are built fully certified (t_proved) and count
+   - the registry's tables are built fully certified (e_proved) and count
      verdicts; reset_dispatch_counts zeroes the dispatch counters
    - deliberately broken lowerings (corrupted access summaries) are
      rejected, per property
@@ -91,10 +91,10 @@ let test_tiers_json_shape () =
 
 let test_registry_table_proved () =
   let table = R.exo_table ~mr:8 ~nr:12 () in
-  Alcotest.(check int) "96 verdicts" 96 (Array.length table.R.t_proved);
+  Alcotest.(check int) "96 verdicts" 96 (Array.length table.R.t_entries);
   Alcotest.(check bool)
     "every entry statically certified" true
-    (Array.for_all Fun.id table.R.t_proved);
+    (Array.for_all (fun e -> e.R.e_proved) table.R.t_entries);
   let proved, unproved = R.tier_verdict_counts () in
   Alcotest.(check bool) "proved counter advanced" true (proved >= 96);
   Alcotest.(check int) "unproved counter still zero" 0 unproved
@@ -110,12 +110,12 @@ let test_reset_dispatch_counts () =
   Bigarray.Array1.fill bc 1.0;
   Bigarray.Array1.fill c 0.0;
   u ~kc:2 ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0;
-  let fast, _ = R.ukr_dispatch_counts () in
-  Alcotest.(check bool) "a dispatch was counted" true (fast >= 1);
+  let native, ba, _ = R.ukr_tier_counts () in
+  Alcotest.(check bool) "a dispatch was counted" true (native + ba >= 1);
   R.reset_dispatch_counts ();
-  Alcotest.(check (pair int int))
-    "reset_dispatch_counts zeroes both" (0, 0)
-    (R.ukr_dispatch_counts ())
+  Alcotest.(check (triple int int int))
+    "reset_dispatch_counts zeroes every tier" (0, 0, 0)
+    (R.ukr_tier_counts ())
 
 (* --- negative tests: corrupted lowerings are rejected per property ------ *)
 
