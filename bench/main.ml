@@ -3,7 +3,6 @@
    Usage:
      dune exec bench/main.exe                 # every table and figure
      dune exec bench/main.exe -- fig13        # one experiment
-     dune exec bench/main.exe -- bechamel     # wall-clock Bechamel benches
      dune exec bench/main.exe -- perf         # compiled vs interpreted engine
                                               # (writes BENCH_interp.json)
      dune exec bench/main.exe -- perf-sim     # compressed vs element cache sim
@@ -23,17 +22,8 @@
                                               # (or set $UKRGEN_LEDGER)
 
    Experiments: fig12 fig13 fig14 tab1 tab2 fig15 fig16 fig17 fig18
-   ablation bechamel perf perf-sim[-smoke] perf-gemm[-smoke]
+   ablation perf perf-sim[-smoke] perf-gemm[-smoke]
    perf-serve[-smoke] lint all *)
-
-open Bechamel
-module Btoolkit = Toolkit
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel benches: one Test.make per table/figure harness plus core   *)
-(* compiler micro-benchmarks.                                           *)
-
-let test_of_fun name f = Test.make ~name (Staged.stage f)
 
 (* Float32 Bigarray tiles for the single-call benches: integer values in
    [-3, 3], exact in every tier. *)
@@ -51,123 +41,6 @@ let ba_copy (b : Exo_blis.Gemm.ba32) : Exo_blis.Gemm.ba32 =
   in
   Bigarray.Array1.blit b c;
   c
-
-let bench_tests () =
-  let module F = Exo_ukr_gen.Family in
-  let module S = Exo_ukr_gen.Steps in
-  let module D = Exo_blis.Driver in
-  let module M = Exo_blis.Matrix in
-  let module G = Exo_blis.Gemm in
-  let machine = Exo_isa.Machine.carmel in
-  let st = Random.State.make [| 17 |] in
-  let a24 = M.random_int 24 16 st
-  and b24 = M.random_int 16 36 st
-  and c24 = M.random_int 24 36 st in
-  let blocking = { Exo_blis.Analytical.mc = 16; kc = 8; nc = 24 } in
-  let kernels = Exo_blis.Registry.exo_bank ~mr:8 ~nr:12 () in
-  let ac = random_ba st (32 * 8) and bc = random_ba st (32 * 12) in
-  let c = random_ba st (12 * 8) in
-  let resnet_layer (l : Exo_workloads.Models.layer) s =
-    let m, n, k = Exo_workloads.Models.gemm_dims l in
-    ignore (D.time machine s ~m ~n ~k)
-  in
-  [
-    (* core compiler *)
-    test_of_fun "sched: full 8x12 pipeline (Section III)" (fun () ->
-        ignore (S.packed ~kit:Exo_ukr_gen.Kits.neon_f32 ~mr:8 ~nr:12));
-    test_of_fun "sched: generate 1x12 row kernel" (fun () ->
-        ignore (F.row Exo_ukr_gen.Kits.neon_f32 ~nr:12));
-    test_of_fun "codegen: emit 8x12 C" (fun () ->
-        ignore
-          (Exo_codegen.C_emit.proc_to_c
-             (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
-    test_of_fun "ukr: one 8x12 serving-table call (kc=32)" (fun () ->
-        (kernels ()).((7 * 12) + 11) ~kc:32 ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0);
-    (* per-table/figure harness computations *)
-    test_of_fun "fig12: census of the generated kernel" (fun () ->
-        ignore (Exo_sim.Trace.of_proc (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
-    test_of_fun "fig13: solo-mode sweep" (fun () ->
-        let base = Exo_blis.Registry.base_8x12 () in
-        let blis = Exo_sim.Kernel_model.blis_asm_8x12 base in
-        List.iter
-          (fun (mu, nu) ->
-            ignore (Exo_sim.Kernel_model.solo_gflops machine blis ~mu ~nu ~kc:512);
-            ignore
-              (Exo_sim.Kernel_model.solo_gflops machine
-                 (Exo_blis.Registry.exo_impl ~mr:mu ~nr:nu ())
-                 ~mu ~nu ~kc:512))
-          F.paper_shapes);
-    test_of_fun "fig14: squarish sweep (4 sizes x 4 setups)" (fun () ->
-        List.iter
-          (fun sz ->
-            List.iter
-              (fun s -> ignore (D.gflops machine s ~m:sz ~n:sz ~k:sz))
-              (D.all_setups ()))
-          [ 1000; 2000; 4000; 5000 ]);
-    test_of_fun "tab1: recompute Table I via im2row dims" (fun () ->
-        List.iter
-          (fun l -> ignore (Exo_workloads.Models.gemm_dims l))
-          Exo_workloads.Models.resnet50);
-    test_of_fun "tab2: recompute Table II via im2row dims" (fun () ->
-        List.iter
-          (fun l -> ignore (Exo_workloads.Models.gemm_dims l))
-          Exo_workloads.Models.vgg16);
-    test_of_fun "fig15/16: ResNet50 sweep (20 layers x 4 setups)" (fun () ->
-        List.iter
-          (fun l -> List.iter (resnet_layer l) (D.all_setups ()))
-          Exo_workloads.Models.resnet50);
-    test_of_fun "fig17/18: VGG16 sweep (9 layers x 4 setups)" (fun () ->
-        List.iter
-          (fun l -> List.iter (resnet_layer l) (D.all_setups ()))
-          Exo_workloads.Models.vgg16);
-    (* numeric substrate *)
-    test_of_fun "gemm: 24x36x16 blocked + Exo kernel bank" (fun () ->
-        let c = M.copy c24 in
-        G.blis_ba ~blocking ~mr:8 ~nr:12 ~kernels a24 b24 c);
-    test_of_fun "gemm: 24x36x16 naive f32" (fun () ->
-        let c = M.copy c24 in
-        G.naive_f32 a24 b24 c);
-    test_of_fun "workloads: im2row 3x3 on 28x28x32" (fun () ->
-        let spec =
-          { Exo_workloads.Conv.cin = 32; cout = 16; kh = 3; kw = 3; stride = 1; pad = 1 }
-        in
-        let input = Exo_workloads.Conv.tensor_create ~init:1.0 28 28 32 in
-        ignore (Exo_workloads.Conv.im2row spec input));
-    test_of_fun "analytical: blocking for 8x12 on Carmel" (fun () ->
-        ignore (Exo_blis.Analytical.compute machine ~mr:8 ~nr:12 ~dtype_bytes:4));
-    test_of_fun "scoreboard: 64 iterations of the 8x12 k-loop" (fun () ->
-        ignore
-          (Exo_sim.Scoreboard.cycles_per_iter machine
-             (Exo_blis.Registry.exo_kernel ~mr:8 ~nr:12 ()).F.proc));
-    test_of_fun "cache-sim: 96^3 GEMM trace through 3-level LRU" (fun () ->
-        ignore
-          (Exo_sim.Cache_sim.gemm_trace machine ~mc:64 ~kc:64 ~nc:96 ~mr:8 ~nr:12
-             ~m:96 ~n:96 ~k:96));
-    test_of_fun "tuner: price one candidate on one DL layer" (fun () ->
-        ignore (Exo_blis.Tuner.evaluate machine ~mr:8 ~nr:12 ~m:784 ~n:512 ~k:256));
-  ]
-
-let run_bechamel () =
-  Fmt.pr "Bechamel wall-clock benchmarks (monotonic clock, ns/run)@.";
-  Fmt.pr "%s@." (String.make 78 '-');
-  let tests = bench_tests () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Btoolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ t ] -> Fmt.pr "%-55s %12.1f ns/run@." name t
-          | _ -> Fmt.pr "%-55s %12s@." name "n/a")
-        analyzed)
-    tests;
-  Fmt.pr "@."
 
 (* ------------------------------------------------------------------ *)
 (* Shared provenance metadata for every BENCH_*.json this harness       *)
@@ -1341,7 +1214,6 @@ let () =
     | "fig17" -> Experiments.fig17 ()
     | "fig18" -> Experiments.fig18 ()
     | "ablation" -> Experiments.ablation ()
-    | "bechamel" -> run_bechamel ()
     | "perf" -> run_perf ()
     | "perf-sim" -> run_perf_sim ()
     | "perf-sim-smoke" -> run_perf_sim ~smoke:true ()
@@ -1352,11 +1224,10 @@ let () =
     | "lint" -> run_lint ()
     | "all" ->
         run_lint ();
-        Experiments.all ();
-        run_bechamel ()
+        Experiments.all ()
     | other ->
         Fmt.epr
-          "unknown experiment %S (expected figNN, tabN, ablation, bechamel, perf, \
+          "unknown experiment %S (expected figNN, tabN, ablation, perf, \
            perf-sim[-smoke], perf-gemm[-smoke], perf-serve[-smoke], lint, all)@."
           other;
         exit 2

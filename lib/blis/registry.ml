@@ -378,7 +378,7 @@ module C_emit = Exo_codegen.C_emit
 
 (* Part of the shared-object content address: bump whenever the emitted
    ABI, the eligibility rule, or symbol naming changes meaning. *)
-let native_abi = "native-v1"
+let native_abi = "native-v2"
 
 (* The vector ISA a kit's intrinsics emission needs, by naming convention
    (kit names lead with their ISA: neon-f32, avx2-f32, ...). *)
@@ -402,9 +402,10 @@ let native_target_for (kit : Kits.t) : C_emit.native_target option =
     | _ -> Some C_emit.Nat_portable
 
 (* Digest of the portable nests a (mr, nr) bank emits — every entry's,
-   since the intrinsics wrapper keeps the nest as its other path. It is
-   the part of the source an emitter change moves without touching any
-   other key part; rendering it is cheap and needs no kernel build. *)
+   since any intrinsics entry whose proc the emitter rejects gets the nest
+   as its body. It is the part of the source an emitter change moves
+   without touching any other key part; rendering it is cheap and needs no
+   kernel build. *)
 let portable_digest ~(mr : int) ~(nr : int) : string =
   let b = Buffer.create 65536 in
   for idx = 0 to (mr * nr) - 1 do
@@ -465,7 +466,8 @@ let native_source ~(kit : Kits.t) ~(mr : int) ~(nr : int)
 (* A bound native kernel as a ukr_ba: the same operand contract as the
    Bigarray tier (ranges checked up front, Invalid_argument on violation)
    in front of the raw no-alloc call. The C tile is the contiguous
-   transposed nr×mr layout every blis_ba dispatch site uses, so ldc = mr. *)
+   transposed nr×mr layout every blis_ba dispatch site uses — the only one
+   the native ABI takes. *)
 let native_raw ~(mr : int) ~(nr : int) ~(slot : int) : C.ukr_ba =
   let module BA1 = Bigarray.Array1 in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
@@ -475,7 +477,7 @@ let native_raw ~(mr : int) ~(nr : int) ~(slot : int) : C.ukr_ba =
       || bo + (kc * nr) > BA1.dim bc
       || co + (nr * mr) > BA1.dim c
     then invalid_arg "Registry.native: operands out of range";
-    Native.call ~slot ~kc ~a:ac ~ao ~b:bc ~bo ~c ~co ~ldc:mr
+    Native.call ~slot ~kc ~a:ac ~ao ~b:bc ~bo ~c ~co
 
 (* Decision 12's gate: JIT'd code is certified-then-trusted, never
    trusted-on-load. Bit-comparison against the serving Bigarray-tier entry

@@ -146,10 +146,16 @@ val exo_bank_ba :
 val native_target_for :
   Exo_ukr_gen.Kits.t -> Exo_codegen.C_emit.native_target option
 
-(** The store key a bank's shared object is filed under: kit content,
-    table shape, target, compiler identity and tuning flags, plus a digest
-    of the portable nests the emitter renders for the bank — so a .so
-    built by an older emitter is never loaded as this one's. *)
+(** The native ABI's version tag, the first part of every {!native_key}.
+    Bumped whenever the exported signature, the eligibility rule or symbol
+    naming changes meaning. *)
+val native_abi : string
+
+(** The store key a bank's shared object is filed under: the ABI tag
+    {!native_abi}, kit content, table shape, target, compiler identity and
+    tuning flags, plus a digest of the portable nests the emitter renders
+    for the bank — so a .so built by an older emitter or for an older ABI
+    is never loaded as this one's. *)
 val native_key :
   Exo_ukr_gen.Kits.t -> mr:int -> nr:int ->
   target:Exo_codegen.C_emit.native_target -> string

@@ -410,7 +410,7 @@ let native_sym ~(mr : int) ~(nr : int) : string = Fmt.str "exo_ukr_%dx%d" mr nr
 let native_abi_signature (sym : string) : string =
   Fmt.str
     "void %s(int kc, const float *restrict A, const float *restrict B, float \
-     *restrict C, int ldc)"
+     *restrict C)"
     sym
 
 (* The canonical plain-C lowering of one (mr, nr) micro-kernel body under
@@ -418,8 +418,8 @@ let native_abi_signature (sym : string) : string =
    of the reference kernel, one accumulate-back into C at the end. The
    restrict qualifiers and the ivdep pragma tell the host compiler the
    loops carry no aliasing, so it autovectorizes the i-loop for whatever
-   ISA it targets — the fallback lowering for hosts without the kit's
-   intrinsics, and the non-contiguous-C path of the intrinsics wrapper.
+   ISA it targets — the lowering for hosts without the kit's intrinsics,
+   and for any entry whose scheduled proc the emitter rejects.
 
    Register blocking: when mr is a multiple of 4 the i-loop fills whole
    128-bit vectors, and the j and i loops are fully unrolled (GCC unroll
@@ -454,16 +454,15 @@ let portable_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
   bf "  for (int j = 0; j < %d; j++)\n" nr;
   unroll mr;
   bf "    for (int i = 0; i < %d; i++)\n" mr;
-  bf "      C[(ptrdiff_t)j * ldc + i] += acc[j][i];\n"
+  bf "      C[j * %d + i] += acc[j][i];\n" mr
 
 (** One native-ABI compilation unit for a whole kernel bank: an exported
-    [exo_ukr_<mr>x<nr>] per kernel. Under [Nat_intrinsics] each scheduled
-    proc is emitted [static] (its intrinsics body, as {!proc_to_c} renders
-    it) behind a wrapper that calls it on the contiguous-C fast path
-    ([ldc == mr], the only layout {!Exo_blis.Gemm.blis_ba} dispatches) and
-    falls back to the portable nest otherwise; a proc the emitter rejects
-    (not fully vectorized — fringe shapes) degrades to the portable nest
-    alone. Under [Nat_portable] every kernel is the portable nest. *)
+    [exo_ukr_<mr>x<nr>] per kernel, each with exactly one body. Under
+    [Nat_intrinsics] each scheduled proc is emitted [static] (its
+    intrinsics body, as {!proc_to_c} renders it) behind a wrapper that
+    only calls it; a proc the emitter rejects (not fully vectorized —
+    fringe shapes) gets the portable nest instead. Under [Nat_portable]
+    every kernel is the portable nest. *)
 let native_unit ?(header_comment = "") ~(target : native_target)
     ~(kernels : (int * int * proc option) list) () : string =
   let b = Buffer.create 8192 in
@@ -499,15 +498,9 @@ let native_unit ?(header_comment = "") ~(target : native_target)
       (match inner with
       | Some (_, pname) ->
           Buffer.add_string b
-            (Fmt.str
-               "  if (ldc == %d) {\n\
-               \    float one = 1.0f;\n\
-               \    %s(kc, &one, A, B, &one, C);\n\
-               \    return;\n\
-               \  }\n"
-               mr pname)
-      | None -> ());
-      portable_body b ~mr ~nr;
+            (Fmt.str "  float one = 1.0f;\n  %s(kc, &one, A, B, &one, C);\n"
+               pname)
+      | None -> portable_body b ~mr ~nr);
       Buffer.add_string b "}\n\n")
     kernels;
   Buffer.contents b

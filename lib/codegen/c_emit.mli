@@ -33,10 +33,9 @@ val native_target_name : native_target -> string
 val native_sym : mr:int -> nr:int -> string
 
 (** The fixed extern-"C" ABI every JIT'd kernel exports:
-    [void sym(int kc, const float *A, const float *B, float *C, int ldc)],
+    [void sym(int kc, const float *A, const float *B, float *C)],
     computing [C += A·B] over a [kc × mr] packed A panel, a [kc × nr]
-    packed B panel, and an [nr × mr] (transposed, leading dimension [ldc])
-    C tile. *)
+    packed B panel, and a contiguous [nr × mr] (transposed) C tile. *)
 val native_abi_signature : string -> string
 
 (** Append the portable C nest of one (mr, nr) kernel body under the
@@ -45,11 +44,11 @@ val native_abi_signature : string -> string
 val portable_body : Buffer.t -> mr:int -> nr:int -> unit
 
 (** One native-ABI compilation unit for a whole kernel bank — one exported
-    [exo_ukr_<mr>x<nr>] per [(mr, nr, proc)] triple. Under
-    [Nat_intrinsics], each scheduled proc is emitted [static] behind a
-    contiguous-C ([ldc = mr]) wrapper with the portable nest as the other
-    path; procs the emitter rejects (or [None]) degrade to the portable
-    nest. Under [Nat_portable] the procs are ignored. *)
+    [exo_ukr_<mr>x<nr>] per [(mr, nr, proc)] triple, each with exactly one
+    body. Under [Nat_intrinsics], each scheduled proc is emitted [static]
+    behind a wrapper that only calls it; procs the emitter rejects (or
+    [None]) get the portable nest instead. Under [Nat_portable] the procs
+    are ignored. *)
 val native_unit :
   ?header_comment:string ->
   target:native_target ->

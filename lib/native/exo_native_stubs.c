@@ -3,7 +3,9 @@
  * A slot is an index into a process-global table of micro-kernel function
  * pointers with the fixed extern-"C" ABI every JIT'd kernel exports:
  *
- *   void ukr(int kc, const float *A, const float *B, float *C, int ldc);
+ *   void ukr(int kc, const float *A, const float *B, float *C);
+ *
+ * C is the contiguous transposed nr x mr tile.
  *
  * Registration happens at table-build time under a mutex (several OCaml
  * domains may build different kernel tables concurrently); the table is a
@@ -20,8 +22,7 @@
 #include <dlfcn.h>
 #include <pthread.h>
 
-typedef void (*exo_ukr_fn)(int kc, const float *A, const float *B, float *C,
-                           int ldc);
+typedef void (*exo_ukr_fn)(int kc, const float *A, const float *B, float *C);
 
 #define EXO_NATIVE_MAX_SLOTS 16384
 
@@ -66,13 +67,13 @@ CAMLprim value exo_native_dlsym(value vhandle, value vsym)
  * exo_native_dlsym above). */
 CAMLprim value exo_native_call_native(value vslot, value vkc, value va,
                                       value vao, value vb, value vbo,
-                                      value vc, value vco, value vldc)
+                                      value vc, value vco)
 {
   exo_ukr_fn f = exo_slots[Int_val(vslot)];
   const float *a = (const float *)Caml_ba_data_val(va) + Int_val(vao);
   const float *b = (const float *)Caml_ba_data_val(vb) + Int_val(vbo);
   float *c = (float *)Caml_ba_data_val(vc) + Int_val(vco);
-  f(Int_val(vkc), a, b, c, Int_val(vldc));
+  f(Int_val(vkc), a, b, c);
   return Val_unit;
 }
 
@@ -80,5 +81,5 @@ CAMLprim value exo_native_call_bytecode(value *argv, int argn)
 {
   (void)argn;
   return exo_native_call_native(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                argv[5], argv[6], argv[7], argv[8]);
+                                argv[5], argv[6], argv[7]);
 }

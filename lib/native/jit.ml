@@ -28,7 +28,6 @@ external call :
   bo:int ->
   c:ba32 ->
   co:int ->
-  ldc:int ->
   unit = "exo_native_call_bytecode" "exo_native_call_native"
 [@@noalloc]
 

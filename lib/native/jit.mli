@@ -9,9 +9,10 @@ type ba32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** Invoke a bound kernel: [C += A·B] on one packed tile through the fixed
     extern-"C" ABI [void ukr(int kc, const float *A, const float *B,
-    float *C, int ldc)], with [A]/[B]/[C] addressed at [ao]/[bo]/[co]
-    elements into the Bigarrays. No bounds checks here — callers enforce
-    the {!Exo_interp.Compile.ukr_ba} operand contract first. *)
+    float *C)], with [A]/[B]/[C] addressed at [ao]/[bo]/[co] elements into
+    the Bigarrays; C is the contiguous transposed [nr × mr] tile. No bounds
+    checks here — callers enforce the {!Exo_interp.Compile.ukr_ba} operand
+    contract first. *)
 external call :
   slot:int ->
   kc:int ->
@@ -21,7 +22,6 @@ external call :
   bo:int ->
   c:ba32 ->
   co:int ->
-  ldc:int ->
   unit = "exo_native_call_bytecode" "exo_native_call_native"
 [@@noalloc]
 

@@ -219,6 +219,67 @@ int main(void) {
     end
   end
 
+(* The exported wrappers of a native unit, each as its text from its
+   signature line to the blank line that closes it. *)
+let native_wrappers unit_ =
+  let lines = String.split_on_char '\n' unit_ in
+  let rec go acc cur = function
+    | [] -> List.rev (match cur with Some w -> w :: acc | None -> acc)
+    | l :: rest -> (
+        if String.starts_with ~prefix:"void exo_ukr_" l then
+          go (match cur with Some w -> w :: acc | None -> acc) (Some l) rest
+        else
+          match cur with
+          | Some w when l = "" -> go (w :: acc) None rest
+          | Some w -> go acc (Some (w ^ "\n" ^ l)) rest
+          | None -> go acc None rest)
+  in
+  go [] None lines
+
+(* Every native-bank entry has exactly one body: an intrinsics wrapper
+   whose proc was emitted only calls it (no portable accumulator behind a
+   layout branch), the portable unit is the nest alone, and the ABI
+   carries no stride. Renders C only, so it runs on any host. *)
+let test_native_unit_one_body () =
+  let kit = Exo_ukr_gen.Kits.avx2_f32 and mr, nr = (4, 6) in
+  let shapes = List.init (mr * nr) (fun i -> ((i / nr) + 1, (i mod nr) + 1)) in
+  let intrinsics =
+    C.native_unit ~target:C.Nat_intrinsics
+      ~kernels:
+        (List.map
+           (fun (m, n) ->
+             (m, n, Some (Exo_blis.Registry.exo_kernel ~kit ~mr:m ~nr:n ()).Family.proc))
+           shapes)
+      ()
+  in
+  let portable =
+    C.native_unit ~target:C.Nat_portable
+      ~kernels:(List.map (fun (m, n) -> (m, n, None)) shapes)
+      ()
+  in
+  List.iter
+    (fun (name, unit_) ->
+      Alcotest.(check int) (name ^ ": one exported kernel per entry") (mr * nr)
+        (List.length (native_wrappers unit_));
+      Alcotest.(check bool) (name ^ ": no ldc anywhere") false
+        (contains unit_ "ldc"))
+    [ ("intrinsics", intrinsics); ("portable", portable) ];
+  let calls w = contains w "(kc, &one, A, B, &one, C);" in
+  let wrappers = native_wrappers intrinsics in
+  Alcotest.(check bool) "intrinsics: some wrapper calls its proc" true
+    (List.exists calls wrappers);
+  List.iter
+    (fun w ->
+      if calls w then
+        Alcotest.(check bool) "a wrapper that calls its proc has no twin" false
+          (contains w "acc["))
+    wrappers;
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) "portable: every wrapper is the nest alone" true
+        (contains w "acc[" && not (calls w)))
+    (native_wrappers portable)
+
 let () =
   Alcotest.run "codegen"
     [
@@ -231,6 +292,8 @@ let () =
           Alcotest.test_case "scalar kernel" `Quick test_scalar_kernel_emits;
           Alcotest.test_case "compilation unit" `Quick test_compilation_unit;
           Alcotest.test_case "register access rejected" `Quick test_register_access_rejected;
+          Alcotest.test_case "native unit: one body per entry" `Quick
+            test_native_unit_one_body;
         ] );
       ( "host-compiler",
         [

@@ -16,7 +16,7 @@
    3. Cache robustness — a corrupted cached [.so] reads as a miss and is
       recompiled; the rebuilt table serves native code again and computes
       the same tiles. A [.so] filed under the key formula that predates the
-      emitter digest is never loaded.
+      emitter digest, or under an older native ABI tag, is never loaded.
 
    4. Graceful degradation — with the tier disabled or the compiler
       masked, the table still builds complete, serves the Bigarray tier
@@ -262,23 +262,37 @@ let test_corrupted_so_recompiles () =
       (exec (R.table_entry t2 ~mr:3 ~nr:4) ~mr:3 ~nr:4 ~kc:17 ~seed:7)
   end
 
+(* The parts of the native store key ahead of the portable-nest digest,
+   under ABI tag [abi]. *)
+let key_parts abi (kit : K.t) ~mr ~nr ~target =
+  [
+    abi;
+    Sys.ocaml_version;
+    kit.K.name;
+    K.digest kit;
+    string_of_int kit.K.sched_steps;
+    string_of_int mr;
+    string_of_int nr;
+    "simple";
+    Exo_codegen.C_emit.native_target_name target;
+    Host.cc_identity ();
+    String.concat " " (Host.march_flags ());
+  ]
+
 (* The store key before it carried a digest of the emitted portable nests:
    a .so built by an older emitter sits under exactly this key. *)
-let pre_digest_key (kit : K.t) ~mr ~nr ~target =
+let pre_digest_key kit ~mr ~nr ~target =
+  Store.key (key_parts "native-v1" kit ~mr ~nr ~target)
+
+(* The full store key under ABI tag [abi], every other part current. *)
+let abi_key abi kit ~mr ~nr ~target =
+  let b = Buffer.create 65536 in
+  for idx = 0 to (mr * nr) - 1 do
+    Exo_codegen.C_emit.portable_body b ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
+  done;
   Store.key
-    [
-      "native-v1";
-      Sys.ocaml_version;
-      kit.K.name;
-      K.digest kit;
-      string_of_int kit.K.sched_steps;
-      string_of_int mr;
-      string_of_int nr;
-      "simple";
-      Exo_codegen.C_emit.native_target_name target;
-      Host.cc_identity ();
-      String.concat " " (Host.march_flags ());
-    ]
+    (key_parts abi kit ~mr ~nr ~target
+    @ [ Digest.to_hex (Digest.string (Buffer.contents b)) ])
 
 (* every exported kernel a no-op: certification rejects any entry served
    from it, so loading it cannot go unnoticed *)
@@ -302,22 +316,36 @@ let test_stale_emitter_so_not_loaded () =
       | Error e -> Alcotest.fail ("decoy did not compile: " ^ e)
       | Ok decoy ->
           let st = Store.of_dir dir in
-          let stale = pre_digest_key kit ~mr ~nr ~target in
-          Alcotest.(check bool) "key now differs from the pre-digest key" true
-            (R.native_key kit ~mr ~nr ~target <> stale);
-          ignore (Store.put st ~kind:Jit.so_kind ~key:stale decoy);
-          Jit.reset_counts ();
-          let t = R.exo_table ~kit ~mr ~nr () in
-          let compiles, hits, _, _ = Jit.counts () in
-          let ni = t.R.t_native_info in
-          Alcotest.(check int) "the stale .so was not loaded" 0 hits;
-          Alcotest.(check int) "the bank was compiled afresh" 1 compiles;
-          Alcotest.(check int) "no entry rejected" 0 ni.R.ni_rejected;
-          Alcotest.(check int) "every entry native" (mr * nr) ni.R.ni_entries;
+          let current = R.native_key kit ~mr ~nr ~target in
+          (* a decoy under [stale] is never loaded: the bank compiles
+             afresh under the current key and every entry certifies *)
+          let not_loaded name stale =
+            Alcotest.(check bool) (name ^ ": key differs from the current key")
+              true (current <> stale);
+            R.clear_memos_for_bench ();
+            Store.remove st ~kind:Jit.so_kind ~key:current;
+            ignore (Store.put st ~kind:Jit.so_kind ~key:stale decoy);
+            Jit.reset_counts ();
+            let t = R.exo_table ~kit ~mr ~nr () in
+            let compiles, hits, _, _ = Jit.counts () in
+            let ni = t.R.t_native_info in
+            Alcotest.(check int) (name ^ ": the stale .so was not loaded") 0 hits;
+            Alcotest.(check int) (name ^ ": the bank was compiled afresh") 1
+              compiles;
+            Alcotest.(check int) (name ^ ": no entry rejected") 0 ni.R.ni_rejected;
+            Alcotest.(check int) (name ^ ": every entry native") (mr * nr)
+              ni.R.ni_entries
+          in
+          not_loaded "pre-digest key" (pre_digest_key kit ~mr ~nr ~target);
+          (* a .so built for the 5-argument ABI, with every other key part
+             current: called through today's stub it would read a garbage
+             stride *)
+          Alcotest.(check string) "the key formula is the registry's" current
+            (abi_key R.native_abi kit ~mr ~nr ~target);
+          not_loaded "native-v1 key" (abi_key "native-v1" kit ~mr ~nr ~target);
           (* control: the same decoy under the current key IS loaded, and
              certification catches it — so a zero hit count above means
              the key moved, not that the decoy was unloadable *)
-          let current = R.native_key kit ~mr ~nr ~target in
           R.clear_memos_for_bench ();
           Store.remove st ~kind:Jit.so_kind ~key:current;
           ignore (Store.put st ~kind:Jit.so_kind ~key:current decoy);
