@@ -9,14 +9,16 @@
     engine behind the Bigarray copy-through adapter — mirroring how the
     paper swaps micro-kernels under one ALG+ implementation.
 
-    The executable path is built for paper-scale runs: pack buffers and the
-    C tile live in per-domain float32 Bigarray arenas (the store is the f32
-    rounding), the C-tile gather/scatter is fused over unsafe accesses
-    behind one up-front bounds check, each B block is packed once across
-    the {!Exo_par.Pool}, and the m range is split into mr-aligned row
-    slices, one per pool domain — bit-identical at every pool width because
-    each slice writes only its own rows and every element sees the same
-    kernel calls in the same k order. *)
+    The executable path is built for paper-scale runs: pack buffers live
+    in per-domain float32 Bigarray arenas (the store is the f32 rounding),
+    and C lives in one tile-major f32 accumulator per jc block that the
+    kernels update in place across the pc loop — gathered once and
+    scattered once, over unsafe accesses behind one up-front bounds check.
+    Each B block is packed once across the {!Exo_par.Pool}, and the m range
+    is split into mr-aligned row slices, one per pool domain — bit-identical
+    at every pool width because each slice writes only its own tiles and
+    rows and every element sees the same kernel calls in the same k
+    order. *)
 
 module Obs = Exo_obs.Obs
 module Pool = Exo_par.Pool
@@ -62,29 +64,28 @@ let naive_f32 ?(alpha = 1.0) ?(beta = 1.0) (a : Matrix.t) (b : Matrix.t)
 type ba32 = Exo_interp.Compile.ba32
 
 type ukr_ba = Exo_interp.Compile.ukr_ba
-(** A per-tile entry point: [c += acᵀ·bc] with [ac] a kc×mr k-major panel
-    at [ao], [bc] a kc×nr panel at [bo] (panel offsets into a packing
-    arena) and [c] the *transposed* nr×mr tile at [co] — the layout
-    conventions of the generated kernels (Section III-A). The tile shape is
-    fixed per entry; the driver picks the (mrb, nrb) entry out of a flat
-    kernel table. *)
+(** [c += acᵀ·bc] on one packed tile; see gemm.mli. *)
 
 let ba_empty () : ba32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 0
 
-(** Per-domain scratch: one pack arena per operand plus the C tile, grown
-    monotonically (next power of two) and reused across GEMMs. Per-domain
-    because row slices on different domains pack A concurrently; the B
-    arena of the domain that calls {!blis_ba} holds the shared B block. *)
-type arena = { mutable aw : ba32; mutable bw : ba32; mutable tw : ba32 }
+(** Per-domain scratch, grown monotonically (next power of two) and reused
+    across GEMMs: the A pack arena [aw] of every domain that runs a row
+    slice, and — on the domain that calls {!blis_ba} — the shared B block
+    [bw] and the f32 C accumulator [cw]. *)
+type arena = { mutable aw : ba32; mutable bw : ba32; mutable cw : ba32 }
 
 type workspace = arena Domain.DLS.key
 
 let workspace () : workspace =
   Domain.DLS.new_key (fun () ->
-      { aw = ba_empty (); bw = ba_empty (); tw = ba_empty () })
+      { aw = ba_empty (); bw = ba_empty (); cw = ba_empty () })
 
 (** The workspace used when callers don't thread their own. *)
 let default_workspace : workspace = workspace ()
+
+let arenas (ws : workspace) : ba32 * ba32 * ba32 =
+  let ar = Domain.DLS.get ws in
+  (ar.aw, ar.bw, ar.cw)
 
 (* next power of two, so repeated slightly-larger requests settle *)
 let pow2_cap (n : int) : int =
@@ -94,41 +95,36 @@ let pow2_cap (n : int) : int =
   done;
   !p
 
+(* Arenas start on a 64-byte boundary (16 floats), so where malloc put
+   them does not change how fast a vector kernel loads its operands: the
+   allocation is 16 floats longer and the arena a sub view into it. *)
 let grown (a : ba32) (n : int) : ba32 =
   if Bigarray.Array1.dim a >= n then a
   else begin
+    let cap = pow2_cap n in
     let b =
-      Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (pow2_cap n)
+      Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (cap + 16)
     in
-    (* Bigarray.create is uninitialized; the packers only ever write the
-       panel prefixes they then read, but zero-fill anyway so no code path
-       can observe garbage *)
+    (* zero-filled although the packers only read what they wrote, so no
+       code path can observe Bigarray.create's garbage *)
     Bigarray.Array1.fill b 0.0;
-    b
+    let skew = Exo_native.Jit.address b land 63 / 4 in
+    Bigarray.Array1.sub b ((16 - skew) land 15) cap
   end
 
 (* ------------------------------------------------------------------ *)
 (* The five-loop macro-kernel                                          *)
 
-(** The BLIS-like GEMM: C := alpha·A·B + beta·C with the five-loop blocked
-    algorithm, packed panels and the C tile in float32 Bigarrays, and
-    per-tile dispatch by O(1) array indexing into the table [kernels ()]
-    returns.
+(** The BLIS-like GEMM (see gemm.mli). Row slices are mr-aligned and
+    balanced by panel count (Smith et al.'s ic/ir partitioning) and mc is
+    rounded down to a multiple of mr, so every C element sees the same
+    kernel calls in the same k order at every width.
 
-    Decomposition: jc and pc run sequentially on the caller. For each
-    (jc, pc) the kc×nc B block is packed once into the caller's arena,
-    contiguous panel ranges split across the pool. The m range is split
-    into [Pool.jobs] contiguous, mr-aligned row slices balanced by panel
-    count (Smith et al.'s ic/ir partitioning); each slice walks its rows in
-    mc blocks, packs A into its own domain's arena and runs the jr/ir loops
-    over the shared B. Row blocks stay mr-aligned (mc is rounded down to a
-    multiple of mr), so every C element is computed by the same kernel
-    calls in the same k order at every pool width: the output is
-    bit-identical at every width.
-
-    [kernels] is called once per GEMM, on the calling domain, and must
-    return a table of at least mr·nr entries, entry [(mr'-1)·nr + nr'-1]
-    computing an mr'×nr' tile — one table serves every tile of one C. *)
+    The accumulator holds tile (P, q) — row panel P, column panel q of the
+    jc block — at (q·m_panels + P)·mr·nr, transposed nr'×mr' as the kernels
+    take it, so the ir loop walks it contiguously; with one pc block no
+    tile outlives its kernel call, so each slice reuses one slot at
+    s·mr·nr. *)
 let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     ~(blocking : Analytical.blocking) ~(mr : int) ~(nr : int)
     ~(kernels : unit -> ukr_ba array) (a : Matrix.t) (b : Matrix.t)
@@ -149,10 +145,7 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   if Array.length tbl < mr * nr then
     invalid_arg "Gemm.blis_ba: kernel table shorter than mr*nr";
   let mc = mc / mr * mr in
-  let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
   let ldc = c.Matrix.cols and cdata = c.Matrix.data in
-  let a_size = Packing.a_arena_size ~mcb:(min mc m) ~kcb:(min kc k) ~mr in
-  let b_size = Packing.b_arena_size ~ncb:(min nc n) ~kcb:(min kc k) ~nr in
   let n_jc = (n + nc - 1) / nc and n_pc = (k + kc - 1) / kc in
   let jobs = Pool.jobs pool in
   (* the m range as contiguous mr-aligned slices, balanced by panel count *)
@@ -166,9 +159,19 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   (* B panels of column block jc, and the pack-B tasks they split into *)
   let b_panels jc = (min nc (n - (jc * nc)) + nr - 1) / nr in
   let b_tasks jc = min jobs (b_panels jc) in
+  (* A packs at most one mc block of the largest slice *)
+  let a_size =
+    Packing.a_arena_size
+      ~mcb:(min mc ((m_panels + n_slices - 1) / n_slices * mr))
+      ~kcb:(min kc k) ~mr
+  in
+  let b_size = Packing.b_arena_size ~ncb:(min nc n) ~kcb:(min kc k) ~nr in
+  let c_size =
+    (if n_pc > 1 then m_panels * b_panels 0 else n_slices) * mr * nr
+  in
   let sp_blis =
     if Obs.enabled () then begin
-      let tasks = ref (if Float.equal beta 1.0 then 0 else n_slices) in
+      let tasks = ref 0 in
       for jc = 0 to n_jc - 1 do
         tasks := !tasks + (n_pc * (b_tasks jc + n_slices))
       done;
@@ -191,29 +194,20 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
         name
     else Obs.none
   in
-  (* beta scaling of each slice's own C rows, before any pc block: every
-     write of a slice task stays inside its rows, and k = 0 (no pc block
-     at all) still scales *)
-  if not (Float.equal beta 1.0) then
-    Pool.iter pool
-      (fun s ->
-        let r0, r1 = slice_rows s in
-        for i = r0 to r1 - 1 do
-          let rb = i * ldc in
-          for j = 0 to n - 1 do
-            cdata.(rb + j) <- r32 (beta *. cdata.(rb + j))
-          done
-        done)
-      slices;
-  let bw =
-    let own = Domain.DLS.get ws in
-    own.bw <- grown own.bw b_size;
-    own.bw
-  in
+  (* with no pc block beta never reaches the accumulator: scale C here *)
+  if n_pc = 0 && not (Float.equal beta 1.0) then
+    for i = 0 to (m * n) - 1 do
+      cdata.(i) <- Int32.float_of_bits (Int32.bits_of_float (beta *. cdata.(i)))
+    done;
+  let own = Domain.DLS.get ws in
+  own.bw <- grown own.bw b_size;
+  own.cw <- grown own.cw c_size;
+  let bw = own.bw and cw = own.cw in
   for jc = 0 to n_jc - 1 do
     let jc0 = jc * nc in
     let ncb = min nc (n - jc0) in
     let num_panels = b_panels jc and nbt = b_tasks jc in
+    let b_task_ids = List.init nbt Fun.id in
     for pc = 0 to n_pc - 1 do
       let pc0 = pc * kc in
       let kcb = min kc (k - pc0) in
@@ -233,7 +227,7 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
                ~ncb:(min ncb (p1 * nr) - (p0 * nr))
                ~nr);
           Obs.end_span sp)
-        (List.init nbt Fun.id);
+        b_task_ids;
       let bp =
         { Packing.data = bw; pitch; num_panels; depth = kcb; full = nr;
           block = ncb }
@@ -243,8 +237,6 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
           let r0, r1 = slice_rows s in
           let ar = Domain.DLS.get ws in
           ar.aw <- grown ar.aw a_size;
-          ar.tw <- grown ar.tw (mr * nr);
-          let tile = ar.tw in
           for blk = 0 to ((r1 - r0 + mc - 1) / mc) - 1 do
             let ic0 = r0 + (blk * mc) in
             let mcb = min mc (r1 - ic0) in
@@ -261,24 +253,29 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
                 [ ("jc", jc); ("pc", pc); ("slice", s); ("row", ic0) ]
             in
             let adata = ap.Packing.data in
-            for jr = 0 to bp.Packing.num_panels - 1 do
+            for jr = 0 to num_panels - 1 do
               let nrb = Packing.panel_width bp jr in
               let bo = Packing.panel_off bp jr in
               for ir = 0 to ap.Packing.num_panels - 1 do
                 let mrb = Packing.panel_width ap ir in
                 let ao = Packing.panel_off ap ir in
-                (* fused gather/scatter of the transposed C tile: flat base
-                   addressing, unsafe behind the storage check at entry
-                   (every index is <= (m-1)*ldc + n-1 < m*n); the f32
-                   rounding of each C element is the Bigarray store *)
+                (* C's gather/scatter: flat base addressing, unsafe behind
+                   the storage check at entry (every index is
+                   <= (m-1)*ldc + n-1 < m*n) and the accumulator's size
+                   (row panel < m_panels, column panel < b_panels 0) *)
                 let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
-                for j = 0 to nrb - 1 do
+                let co =
+                  if n_pc = 1 then s * mr * nr
+                  else ((jr * m_panels) + (ic0 / mr) + ir) * mr * nr
+                in
+                if pc = 0 then
                   for i = 0 to mrb - 1 do
-                    Bigarray.Array1.unsafe_set tile
-                      ((j * mrb) + i)
-                      (Array.unsafe_get cdata (cbase + (i * ldc) + j))
-                  done
-                done;
+                    for j = 0 to nrb - 1 do
+                      Bigarray.Array1.unsafe_set cw
+                        (co + (j * mrb) + i)
+                        (beta *. Array.unsafe_get cdata (cbase + (i * ldc) + j))
+                    done
+                  done;
                 (* O(1) dispatch: plain array indexing, in range because
                    1 <= mrb <= mr, 1 <= nrb <= nr and the table length was
                    checked at entry *)
@@ -286,15 +283,16 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
                   if Obs.enabled () then Obs.begin_span "gemm.ukr" else Obs.none
                 in
                 (Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1))
-                  ~kc:kcb ~ac:adata ~ao ~bc:bw ~bo ~c:tile ~co:0;
+                  ~kc:kcb ~ac:adata ~ao ~bc:bw ~bo ~c:cw ~co;
                 Obs.end_span sp_ukr;
-                for j = 0 to nrb - 1 do
+                if pc = n_pc - 1 then
                   for i = 0 to mrb - 1 do
-                    Array.unsafe_set cdata
-                      (cbase + (i * ldc) + j)
-                      (Bigarray.Array1.unsafe_get tile ((j * mrb) + i))
+                    for j = 0 to nrb - 1 do
+                      Array.unsafe_set cdata
+                        (cbase + (i * ldc) + j)
+                        (Bigarray.Array1.unsafe_get cw (co + (j * mrb) + i))
+                    done
                   done
-                done
               done
             done;
             Obs.end_span sp_macro

@@ -22,11 +22,12 @@ val naive : ?alpha:float -> ?beta:float -> Matrix.t -> Matrix.t -> Matrix.t -> u
 val naive_f32 :
   ?alpha:float -> ?beta:float -> Matrix.t -> Matrix.t -> Matrix.t -> unit
 
-(** Per-domain reusable scratch (pack arenas + C tile), grown on demand and
-    reused across GEMMs by whichever domain runs a task. The pool's helper
-    domains are persistent, so their arenas survive from one GEMM to the
-    next: repeated calls allocate no arenas in steady state, at width 1 and
-    at width > 1 alike. *)
+(** Per-domain reusable scratch, grown on demand and reused across GEMMs:
+    each domain's A pack arena, and on the calling domain the shared B
+    block and the f32 C accumulator. Arenas start on a 64-byte boundary.
+    The pool's helper domains are persistent, so their arenas survive from
+    one GEMM to the next: repeated calls allocate no arenas in steady
+    state, at width 1 and at width > 1 alike. *)
 type workspace
 
 (** A fresh workspace (its arenas materialize per domain on first use). *)
@@ -35,10 +36,13 @@ val workspace : unit -> workspace
 (** The workspace used when callers don't thread their own. *)
 val default_workspace : workspace
 
+(** The calling domain's (A, B, C accumulator) arenas — to observe their
+    growth and alignment. *)
+val arenas : workspace -> ba32 * ba32 * ba32
+
 (** The BLIS-like GEMM: jc/pc/ic/jr/ir blocking, float32-Bigarray arena
-    packing (alpha folded into Bc, beta applied to C before the first pc
-    block, so also at k = 0), and O(1) array-indexed dispatch into the
-    table [kernels ()] returns (entry [(mr'-1)·nr + nr'-1] computes an
+    packing (alpha folded into Bc), and O(1) array-indexed dispatch into
+    the table [kernels ()] returns (entry [(mr'-1)·nr + nr'-1] computes an
     mr'×nr' tile; at least mr·nr entries).
 
     Decomposition: jc and pc run sequentially. For each (jc, pc) the kc×nc
@@ -50,7 +54,15 @@ val default_workspace : workspace
     jr/ir loops over the shared B. Every C element is computed by the same
     kernel calls in the same k order at every width, so the output is
     bit-identical at every pool width. [kernels] is invoked once per call,
-    on the calling domain, so one table serves every tile of one C. *)
+    on the calling domain, so one table serves every tile of one C.
+
+    C stays in a tile-major f32 accumulator, held in the calling domain's
+    workspace, across the whole pc loop: each slice gathers beta·C into its
+    own tiles at the first pc block and scatters them after the last, so
+    every element crosses between f64 and f32 twice per jc block. The
+    accumulator costs m·min(nc, n) floats (rounded up to whole tiles); a
+    GEMM with a single pc block (k <= kc) needs only one tile per slice.
+    At k = 0, C is scaled by beta directly. *)
 val blis_ba :
   ?alpha:float ->
   ?beta:float ->

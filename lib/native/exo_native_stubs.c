@@ -77,6 +77,13 @@ CAMLprim value exo_native_call_native(value vslot, value vkc, value va,
   return Val_unit;
 }
 
+/* The address of a Bigarray's data, so OCaml can place arenas on a
+ * 64-byte boundary. */
+CAMLprim value exo_native_ba_address(value vba)
+{
+  return Val_long((intnat)Caml_ba_data_val(vba));
+}
+
 CAMLprim value exo_native_call_bytecode(value *argv, int argn)
 {
   (void)argn;

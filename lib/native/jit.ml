@@ -31,6 +31,8 @@ external call :
   unit = "exo_native_call_bytecode" "exo_native_call_native"
 [@@noalloc]
 
+external address : ba32 -> int = "exo_native_ba_address" [@@noalloc]
+
 let so_kind = "native_so"
 
 (* ------------------------------------------------------------------ *)

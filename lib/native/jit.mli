@@ -25,6 +25,9 @@ external call :
   unit = "exo_native_call_bytecode" "exo_native_call_native"
 [@@noalloc]
 
+(** The address of a Bigarray's first element (to align arenas). *)
+external address : ba32 -> int = "exo_native_ba_address" [@@noalloc]
+
 (** The {!Exo_cache.Store} kind shared-object bytes are filed under. *)
 val so_kind : string
 

@@ -396,12 +396,29 @@ let test_blis_ba_pool_width_invariance () =
   Alcotest.(check bool) "jobs 1 ≡ jobs 2 (bit-exact)" true (M.equal c1 c2);
   Alcotest.(check bool) "jobs 1 ≡ jobs 4 (bit-exact)" true (M.equal c1 c4)
 
+(* [blis_ba] at widths 1-4 against naive f32 on fresh copies of [c0] *)
+let check_widths ~name ?(alpha = 1.0) ?(beta = 1.0) ?ws ~blocking a b c0 =
+  let c_ref = M.copy c0 in
+  G.naive_f32 ~alpha ~beta a b c_ref;
+  List.iter
+    (fun jobs ->
+      let c = M.copy c0 in
+      let ws = match ws with Some ws -> ws | None -> G.workspace () in
+      G.blis_ba ~alpha ~beta ~pool:(Exo_par.Pool.create ~jobs ()) ~ws
+        ~blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b c;
+      Alcotest.(check bool)
+        (Fmt.str "%s, width %d" name jobs)
+        true (M.equal c c_ref))
+    [ 1; 2; 3; 4 ]
+
 let test_blis_ba_decomposition_edges () =
   (* the pack-B-once, row-sliced decomposition against naive f32 at widths
-     1-4, on the shapes where its split arithmetic is easiest to get wrong *)
+     1-4, on the shapes where its split arithmetic is easiest to get wrong,
+     and the C accumulator's: three and more pc blocks with a short last
+     one, several jc blocks (the last one narrow), and beta outside {0, 1}
+     folded into the gather *)
   let st = Random.State.make [| 37 |] in
   let default = A.compute Mach.carmel ~mr:8 ~nr:12 ~dtype_bytes:4 in
-  let kernels = serving () in
   let cases =
     [
       (* name, (m, n, k), blocking, alpha, beta *)
@@ -415,24 +432,75 @@ let test_blis_ba_decomposition_edges () =
       ("mc not a multiple of mr", (45, 26, 17), { A.mc = 20; kc = 8; nc = 24 },
        -1.0, 2.0);
       ("k = 0 still scales by beta", (13, 14, 0), small_blocking, 2.0, -1.0);
+      ("n_pc 3, last kc 5, n_jc 3", (61, 50, 21), small_blocking, 1.0, 1.0);
+      ("n_pc 5, last kc 1, n_jc 2", (43, 37, 33), { A.mc = 24; kc = 8; nc = 36 },
+       2.0, 1.0);
+      ("beta 0.5, n_pc 2", (29, 26, 16), small_blocking, 1.0, 0.5);
+      ("beta -3, n_pc 4, n_jc 3", (50, 61, 27), small_blocking, -1.0, -3.0);
     ]
   in
   List.iter
     (fun (name, (m, n, k), blocking, alpha, beta) ->
       let a = M.random_int m k st and b = M.random_int k n st in
-      let c0 = M.random_int m n st in
-      let c_ref = M.copy c0 in
-      G.naive_f32 ~alpha ~beta a b c_ref;
-      List.iter
-        (fun jobs ->
-          let c = M.copy c0 in
-          G.blis_ba ~alpha ~beta ~pool:(Exo_par.Pool.create ~jobs ())
-            ~ws:(G.workspace ()) ~blocking ~mr:8 ~nr:12 ~kernels a b c;
-          Alcotest.(check bool)
-            (Fmt.str "%s (%dx%dx%d), width %d" name m n k jobs)
-            true (M.equal c c_ref))
-        [ 1; 2; 3; 4 ])
+      check_widths
+        ~name:(Fmt.str "%s (%dx%dx%d)" name m n k)
+        ~alpha ~beta ~blocking a b (M.random_int m n st))
     cases
+
+(* --- the f32 C accumulator ----------------------------------------------- *)
+
+let test_accumulator_no_stale_tiles () =
+  (* one workspace reused big -> small -> big: between calls C is
+     overwritten and the accumulator filled with NaN, so a tile that
+     skipped its gather would show up in the result *)
+  let st = Random.State.make [| 47 |] in
+  let ws = G.workspace () in
+  List.iter
+    (fun (m, n, k, beta) ->
+      let a = M.random_int m k st and b = M.random_int k n st in
+      let c0 = M.init m n (fun i j -> float_of_int (1000 + (i * n) + j)) in
+      let _, _, cw = G.arenas ws in
+      Bigarray.Array1.fill cw Float.nan;
+      check_widths
+        ~name:(Fmt.str "%dx%dx%d beta %g, reused workspace" m n k beta)
+        ~beta ~ws ~blocking:small_blocking a b c0)
+    [ (61, 50, 30, 1.0); (9, 13, 5, 0.5); (61, 50, 30, 0.0); (20, 30, 17, 2.0) ]
+
+let test_accumulator_steady_state () =
+  (* a second same-shape GEMM on one workspace regrows no arena, the
+     arenas start on a 64-byte boundary, and the call allocates no more
+     minor words than the per-kc-block tile copy it replaced did at this
+     shape and width (4289 on the native tier, 5669 on the Bigarray tier) *)
+  let st = Random.State.make [| 41 |] in
+  let m, n, k = (61, 50, 30) in
+  let a = M.random_int m k st and b = M.random_int k n st in
+  let c = M.random_int m n st in
+  let pool = Exo_par.Pool.create ~jobs:1 () and ws = G.workspace () in
+  let kernels = serving () in
+  let run () =
+    G.blis_ba ~beta:0.5 ~pool ~ws ~blocking:small_blocking ~mr:8 ~nr:12
+      ~kernels a b c
+  in
+  run ();
+  let aw, bw, cw = G.arenas ws in
+  let native0, _, _ = R.ukr_tier_counts () in
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  let native1, _, _ = R.ukr_tier_counts () in
+  let aw', bw', cw' = G.arenas ws in
+  Alcotest.(check bool) "A arena kept" true (aw == aw');
+  Alcotest.(check bool) "B arena kept" true (bw == bw');
+  Alcotest.(check bool) "C accumulator kept" true (cw == cw');
+  List.iter
+    (fun (name, ar) ->
+      Alcotest.(check int) (name ^ " 64-byte aligned") 0
+        (Exo_native.Jit.address ar land 63))
+    [ ("A arena", aw); ("B arena", bw); ("C accumulator", cw) ];
+  let bound = if native1 > native0 then 4289.0 else 5669.0 in
+  if words > bound then
+    Alcotest.failf "steady-state call allocated %.0f minor words (bound %.0f)"
+      words bound
 
 let test_gemm_batch_ba () =
   (* the workload batch through the serving bank matches per-problem naive *)
@@ -777,6 +845,10 @@ let () =
           Alcotest.test_case "row-sliced decomposition edges, widths 1-4"
             `Quick test_blis_ba_decomposition_edges;
           Alcotest.test_case "batch (bigarray tier)" `Quick test_gemm_batch_ba;
+          Alcotest.test_case "accumulator leaks no stale tiles" `Quick
+            test_accumulator_no_stale_tiles;
+          Alcotest.test_case "accumulator steady state" `Quick
+            test_accumulator_steady_state;
         ]
         @ props );
       ( "driver",
