@@ -12,8 +12,11 @@
     The executable path is built for paper-scale runs: pack buffers live
     in per-domain float32 Bigarray arenas (the store is the f32 rounding),
     and C lives in one tile-major f32 accumulator per jc block that the
-    kernels update in place across the pc loop — gathered once and
-    scattered once, over unsafe accesses behind one up-front bounds check.
+    kernels update in place across the pc loop — gathered once (zero-filled
+    at beta = 0, without reading C) and scattered once, behind one
+    up-front bounds check. The packing and the C copy are build-time C
+    ([blis_stubs.c]); the OCaml loops they replaced are the test suite's
+    oracle. With tracing off the loop allocates nothing per block or tile.
     Each B block is packed once across the {!Exo_par.Pool}, and the m range
     is split into mr-aligned row slices, one per pool domain — bit-identical
     at every pool width because each slice writes only its own tiles and
@@ -35,13 +38,16 @@ let naive ?(alpha = 1.0) ?(beta = 1.0) (a : Matrix.t) (b : Matrix.t) (c : Matrix
       for l = 0 to k - 1 do
         acc := !acc +. (Matrix.get a i l *. Matrix.get b l j)
       done;
-      Matrix.set c i j ((alpha *. !acc) +. (beta *. Matrix.get c i j))
+      Matrix.set c i j
+        (if beta = 0.0 then alpha *. !acc
+         else (alpha *. !acc) +. (beta *. Matrix.get c i j))
     done
   done
 
 (** Naive with binary32 rounding after every operation, in the blocked
     k-order, usable for exact comparisons against the macro-kernel when
-    inputs are small integers. *)
+    inputs are small integers. Like BLAS, neither reference reads C when
+    beta = 0. *)
 let naive_f32 ?(alpha = 1.0) ?(beta = 1.0) (a : Matrix.t) (b : Matrix.t)
     (c : Matrix.t) : unit =
   let r32 v = Int32.float_of_bits (Int32.bits_of_float v) in
@@ -50,7 +56,7 @@ let naive_f32 ?(alpha = 1.0) ?(beta = 1.0) (a : Matrix.t) (b : Matrix.t)
     invalid_arg "Gemm.naive_f32: dimension mismatch";
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
-      let acc = ref (r32 (beta *. Matrix.get c i j)) in
+      let acc = ref (if beta = 0.0 then 0.0 else r32 (beta *. Matrix.get c i j)) in
       for l = 0 to k - 1 do
         acc := r32 (!acc +. r32 (alpha *. r32 (Matrix.get a i l *. Matrix.get b l j)))
       done;
@@ -115,6 +121,33 @@ let grown (a : ba32) (n : int) : ba32 =
 (* ------------------------------------------------------------------ *)
 (* The five-loop macro-kernel                                          *)
 
+(* One C tile between Matrix.t (mrb rows, nrb columns at flat [cbase], row
+   stride [ldc]) and its transposed accumulator slot at [co]: build-time C
+   in blis_stubs.c, unchecked. The gather stores beta·C and, at beta = 0,
+   zeroes the slot without reading C. *)
+external gather :
+  float array -> int -> int -> ba32 -> int -> int -> int ->
+  (float[@unboxed]) -> unit = "exo_blis_gather_bytecode" "exo_blis_gather"
+[@@noalloc]
+
+external scatter :
+  float array -> int -> int -> ba32 -> int -> int -> int -> unit
+  = "exo_blis_scatter_bytecode" "exo_blis_scatter"
+[@@noalloc]
+
+(* A per-block span of the driver, as [jc; pc; key; row] (row omitted when
+   negative). The argument list is built only when tracing is on, so the
+   driver loop allocates nothing per block. *)
+let block_span name ~jc ~pc key v ~row =
+  if Obs.enabled () then
+    Obs.begin_span
+      ~args:
+        (("jc", string_of_int jc) :: ("pc", string_of_int pc)
+        :: (key, string_of_int v)
+        :: (if row < 0 then [] else [ ("row", string_of_int row) ]))
+      name
+  else Obs.none
+
 (** The BLIS-like GEMM (see gemm.mli). Row slices are mr-aligned and
     balanced by panel count (Smith et al.'s ic/ir partitioning) and mc is
     rounded down to a multiple of mr, so every C element sees the same
@@ -151,10 +184,6 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   (* the m range as contiguous mr-aligned slices, balanced by panel count *)
   let m_panels = (m + mr - 1) / mr in
   let n_slices = max 1 (min jobs m_panels) in
-  let slice_rows s =
-    ( s * m_panels / n_slices * mr,
-      min m ((s + 1) * m_panels / n_slices * mr) )
-  in
   let slices = List.init n_slices Fun.id in
   (* B panels of column block jc, and the pack-B tasks they split into *)
   let b_panels jc = (min nc (n - (jc * nc)) + nr - 1) / nr in
@@ -187,18 +216,15 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     end
     else Obs.none
   in
-  let span name args =
-    if Obs.enabled () then
-      Obs.begin_span
-        ~args:(List.map (fun (k, v) -> (k, string_of_int v)) args)
-        name
-    else Obs.none
-  in
-  (* with no pc block beta never reaches the accumulator: scale C here *)
-  if n_pc = 0 && not (Float.equal beta 1.0) then
-    for i = 0 to (m * n) - 1 do
-      cdata.(i) <- Int32.float_of_bits (Int32.bits_of_float (beta *. cdata.(i)))
-    done;
+  (* with no pc block beta never reaches the accumulator: scale C here,
+     and at beta = 0 overwrite it without reading it *)
+  if n_pc = 0 then begin
+    if beta = 0.0 then Array.fill cdata 0 (m * n) 0.0
+    else if not (Float.equal beta 1.0) then
+      for i = 0 to (m * n) - 1 do
+        cdata.(i) <- Int32.float_of_bits (Int32.bits_of_float (beta *. cdata.(i)))
+      done
+  end;
   let own = Domain.DLS.get ws in
   own.bw <- grown own.bw b_size;
   own.cw <- grown own.cw c_size;
@@ -213,69 +239,48 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
       let kcb = min kc (k - pc0) in
       let pitch = kcb * nr in
       (* pack the kc×nc B block once: task t packs panels p0 .. p1-1 into
-         their slots of the shared arena through a sub view *)
+         their slots of the shared arena *)
       Pool.iter pool
         (fun t ->
           let p0 = t * num_panels / nbt and p1 = (t + 1) * num_panels / nbt in
-          let sp = span "gemm.pack_b" [ ("jc", jc); ("pc", pc); ("task", t) ] in
-          ignore
-            (Packing.pack_b_ba_into ~alpha
-               (Bigarray.Array1.sub bw (p0 * pitch) ((p1 - p0) * pitch))
-               b ~pc:pc0
-               ~jc:(jc0 + (p0 * nr))
-               ~kcb
-               ~ncb:(min ncb (p1 * nr) - (p0 * nr))
-               ~nr);
+          let sp = block_span "gemm.pack_b" ~jc ~pc "task" t ~row:(-1) in
+          Packing.pack_b ~alpha bw ~off:(p0 * pitch) b ~pc:pc0
+            ~jc:(jc0 + (p0 * nr))
+            ~kcb
+            ~ncb:(min ncb (p1 * nr) - (p0 * nr))
+            ~nr;
           Obs.end_span sp)
         b_task_ids;
-      let bp =
-        { Packing.data = bw; pitch; num_panels; depth = kcb; full = nr;
-          block = ncb }
-      in
       Pool.iter pool
         (fun s ->
-          let r0, r1 = slice_rows s in
+          let r0 = s * m_panels / n_slices * mr
+          and r1 = min m ((s + 1) * m_panels / n_slices * mr) in
           let ar = Domain.DLS.get ws in
           ar.aw <- grown ar.aw a_size;
+          let aw = ar.aw in
           for blk = 0 to ((r1 - r0 + mc - 1) / mc) - 1 do
             let ic0 = r0 + (blk * mc) in
             let mcb = min mc (r1 - ic0) in
-            let sp =
-              span "gemm.pack_a"
-                [ ("jc", jc); ("pc", pc); ("slice", s); ("row", ic0) ]
-            in
-            let ap =
-              Packing.pack_a_ba_into ar.aw a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr
-            in
+            let sp = block_span "gemm.pack_a" ~jc ~pc "slice" s ~row:ic0 in
+            Packing.pack_a aw a ~ic:ic0 ~pc:pc0 ~mcb ~kcb ~mr;
             Obs.end_span sp;
             let sp_macro =
-              span "gemm.macro_kernel"
-                [ ("jc", jc); ("pc", pc); ("slice", s); ("row", ic0) ]
+              block_span "gemm.macro_kernel" ~jc ~pc "slice" s ~row:ic0
             in
-            let adata = ap.Packing.data in
             for jr = 0 to num_panels - 1 do
-              let nrb = Packing.panel_width bp jr in
-              let bo = Packing.panel_off bp jr in
-              for ir = 0 to ap.Packing.num_panels - 1 do
-                let mrb = Packing.panel_width ap ir in
-                let ao = Packing.panel_off ap ir in
-                (* C's gather/scatter: flat base addressing, unsafe behind
-                   the storage check at entry (every index is
-                   <= (m-1)*ldc + n-1 < m*n) and the accumulator's size
-                   (row panel < m_panels, column panel < b_panels 0) *)
+              let nrb = min nr (ncb - (jr * nr)) and bo = jr * pitch in
+              for ir = 0 to ((mcb + mr - 1) / mr) - 1 do
+                let mrb = min mr (mcb - (ir * mr)) and ao = ir * kcb * mr in
+                (* C's gather/scatter: unchecked, behind the storage check
+                   at entry (every index is <= (m-1)*ldc + n-1 < m*n) and
+                   the accumulator's size (row panel < m_panels, column
+                   panel < b_panels 0) *)
                 let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
                 let co =
                   if n_pc = 1 then s * mr * nr
                   else ((jr * m_panels) + (ic0 / mr) + ir) * mr * nr
                 in
-                if pc = 0 then
-                  for i = 0 to mrb - 1 do
-                    for j = 0 to nrb - 1 do
-                      Bigarray.Array1.unsafe_set cw
-                        (co + (j * mrb) + i)
-                        (beta *. Array.unsafe_get cdata (cbase + (i * ldc) + j))
-                    done
-                  done;
+                if pc = 0 then gather cdata cbase ldc cw co mrb nrb beta;
                 (* O(1) dispatch: plain array indexing, in range because
                    1 <= mrb <= mr, 1 <= nrb <= nr and the table length was
                    checked at entry *)
@@ -283,16 +288,9 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
                   if Obs.enabled () then Obs.begin_span "gemm.ukr" else Obs.none
                 in
                 (Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1))
-                  ~kc:kcb ~ac:adata ~ao ~bc:bw ~bo ~c:cw ~co;
+                  ~kc:kcb ~ac:aw ~ao ~bc:bw ~bo ~c:cw ~co;
                 Obs.end_span sp_ukr;
-                if pc = n_pc - 1 then
-                  for i = 0 to mrb - 1 do
-                    for j = 0 to nrb - 1 do
-                      Array.unsafe_set cdata
-                        (cbase + (i * ldc) + j)
-                        (Bigarray.Array1.unsafe_get cw (co + (j * mrb) + i))
-                    done
-                  done
+                if pc = n_pc - 1 then scatter cdata cbase ldc cw co mrb nrb
               done
             done;
             Obs.end_span sp_macro

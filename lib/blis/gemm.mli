@@ -18,7 +18,8 @@ type ukr_ba = Exo_interp.Compile.ukr_ba
 val naive : ?alpha:float -> ?beta:float -> Matrix.t -> Matrix.t -> Matrix.t -> unit
 
 (** Naive with binary32 rounding after every operation — exact comparisons
-    against the macro-kernel when inputs are small integers. *)
+    against the macro-kernel when inputs are small integers. Neither naive
+    reference reads C when beta = 0. *)
 val naive_f32 :
   ?alpha:float -> ?beta:float -> Matrix.t -> Matrix.t -> Matrix.t -> unit
 
@@ -62,7 +63,12 @@ val arenas : workspace -> ba32 * ba32 * ba32
     every element crosses between f64 and f32 twice per jc block. The
     accumulator costs m·min(nc, n) floats (rounded up to whole tiles); a
     GEMM with a single pc block (k <= kc) needs only one tile per slice.
-    At k = 0, C is scaled by beta directly. *)
+    At k = 0, C is scaled by beta directly.
+
+    As in BLAS, C is not read when beta = 0: the gather zero-fills the
+    tile and the k = 0 path fills C with 0, so a NaN or Inf in C does not
+    survive. Packing and the C copy are build-time C stubs, and with
+    tracing off the driver allocates nothing per block or per tile. *)
 val blis_ba :
   ?alpha:float ->
   ?beta:float ->

@@ -13,8 +13,13 @@
     size), so a steady-state GEMM driver reuses one buffer per operand
     instead of allocating per (jc, pc, ic) block:
     [panel_off] gives each panel's start, fringe panels occupy a prefix of
-    their slot. The packing loops run unsafe accesses behind a single
-    up-front range check (block within the matrix, arena large enough).
+    their slot. The packing loops are build-time C ([blis_stubs.c], noalloc,
+    default C flags) behind a single up-front range check (block within the
+    matrix and its storage, arena large enough); the OCaml loops they
+    replaced live on in [test/test_blis.ml] as the oracle they are checked
+    against. [pack_a] and [pack_b] are the record-free forms the GEMM
+    driver calls, [pack_b] at an arena offset, so packing allocates
+    nothing.
 
     Packing is also where alpha is applied ([Bc = alpha · B], the paper's
     Fig. 4), so the micro-kernels run the simplified alpha = beta = 1
@@ -45,65 +50,50 @@ let b_arena_size ~(ncb : int) ~(kcb : int) ~(nr : int) : int =
 
 module BA1 = Bigarray.Array1
 
-(** Pack A(ic .. ic+mcb-1, pc .. pc+kcb-1) into mr-row panels in [dst].
-    The store itself performs the f32 rounding the kernels' [Ac] operand
-    carries. One up-front range check, then unsafe accesses: source indices
-    stay within the block, destinations within the checked arena prefix. *)
-let pack_a_ba_into (dst : ba32) (a : Matrix.t) ~(ic : int) ~(pc : int)
-    ~(mcb : int) ~(kcb : int) ~(mr : int) : packed =
-  if mcb < 0 || kcb < 0 || ic < 0 || pc < 0 || ic + mcb > a.Matrix.rows
-     || pc + kcb > a.Matrix.cols
+(* The loops are build-time C (blis_stubs.c), reading Matrix.data in place
+   and rounding with a C (float) conversion, the same rounding as a
+   Bigarray float32 store. They trust their ranges: every call below runs
+   behind the up-front checks. *)
+external pack_a_stub :
+  float array -> int -> int -> int -> int -> int -> int -> ba32 -> unit
+  = "exo_blis_pack_a_bytecode" "exo_blis_pack_a"
+[@@noalloc]
+
+external pack_b_stub :
+  float array -> int -> int -> int -> int -> int -> int ->
+  (float[@unboxed]) -> ba32 -> int -> unit
+  = "exo_blis_pack_b_bytecode" "exo_blis_pack_b"
+[@@noalloc]
+
+let short_storage (x : Matrix.t) =
+  Array.length x.Matrix.data < x.Matrix.rows * x.Matrix.cols
+
+let pack_a (dst : ba32) (a : Matrix.t) ~(ic : int) ~(pc : int) ~(mcb : int)
+    ~(kcb : int) ~(mr : int) : unit =
+  if mr < 1 || mcb < 0 || kcb < 0 || ic < 0 || pc < 0
+     || ic + mcb > a.Matrix.rows || pc + kcb > a.Matrix.cols || short_storage a
   then invalid_arg "pack_a_ba: block out of range";
   if BA1.dim dst < a_arena_size ~mcb ~kcb ~mr then
     invalid_arg "pack_a_ba: arena too small";
-  let num_panels = (mcb + mr - 1) / mr in
-  let lda = a.Matrix.cols and src = a.Matrix.data in
-  for ir = 0 to num_panels - 1 do
-    let w = min mr (mcb - (ir * mr)) in
-    let po = ir * kcb * mr in
-    let rbase = ((ic + (ir * mr)) * lda) + pc in
-    for kk = 0 to kcb - 1 do
-      let db = po + (kk * w) and sb = rbase + kk in
-      for i = 0 to w - 1 do
-        BA1.unsafe_set dst (db + i) (Array.unsafe_get src (sb + (i * lda)))
-      done
-    done
-  done;
-  { data = dst; pitch = kcb * mr; num_panels; depth = kcb; full = mr; block = mcb }
+  pack_a_stub a.Matrix.data a.Matrix.cols ic pc mcb kcb mr dst
 
-(** Pack B(pc .. pc+kcb-1, jc .. jc+ncb-1) into nr-column panels in [dst],
-    scaled by [alpha]. *)
+let pack_b ~(alpha : float) (dst : ba32) ~(off : int) (b : Matrix.t) ~(pc : int)
+    ~(jc : int) ~(kcb : int) ~(ncb : int) ~(nr : int) : unit =
+  if nr < 1 || ncb < 0 || kcb < 0 || pc < 0 || jc < 0
+     || pc + kcb > b.Matrix.rows || jc + ncb > b.Matrix.cols || short_storage b
+  then invalid_arg "pack_b_ba: block out of range";
+  if off < 0 || BA1.dim dst - off < b_arena_size ~ncb ~kcb ~nr then
+    invalid_arg "pack_b_ba: arena too small";
+  pack_b_stub b.Matrix.data b.Matrix.cols pc jc kcb ncb nr alpha dst off
+
+let pack_a_ba_into (dst : ba32) (a : Matrix.t) ~(ic : int) ~(pc : int)
+    ~(mcb : int) ~(kcb : int) ~(mr : int) : packed =
+  pack_a dst a ~ic ~pc ~mcb ~kcb ~mr;
+  { data = dst; pitch = kcb * mr; num_panels = (mcb + mr - 1) / mr;
+    depth = kcb; full = mr; block = mcb }
+
 let pack_b_ba_into ?(alpha = 1.0) (dst : ba32) (b : Matrix.t) ~(pc : int)
     ~(jc : int) ~(kcb : int) ~(ncb : int) ~(nr : int) : packed =
-  if ncb < 0 || kcb < 0 || pc < 0 || jc < 0 || pc + kcb > b.Matrix.rows
-     || jc + ncb > b.Matrix.cols
-  then invalid_arg "pack_b_ba: block out of range";
-  if BA1.dim dst < b_arena_size ~ncb ~kcb ~nr then
-    invalid_arg "pack_b_ba: arena too small";
-  let num_panels = (ncb + nr - 1) / nr in
-  let ldb = b.Matrix.cols and src = b.Matrix.data in
-  if Float.equal alpha 1.0 then
-    for jr = 0 to num_panels - 1 do
-      let w = min nr (ncb - (jr * nr)) in
-      let po = jr * kcb * nr in
-      let cbase = jc + (jr * nr) in
-      for kk = 0 to kcb - 1 do
-        let db = po + (kk * w) and sb = ((pc + kk) * ldb) + cbase in
-        for j = 0 to w - 1 do
-          BA1.unsafe_set dst (db + j) (Array.unsafe_get src (sb + j))
-        done
-      done
-    done
-  else
-    for jr = 0 to num_panels - 1 do
-      let w = min nr (ncb - (jr * nr)) in
-      let po = jr * kcb * nr in
-      let cbase = jc + (jr * nr) in
-      for kk = 0 to kcb - 1 do
-        let db = po + (kk * w) and sb = ((pc + kk) * ldb) + cbase in
-        for j = 0 to w - 1 do
-          BA1.unsafe_set dst (db + j) (alpha *. Array.unsafe_get src (sb + j))
-        done
-      done
-    done;
-  { data = dst; pitch = kcb * nr; num_panels; depth = kcb; full = nr; block = ncb }
+  pack_b ~alpha dst ~off:0 b ~pc ~jc ~kcb ~ncb ~nr;
+  { data = dst; pitch = kcb * nr; num_panels = (ncb + nr - 1) / nr;
+    depth = kcb; full = nr; block = ncb }

@@ -7,8 +7,9 @@
     Panels are laid out in one caller-owned float32 Bigarray arena at a
     fixed pitch (the full-width panel size): [panel_off] gives panel starts,
     fringe panels occupy a prefix of their slot. The store into the arena
-    is the f32 rounding, and the packers run behind a single up-front range
-    check. *)
+    is the f32 rounding. The packers are build-time C behind a single
+    up-front range check; they read [Matrix.data] in place and allocate
+    nothing. *)
 
 type ba32 = Exo_interp.Compile.ba32
 
@@ -32,15 +33,28 @@ val a_arena_size : mcb:int -> kcb:int -> mr:int -> int
 
 val b_arena_size : ncb:int -> kcb:int -> nr:int -> int
 
-(** Pack A(ic .. ic+mcb-1, pc .. pc+kcb-1) into mr-row panels of the
-    arena. [Invalid_argument] when the block leaves the matrix or the arena
-    is shorter than {!a_arena_size}. *)
+(** Pack A(ic .. ic+mcb-1, pc .. pc+kcb-1) into mr-row panels at the
+    start of the arena. [Invalid_argument] when [mr < 1], the block leaves
+    the matrix or its storage, or the arena is shorter than
+    {!a_arena_size}. *)
+val pack_a :
+  ba32 -> Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> unit
+
+(** Pack alpha·B(pc .. pc+kcb-1, jc .. jc+ncb-1) into nr-column panels of
+    the arena from offset [off] on, with the same checks ([off] >= 0 and
+    {!b_arena_size} elements from it). *)
+val pack_b :
+  alpha:float ->
+  ba32 ->
+  off:int ->
+  Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> unit
+
+(** {!pack_a}, described as a {!packed} value. *)
 val pack_a_ba_into :
   ba32 ->
   Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> packed
 
-(** Pack alpha·B(pc .. pc+kcb-1, jc .. jc+ncb-1) into nr-column panels of
-    the arena, with the same checks. *)
+(** {!pack_b} at offset 0, described as a {!packed} value. *)
 val pack_b_ba_into :
   ?alpha:float ->
   ba32 ->

@@ -146,36 +146,57 @@ module Obs = Exo_obs.Obs
 type tier = Native | Bigarray | Fallback
 
 (* Dispatch counters, one per tier. The bench's fallback gate must see every
-   call even in plain (non-profile) runs, so the authoritative cells are
-   process-wide atomics that are always on; the Obs counters mirror them for
-   the profile exporter (Obs drops mutations while disabled). *)
-let native_calls = Atomic.make 0
-let ba_calls = Atomic.make 0
-let fallback_calls = Atomic.make 0
+   call even in plain (non-profile) runs, so the authoritative counts are
+   always on; the Obs counters mirror them for the profile exporter (Obs
+   drops mutations while disabled).
+
+   Each domain counts into its own cell, held in [Domain.DLS], so a kernel
+   call writes no memory another domain writes. A cell is an int array
+   whose three counts (indexed by [tier_index]) sit [pad] words in from
+   either end, so two cells never share a cache line. Every cell is
+   registered once, under [cells_lock], and stays registered for the life
+   of the process: reads sum all of them. A GEMM's helpers finish before
+   it returns (the pool joins them under its mutex), so the sums are exact
+   between GEMMs. *)
+let pad = 8
+let cells : int array list ref = ref []
+let cells_lock = Mutex.create ()
+
+let cell_key : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let cell = Array.make ((2 * pad) + 3) 0 in
+      Mutex.protect cells_lock (fun () -> cells := cell :: !cells);
+      cell)
+
+let tier_index = function Native -> 0 | Bigarray -> 1 | Fallback -> 2
 let obs_native = Obs.counter "gemm.ukr_native_calls"
 let obs_ba = Obs.counter "gemm.ukr_fast_calls"
 let obs_fallback = Obs.counter "gemm.ukr_fallback_calls"
 
 let ukr_tier_counts () =
-  (Atomic.get native_calls, Atomic.get ba_calls, Atomic.get fallback_calls)
+  Mutex.protect cells_lock (fun () ->
+      let sum i = List.fold_left (fun acc cell -> acc + cell.(pad + i)) 0 !cells in
+      (sum 0, sum 1, sum 2))
 
 let reset_dispatch_counts () =
-  Atomic.set native_calls 0;
-  Atomic.set ba_calls 0;
-  Atomic.set fallback_calls 0
+  Mutex.protect cells_lock (fun () ->
+      List.iter (fun cell -> Array.fill cell pad 3 0) !cells)
 
 (* The one counting wrapper, applied when a table publishes its bank: one
-   closure hop + one atomic add per tile call (~21k calls on the 1008³
-   run — noise next to the kernel work). *)
+   closure hop and one increment of the calling domain's own cell per tile
+   call. A process-wide atomic here, which every domain writes, cost a
+   median 0.6-0.7 ms of a 15 ms 1008³ GEMM on two domains (21k calls). *)
 let counted (tier : tier) (u : C.ukr_ba) : C.ukr_ba =
-  let cell, obs =
+  let i = pad + tier_index tier
+  and obs =
     match tier with
-    | Native -> (native_calls, obs_native)
-    | Bigarray -> (ba_calls, obs_ba)
-    | Fallback -> (fallback_calls, obs_fallback)
+    | Native -> obs_native
+    | Bigarray -> obs_ba
+    | Fallback -> obs_fallback
   in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
-    Atomic.incr cell;
+    let cell = Domain.DLS.get cell_key in
+    Array.unsafe_set cell i (Array.unsafe_get cell i + 1);
     if Obs.enabled () then Obs.incr obs;
     u ~kc ~ac ~ao ~bc ~bo ~c ~co
 

@@ -173,10 +173,14 @@ val clear_memos_for_bench : unit -> unit
 
 (** {1 Dispatch counters}
 
-    Process-wide atomics, one per {!tier}, bumped by the published bank
-    ({!exo_bank}, {!table_entry}) and by nothing else: build-time probes
-    and native certification call the bare executors, so the counts are
-    dispatches only. Always on (the bench's fallbacks-zero gate reads them
+    Counts per {!tier}, bumped by the published bank ({!exo_bank},
+    {!table_entry}) and by nothing else: build-time probes and native
+    certification call the bare executors, so the counts are dispatches
+    only. Each domain bumps its own padded cell, so a kernel call writes no
+    memory another domain writes; every domain that ever dispatched keeps
+    its cell, and the totals sum them all. They are exact between GEMMs,
+    since {!Gemm.blis_ba} joins its pool helpers before it returns. Always
+    on (the bench's fallbacks-zero gate reads them
     in plain runs), mirrored into the Obs counters
     [gemm.ukr_native_calls] / [gemm.ukr_fast_calls] (Bigarray) /
     [gemm.ukr_fallback_calls] when tracing is enabled. *)

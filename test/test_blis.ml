@@ -137,6 +137,118 @@ let test_pack_bounds () =
     (raises (fun () ->
          P.pack_b_ba_into (arena 64) a ~pc:1 ~jc:0 ~kcb:4 ~ncb:4 ~nr:4))
 
+let test_pack_b_offset_bounds () =
+  (* the record-free packers the driver calls: pack_b writes from an arena
+     offset, and the offset counts against the arena's length *)
+  let b = M.init 4 8 (fun i j -> float_of_int (i + j)) in
+  let size = P.b_arena_size ~ncb:8 ~kcb:4 ~nr:4 in
+  Alcotest.check_raises "offset past the end"
+    (Invalid_argument "pack_b_ba: arena too small") (fun () ->
+      P.pack_b ~alpha:1.0 (arena (size + 3)) ~off:4 b ~pc:0 ~jc:0 ~kcb:4
+        ~ncb:8 ~nr:4);
+  Alcotest.check_raises "negative offset"
+    (Invalid_argument "pack_b_ba: arena too small") (fun () ->
+      P.pack_b ~alpha:1.0 (arena (size + 3)) ~off:(-1) b ~pc:0 ~jc:0 ~kcb:4
+        ~ncb:8 ~nr:4);
+  Alcotest.check_raises "mr = 0"
+    (Invalid_argument "pack_a_ba: block out of range") (fun () ->
+      P.pack_a (arena 64) b ~ic:0 ~pc:0 ~mcb:4 ~kcb:4 ~mr:0);
+  Alcotest.check_raises "storage shorter than rows*cols"
+    (Invalid_argument "pack_b_ba: block out of range") (fun () ->
+      P.pack_b ~alpha:1.0 (arena 64) ~off:0
+        { b with M.data = Array.make 31 0.0 }
+        ~pc:0 ~jc:0 ~kcb:4 ~ncb:8 ~nr:4);
+  let dst = arena (size + 3) in
+  Bigarray.Array1.fill dst 7.0;
+  P.pack_b ~alpha:1.0 dst ~off:3 b ~pc:0 ~jc:0 ~kcb:4 ~ncb:8 ~nr:4;
+  Alcotest.(check (float 0.0)) "prefix before the offset untouched" 7.0
+    (Bigarray.Array1.get dst 2);
+  Alcotest.(check (float 0.0)) "packing starts at the offset" 0.0
+    (Bigarray.Array1.get dst 3)
+
+(* The OCaml packing loops, the oracle of the build-time C packers: the
+   same index arithmetic, with checked accesses, and the f32 rounding done
+   by the Bigarray store. *)
+let oracle_pack_a dst (a : M.t) ~ic ~pc ~mcb ~kcb ~mr =
+  let lda = a.M.cols in
+  for ir = 0 to ((mcb + mr - 1) / mr) - 1 do
+    let w = min mr (mcb - (ir * mr)) in
+    for kk = 0 to kcb - 1 do
+      for i = 0 to w - 1 do
+        Bigarray.Array1.set dst
+          ((ir * kcb * mr) + (kk * w) + i)
+          a.M.data.(((ic + (ir * mr) + i) * lda) + pc + kk)
+      done
+    done
+  done
+
+let oracle_pack_b ~alpha dst ~off (b : M.t) ~pc ~jc ~kcb ~ncb ~nr =
+  let ldb = b.M.cols in
+  for jr = 0 to ((ncb + nr - 1) / nr) - 1 do
+    let w = min nr (ncb - (jr * nr)) in
+    for kk = 0 to kcb - 1 do
+      for j = 0 to w - 1 do
+        Bigarray.Array1.set dst
+          (off + (jr * kcb * nr) + (kk * w) + j)
+          (alpha *. b.M.data.(((pc + kk) * ldb) + jc + (jr * nr) + j))
+      done
+    done
+  done
+
+(* real values across the f32 range: fractions that need rounding, f32
+   subnormals, values that underflow to zero or overflow to infinity, and
+   signed zeros *)
+let wide_value st =
+  match Random.State.int st 8 with
+  | 0 -> 1e-40 *. (Random.State.float st 2.0 -. 1.0)
+  | 1 -> 1e-50
+  | 2 -> 3.5e38 *. (Random.State.float st 2.0 -. 1.0)
+  | 3 -> -0.0
+  | _ -> ldexp (Random.State.float st 2.0 -. 1.0) (Random.State.int st 40 - 20)
+
+let same_bits (x : P.ba32) (y : P.ba32) =
+  Bigarray.Array1.dim x = Bigarray.Array1.dim y
+  && (let ok = ref true in
+      for i = 0 to Bigarray.Array1.dim x - 1 do
+        if
+          Int32.bits_of_float (Bigarray.Array1.get x i)
+          <> Int32.bits_of_float (Bigarray.Array1.get y i)
+        then ok := false
+      done;
+      !ok)
+
+let prop_packers_match_oracle =
+  (* random blocks inside a larger matrix, fringe panel widths included,
+     packed into sentinel-filled arenas (B at a random offset): the C and
+     OCaml arenas agree bit for bit, so the C packers also write nothing
+     outside the slots the oracle writes *)
+  QCheck2.Test.make ~name:"C packers ≡ OCaml oracle loops" ~count:200
+    QCheck2.Gen.(
+      pair
+        (quad (int_range 1 16) (int_range 1 16) (int_range 0 40)
+           (int_range 0 40))
+        (quad (int_range 0 9) (int_range 0 9) (int_range 0 5)
+           (oneofl [ 1.0; 2.0; -0.5 ])))
+    (fun ((mr, nr, blk, kcb), (i0, p0, off, alpha)) ->
+      let st = Random.State.make [| mr; nr; blk; kcb; i0; p0; off |] in
+      let mat rows cols = M.init rows cols (fun _ _ -> wide_value st) in
+      let sentinel n =
+        let d = arena n in
+        Bigarray.Array1.fill d 7.0;
+        d
+      in
+      let a = mat (i0 + blk + 2) (p0 + kcb + 3) in
+      let na = P.a_arena_size ~mcb:blk ~kcb ~mr + 2 in
+      let ca = sentinel na and oa = sentinel na in
+      P.pack_a ca a ~ic:i0 ~pc:p0 ~mcb:blk ~kcb ~mr;
+      oracle_pack_a oa a ~ic:i0 ~pc:p0 ~mcb:blk ~kcb ~mr;
+      let b = mat (p0 + kcb + 1) (i0 + blk + 4) in
+      let nb = off + P.b_arena_size ~ncb:blk ~kcb ~nr + 2 in
+      let cb = sentinel nb and ob = sentinel nb in
+      P.pack_b ~alpha cb ~off b ~pc:p0 ~jc:i0 ~kcb ~ncb:blk ~nr;
+      oracle_pack_b ~alpha ob ~off b ~pc:p0 ~jc:i0 ~kcb ~ncb:blk ~nr;
+      same_bits ca oa && same_bits cb ob)
+
 (* --- macro-kernel numerics ---------------------------------------------- *)
 
 let small_blocking = { A.mc = 16; kc = 8; nc = 24 }
@@ -396,7 +508,17 @@ let test_blis_ba_pool_width_invariance () =
   Alcotest.(check bool) "jobs 1 ≡ jobs 2 (bit-exact)" true (M.equal c1 c2);
   Alcotest.(check bool) "jobs 1 ≡ jobs 4 (bit-exact)" true (M.equal c1 c4)
 
-(* [blis_ba] at widths 1-4 against naive f32 on fresh copies of [c0] *)
+(* bit-for-bit equality of two matrices: unlike [M.equal], +0 and -0
+   differ here, and NaN equals only the same NaN *)
+let bits_equal (x : M.t) (y : M.t) =
+  x.M.rows = y.M.rows && x.M.cols = y.M.cols
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       (Array.sub x.M.data 0 (x.M.rows * x.M.cols))
+       (Array.sub y.M.data 0 (y.M.rows * y.M.cols))
+
+(* [blis_ba] at widths 1-4 against naive f32 on fresh copies of [c0], bit
+   for bit *)
 let check_widths ~name ?(alpha = 1.0) ?(beta = 1.0) ?ws ~blocking a b c0 =
   let c_ref = M.copy c0 in
   G.naive_f32 ~alpha ~beta a b c_ref;
@@ -408,7 +530,7 @@ let check_widths ~name ?(alpha = 1.0) ?(beta = 1.0) ?ws ~blocking a b c0 =
         ~blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b c;
       Alcotest.(check bool)
         (Fmt.str "%s, width %d" name jobs)
-        true (M.equal c c_ref))
+        true (bits_equal c c_ref))
     [ 1; 2; 3; 4 ]
 
 let test_blis_ba_decomposition_edges () =
@@ -501,6 +623,167 @@ let test_accumulator_steady_state () =
   if words > bound then
     Alcotest.failf "steady-state call allocated %.0f minor words (bound %.0f)"
       words bound
+
+let test_blis_ba_beta_bit_identical () =
+  (* the C gather and scatter at beta 0 (a zero-filled slot), 0.5 and 1,
+     with one pc block (a per-slice slot) and with three and four (the
+     tile-major accumulator), bit for bit against naive f32 *)
+  let st = Random.State.make [| 53 |] in
+  List.iter
+    (fun beta ->
+      List.iter
+        (fun (label, (m, n, k)) ->
+          let a = M.random_int m k st and b = M.random_int k n st in
+          check_widths
+            ~name:(Fmt.str "beta %g, %s (%dx%dx%d)" beta label m n k)
+            ~alpha:2.0 ~beta ~blocking:small_blocking a b (M.random_int m n st))
+        [
+          ("n_pc = 1", (37, 50, 8));
+          ("n_pc = 3", (37, 50, 21));
+          ("n_pc = 4, n_jc = 2", (61, 29, 32));
+        ])
+    [ 0.0; 0.5; 1.0 ]
+
+let test_beta0_never_reads_c () =
+  (* BLAS semantics: at beta = 0, C is output only. A C full of NaN, Inf
+     or -Inf leaves no trace, at k = 0 (no kernel call), k <= kc (one pc
+     block) and k > kc (the accumulator), at every width, and naive_f32
+     follows the same rule *)
+  let st = Random.State.make [| 59 |] in
+  List.iter
+    (fun (fill, v) ->
+      List.iter
+        (fun (label, (m, n, k)) ->
+          let a = M.random_int m k st and b = M.random_int k n st in
+          let c0 = M.create ~init:v m n in
+          let c_ref = M.copy c0 in
+          G.naive_f32 ~beta:0.0 a b c_ref;
+          Alcotest.(check bool)
+            (Fmt.str "naive_f32: %s in C, %s, finite" fill label)
+            true
+            (Array.for_all Float.is_finite c_ref.M.data);
+          let c_zero = M.create m n in
+          G.naive_f32 ~beta:0.0 a b c_zero;
+          Alcotest.(check bool)
+            (Fmt.str "naive_f32: %s in C, %s, as from a zero C" fill label)
+            true (bits_equal c_ref c_zero);
+          check_widths
+            ~name:(Fmt.str "%s in C, beta 0, %s (%dx%dx%d)" fill label m n k)
+            ~beta:0.0 ~blocking:small_blocking a b c0)
+        [
+          ("k = 0", (13, 14, 0));
+          ("k <= kc", (29, 37, 8));
+          ("k > kc", (29, 37, 30));
+        ])
+    [ ("NaN", Float.nan); ("Inf", Float.infinity); ("-Inf", Float.neg_infinity) ]
+
+(* --- dispatch counters ---------------------------------------------------- *)
+
+(* the kernel calls a GEMM makes: one per (pc block, row panel, column
+   panel), whatever the width, since slices are whole row panels *)
+let tile_calls ~(blocking : A.blocking) (m, n, k) =
+  let n_pc = (k + blocking.A.kc - 1) / blocking.A.kc in
+  let col_panels = ref 0 in
+  let jc = ref 0 in
+  while !jc < n do
+    col_panels := !col_panels + ((min blocking.A.nc (n - !jc) + 11) / 12);
+    jc := !jc + blocking.A.nc
+  done;
+  n_pc * ((m + 7) / 8) * !col_panels
+
+let test_counters_exact_per_tile () =
+  (* per-domain cells summed: exactly one count per kernel call at widths
+     1-4, all native where the table serves native code *)
+  let t = R.exo_table ~mr:8 ~nr:12 () in
+  let all_native = t.R.t_native_info.R.ni_entries = 96 in
+  let st = Random.State.make [| 61 |] in
+  List.iter
+    (fun ((m, n, k) as shape) ->
+      let a = M.random_int m k st and b = M.random_int k n st in
+      let tiles = tile_calls ~blocking:small_blocking shape in
+      List.iter
+        (fun jobs ->
+          R.reset_dispatch_counts ();
+          G.blis_ba ~pool:(Exo_par.Pool.create ~jobs ()) ~ws:(G.workspace ())
+            ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b
+            (M.create m n);
+          let native, ba, fallback = R.ukr_tier_counts () in
+          let name = Fmt.str "%dx%dx%d, width %d" m n k jobs in
+          if all_native then
+            Alcotest.(check (triple int int int))
+              (name ^ ": every tile native") (tiles, 0, 0)
+              (native, ba, fallback)
+          else
+            Alcotest.(check (pair int int))
+              (name ^ ": every tile counted, no fallback") (tiles, 0)
+              (native + ba, fallback))
+        [ 1; 2; 3; 4 ])
+    [ (61, 50, 21); (16, 24, 8); (5, 7, 31); (97, 13, 9) ]
+
+let test_reset_zeroes_helper_cells () =
+  (* two items on a width-2 pool, each waiting until both have started, so
+     the pool's helper domain runs one of them: each bumps its own
+     domain's cell through the counted bank, the totals sum both cells, and
+     a reset zeroes the helper's cell as well as the caller's *)
+  let t = R.exo_table ~mr:8 ~nr:12 () in
+  let kernel = R.table_entry t ~mr:1 ~nr:1 in
+  let started = Atomic.make 0 in
+  let call _ =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    let ac = arena 1 and bc = arena 1 and c = arena 1 in
+    kernel ~kc:1 ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0;
+    Domain.self ()
+  in
+  R.reset_dispatch_counts ();
+  let doms = Exo_par.Pool.map (Exo_par.Pool.create ~jobs:2 ()) call [ 0; 1 ] in
+  Alcotest.(check bool) "the two calls ran on two domains" true
+    (match doms with [ d0; d1 ] -> d0 <> d1 | _ -> false);
+  let native, ba, fallback = R.ukr_tier_counts () in
+  Alcotest.(check int) "both domains' cells summed" 2 (native + ba + fallback);
+  R.reset_dispatch_counts ();
+  Alcotest.(check (triple int int int)) "reset zeroes every cell" (0, 0, 0)
+    (R.ukr_tier_counts ())
+
+(* --- driver allocation ---------------------------------------------------- *)
+
+let test_driver_allocation_per_gemm () =
+  (* with tracing off the driver allocates nothing per block or per tile:
+     a steady-state GEMM at width 1 allocates a small fixed number of minor
+     words (the pool fan-outs of each (jc, pc) block and the table lookup),
+     the same for one mc block as for nine. Checked on a no-op kernel
+     table, which isolates the driver, and on the serving bank where it is
+     native (counting wrapper and native call included); the Bigarray
+     executors allocate per call of their own *)
+  let pool = Exo_par.Pool.create ~jobs:1 () in
+  let words kernels (m, n, k) =
+    let st = Random.State.make [| m; n; k |] in
+    let a = M.random_int m k st and b = M.random_int k n st in
+    let c = M.random_int m n st in
+    let ws = G.workspace () in
+    let run () =
+      G.blis_ba ~beta:0.5 ~pool ~ws ~blocking:small_blocking ~mr:8 ~nr:12
+        ~kernels a b c
+    in
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  let noop : G.ukr_ba = fun ~kc:_ ~ac:_ ~ao:_ ~bc:_ ~bo:_ ~c:_ ~co:_ -> () in
+  let noop_bank = Array.make 96 noop in
+  let native = (R.exo_table ~mr:8 ~nr:12 ()).R.t_native_info.R.ni_entries = 96 in
+  List.iter
+    (fun (name, kernels) ->
+      let one = words kernels (16, 50, 30) and many = words kernels (141, 50, 30) in
+      Alcotest.(check (float 0.0)) (name ^ ": one mc block ≡ nine") one many;
+      if one > 1500.0 then
+        Alcotest.failf "%s: steady-state GEMM allocated %.0f minor words (bound 1500)"
+          name one)
+    (("no-op kernels", fun () -> noop_bank)
+    :: (if native then [ ("native serving bank", serving ()) ] else []))
 
 let test_gemm_batch_ba () =
   (* the workload batch through the serving bank matches per-problem naive *)
@@ -820,6 +1103,9 @@ let () =
           Alcotest.test_case "A edge panel" `Quick test_pack_a_edge_panel;
           Alcotest.test_case "B alpha" `Quick test_pack_b_alpha;
           Alcotest.test_case "bounds" `Quick test_pack_bounds;
+          Alcotest.test_case "B at an arena offset" `Quick
+            test_pack_b_offset_bounds;
+          QCheck_alcotest.to_alcotest prop_packers_match_oracle;
         ] );
       ( "gemm",
         [
@@ -849,6 +1135,16 @@ let () =
             test_accumulator_no_stale_tiles;
           Alcotest.test_case "accumulator steady state" `Quick
             test_accumulator_steady_state;
+          Alcotest.test_case "beta 0, 0.5, 1 bit-identical, n_pc 1 and 3+"
+            `Quick test_blis_ba_beta_bit_identical;
+          Alcotest.test_case "beta 0 never reads C (NaN, Inf), widths 1-4"
+            `Quick test_beta0_never_reads_c;
+          Alcotest.test_case "counters: one per tile, widths 1-4" `Quick
+            test_counters_exact_per_tile;
+          Alcotest.test_case "counters: reset zeroes helper cells" `Quick
+            test_reset_zeroes_helper_cells;
+          Alcotest.test_case "driver allocation fixed per GEMM" `Quick
+            test_driver_allocation_per_gemm;
         ]
         @ props );
       ( "driver",
