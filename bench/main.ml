@@ -18,8 +18,13 @@
      dune exec bench/main.exe -- -j 4 all     # pool width for parallel sweeps
      dune exec bench/main.exe -- -profile lint # obs tracing + profile report
      dune exec bench/main.exe -- -ledger runs.jsonl perf-gemm
-                                              # append a run-ledger record
-                                              # (or set $UKRGEN_LEDGER)
+                                              # also append the BENCH
+                                              # file's record to a run
+                                              # ledger (or set
+                                              # $UKRGEN_LEDGER)
+
+   Each BENCH_*.json is one run-ledger line: [ukrgen report --ledger
+   BENCH_gemm.json] renders it.
 
    Experiments: fig12 fig13 fig14 tab1 tab2 fig15 fig16 fig17 fig18
    ablation perf perf-sim[-smoke] perf-gemm[-smoke]
@@ -43,44 +48,46 @@ let ba_copy (b : Exo_blis.Gemm.ba32) : Exo_blis.Gemm.ba32 =
   c
 
 (* ------------------------------------------------------------------ *)
-(* Shared provenance metadata for every BENCH_*.json this harness       *)
-(* writes: the one Obs.Meta writer (shared with ukrgen lint --tiers     *)
-(* --json), with the ocamlopt flambda flag added — without flambda the  *)
-(* float-array tiers pay boxing the Bigarray tier does not, so GFLOPS   *)
-(* numbers are only comparable across hosts with this block.            *)
-
-let meta_json () =
-  let module Host = Exo_native.Host in
-  let host_cc = match Host.cc () with Some p -> p | None -> "none" in
-  let host_isa =
-    match Host.isas () with
-    | [] -> "generic"
-    | l -> String.concat "," (List.map Host.isa_name l)
-  in
-  Exo_obs.Obs.Meta.json ~flambda:Config.flambda ~host_cc ~host_isa
-    ~pool_jobs:(Exo_par.Pool.default_jobs ()) ()
-
-(* ------------------------------------------------------------------ *)
-(* The run ledger: when a path is configured ([-ledger FILE] or          *)
-(* $UKRGEN_LEDGER), every perf subcommand appends one schema-versioned   *)
-(* JSONL record — keyed by the same provenance fields as meta_json —     *)
-(* that [ukrgen report] later renders and gates against the host's       *)
-(* baseline window.                                                     *)
+(* One writer of numbers: every perf subcommand builds one run-ledger   *)
+(* record and writes it, one line, to its BENCH_*.json — a one-record   *)
+(* ledger that [ukrgen report --ledger BENCH_x.json] renders. When a    *)
+(* ledger path is configured ([-ledger FILE] or $UKRGEN_LEDGER) the     *)
+(* same record is appended there, byte-identical to the file's line.    *)
+(* The record carries the ocamlopt flambda flag — without flambda the   *)
+(* float-array tiers pay boxing the Bigarray tier does not — and the    *)
+(* host's C compiler and vector ISAs as labels.                         *)
 
 module Ledger = Exo_ledger.Ledger
 
 let ledger_path : string option ref = ref None
 
-let ledger_append ~bench metrics =
-  match !ledger_path with
+let host_labels () =
+  let module Host = Exo_native.Host in
+  [
+    ("host_cc", match Host.cc () with Some p -> p | None -> "none");
+    ( "host_isa",
+      match Host.isas () with
+      | [] -> "generic"
+      | l -> String.concat "," (List.map Host.isa_name l) );
+  ]
+
+let write_bench ~file ~bench ?(labels = []) metrics =
+  let r =
+    Ledger.record ~flambda:Config.flambda ~labels:(host_labels () @ labels)
+      ~pool_jobs:(Exo_par.Pool.default_jobs ()) ~bench metrics
+  in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (Ledger.to_json r ^ "\n"));
+  (match !ledger_path with
   | None -> ()
   | Some path ->
-      let r =
-        Ledger.record ~flambda:Config.flambda
-          ~pool_jobs:(Exo_par.Pool.default_jobs ()) ~bench metrics
-      in
       Ledger.append ~path r;
-      Fmt.pr "ledger: appended %S record to %s@." bench path
+      Fmt.pr "ledger: appended %S record to %s@." bench path);
+  Fmt.pr "wrote %s@.@." file
+
+(* context metrics: never gated by [ukrgen report --check] *)
+let info ?unit_ name v = Ledger.metric ?unit_ Ledger.Info name v
+let info_int ?unit_ name n = info ?unit_ name (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
 (* perf: the compiled execution engine vs the tree-walking interpreter  *)
@@ -137,31 +144,17 @@ let run_perf () =
         ignore (Exo_blis.Tuner.sweep machine ~m:784 ~n:512 ~k:!k_base))
   in
   Fmt.pr "tuner sweep (cold memo)  : %12.1f us/sweep@." (t_sweep *. 1e6);
-  let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"kernel\": \"uk_%dx%d_neon-f32\",\n\
-    \  \"kc\": %d,\n\
-    \  \"interpreted_us_per_call\": %.3f,\n\
-    \  \"compiled_us_per_call\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"tuner_sweep_cold_us\": %.3f\n\
-     }\n"
-    (meta_json ()) mr nr kc (t_interp *. 1e6) (t_compiled *. 1e6) speedup
-    (t_sweep *. 1e6);
-  close_out oc;
-  ledger_append ~bench:"perf"
+  write_bench ~file:"BENCH_interp.json" ~bench:"perf"
+    ~labels:[ ("kernel", Printf.sprintf "uk_%dx%d_neon-f32" mr nr) ]
     [
       Ledger.metric ~unit_:"us" Ledger.Lower "interp.compiled_us_per_call"
         (t_compiled *. 1e6);
-      Ledger.metric ~unit_:"us" Ledger.Info "interp.interpreted_us_per_call"
-        (t_interp *. 1e6);
+      info ~unit_:"us" "interp.interpreted_us_per_call" (t_interp *. 1e6);
       Ledger.metric ~unit_:"x" Ledger.Higher "interp.speedup" speedup;
       Ledger.metric ~unit_:"us" Ledger.Lower "tuner.sweep_cold_us"
         (t_sweep *. 1e6);
-    ];
-  Fmt.pr "wrote BENCH_interp.json@.@."
+      info_int "interp.kc" kc;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* perf-sim: the simulation/sweep engine benchmark. Measures the        *)
@@ -230,7 +223,6 @@ let run_perf_sim ?(smoke = false) () =
   Fmt.pr "speedup         : %10.1fx %s@." sim_speedup
     (if sim_speedup >= 10.0 then "(>= 10x: ok)" else "(below the 10x target!)");
   (* 2. the parallel sweep engine: lint gate and tuner sweep at 1 vs N *)
-  let domains = Domain.recommended_domain_count () in
   let jobs_n = max 2 (Exo_par.Pool.default_jobs ()) in
   let o1 = ref None and on = ref None in
   let t_lint1 = time_runs ~min_time (fun () -> o1 := Some (L.run ~jobs:1 ())) in
@@ -251,51 +243,31 @@ let run_perf_sim ?(smoke = false) () =
   Fmt.pr "tuner sweep: 1 domain %.3f ms | %d domains %.3f ms (%.2fx); rankings \
           identical@."
     (t_sweep1 *. 1e3) jobs_n (t_sweepn *. 1e3) (t_sweep1 /. t_sweepn);
-  let oc = open_out "BENCH_sim.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"smoke\": %b,\n\
-    \  \"trace_machine\": \"%s\",\n\
-    \  \"trace_blocking\": [%d, %d, %d],\n\
-    \  \"trace_dim\": %d,\n\
-    \  \"trace_refs\": %d,\n\
-    \  \"element_mrefs_per_sec\": %.2f,\n\
-    \  \"compressed_mrefs_per_sec\": %.2f,\n\
-    \  \"compressed_speedup\": %.2f,\n\
-    \  \"domains_available\": %d,\n\
-    \  \"pool_jobs\": %d,\n\
-    \  \"lint_ms_1job\": %.2f,\n\
-    \  \"lint_ms_njobs\": %.2f,\n\
-    \  \"lint_speedup\": %.2f,\n\
-    \  \"lint_outcomes_identical\": true,\n\
-    \  \"tuner_ms_1job\": %.3f,\n\
-    \  \"tuner_ms_njobs\": %.3f,\n\
-    \  \"tuner_speedup\": %.2f,\n\
-    \  \"tuner_rankings_identical\": true\n\
-     }\n"
-    (meta_json ()) smoke
-    (if smoke then "toy" else "carmel")
-    mc kc nc dim fast.CS.refs (refs /. t_slow /. 1e6) (refs /. t_fast /. 1e6)
-    sim_speedup domains jobs_n (t_lint1 *. 1e3) (t_lintn *. 1e3)
-    (t_lint1 /. t_lintn) (t_sweep1 *. 1e3) (t_sweepn *. 1e3)
-    (t_sweep1 /. t_sweepn);
-  close_out oc;
   (* smoke runs trace a toy hierarchy at 144³ — a different scale entirely —
      so they ledger under their own bench name and never mix baselines with
      full runs *)
-  ledger_append ~bench:(if smoke then "perf-sim-smoke" else "perf-sim")
+  write_bench ~file:"BENCH_sim.json"
+    ~bench:(if smoke then "perf-sim-smoke" else "perf-sim")
+    ~labels:[ ("trace_machine", if smoke then "toy" else "carmel") ]
     [
       Ledger.metric_of_samples ~unit_:"Mrefs/s" Ledger.Higher
         "sim.compressed_mrefs_per_sec"
         (List.map (fun t -> refs /. t /. 1e6) fast_samples);
-      Ledger.metric ~unit_:"Mrefs/s" Ledger.Info "sim.element_mrefs_per_sec"
-        (refs /. t_slow /. 1e6);
+      info ~unit_:"Mrefs/s" "sim.element_mrefs_per_sec" (refs /. t_slow /. 1e6);
       Ledger.metric ~unit_:"x" Ledger.Higher "sim.compressed_speedup" sim_speedup;
       Ledger.metric ~unit_:"ms" Ledger.Lower "lint.ms_njobs" (t_lintn *. 1e3);
       Ledger.metric ~unit_:"ms" Ledger.Lower "tuner.ms_njobs" (t_sweepn *. 1e3);
-    ];
-  Fmt.pr "wrote BENCH_sim.json@.@."
+      info_int "sim.trace_dim" dim;
+      info_int "sim.trace_mc" mc;
+      info_int "sim.trace_kc" kc;
+      info_int "sim.trace_nc" nc;
+      info_int ~unit_:"count" "sim.trace_refs" fast.CS.refs;
+      info_int "sim.pool_jobs" jobs_n;
+      info ~unit_:"ms" "lint.ms_1job" (t_lint1 *. 1e3);
+      info ~unit_:"x" "lint.speedup" (t_lint1 /. t_lintn);
+      info ~unit_:"ms" "tuner.ms_1job" (t_sweep1 *. 1e3);
+      info ~unit_:"x" "tuner.speedup" (t_sweep1 /. t_sweepn);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* perf-gemm: the executable GEMM path. Measures the kernel tiers       *)
@@ -468,12 +440,14 @@ let run_perf_gemm ?(smoke = false) () =
   Fmt.pr "%d^3 GEMM, ba tier  : %8.2f s  (%.3f GFLOPS, native %.2fx, \
           bit-identical)@."
     dim t_ba_gemm (gflops_of t_ba_gemm) native_speedup;
-  if nat_info.R.ni_enabled && not smoke then begin
+  (* an enabled native tier must serve the complete, fully certified bank
+     at every scale; the speedup gate needs the full-size problem *)
+  if nat_info.R.ni_enabled then begin
     if nat_info.R.ni_rejected > 0 then
-      failwith "perf-gemm: native entries failed certification on a full run";
+      failwith "perf-gemm: native entries failed certification";
     if nat_info.R.ni_entries <> mr * nr then
-      failwith "perf-gemm: native bank is incomplete on a full run";
-    if native_speedup < 3.0 then
+      failwith "perf-gemm: native bank is incomplete";
+    if (not smoke) && native_speedup < 3.0 then
       failwith
         (Printf.sprintf
            "perf-gemm: native tier speedup %.2fx is below the 3x gate"
@@ -615,17 +589,13 @@ let run_perf_gemm ?(smoke = false) () =
   let t0 = Unix.gettimeofday () in
   G.batch_ba ~ws ~kernels (List.map snd probs);
   let t_batch = Unix.gettimeofday () -. t0 in
-  let batch_rows =
-    List.map
-      (fun ((l : W.layer), (p : G.problem)) ->
+  let batch_flops =
+    List.fold_left
+      (fun s (l : W.layer) ->
         let m, n, k = W.gemm_dims l in
-        let flops = 2.0 *. float_of_int (m * n * k) in
-        (* per-layer share of the batch time, apportioned by flops *)
-        ignore p;
-        (l.W.id, m, n, k, flops))
-      probs
+        s +. (2.0 *. float_of_int (m * n * k)))
+      0.0 layers
   in
-  let batch_flops = List.fold_left (fun s (_, _, _, _, f) -> s +. f) 0.0 batch_rows in
   let batch_gflops = batch_flops /. t_batch /. 1e9 in
   Fmt.pr "ResNet50 slice (%d layers) via Gemm.batch_ba: %.2f s  (%.3f GFLOPS)@."
     (List.length layers) t_batch batch_gflops;
@@ -696,143 +666,79 @@ let run_perf_gemm ?(smoke = false) () =
   Fmt.pr "phase breakdown (traced serial run): %s@."
     (String.concat ", "
        (List.map (fun (n, s) -> Printf.sprintf "%s %.3fs" n s) phases));
-  (* the width sweeps go up to 4 domains whatever the host has: flag runs
-     where width 4 was oversubscribed, whose seconds_by_width timings
-     measure scheduling pressure rather than parallel speedup *)
-  let host_cores = Domain.recommended_domain_count () in
-  let oversubscribed = host_cores < 4 in
-  let oc = open_out "BENCH_gemm.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"smoke\": %b,\n\
-    \  \"ukr\": {\n\
-    \    \"kernel\": \"uk_%dx%d_neon-f32\",\n\
-    \    \"kc\": %d,\n\
-    \    \"closure_us_per_call\": %.3f,\n\
-    \    \"bigarray_us_per_call\": %.3f,\n\
-    \    \"bigarray_speedup\": %.2f\n\
-    \  },\n\
-    \  \"native\": {\n\
-    \    \"native_enabled\": %b,\n\
-    \    \"target\": %S,\n\
-    \    \"cc\": %S,\n\
-    \    \"isa\": %S,\n\
-    \    \"entries\": %d,\n\
-    \    \"rejected\": %d,\n\
-    \    \"reason\": %S,\n\
-    \    \"native_us_per_call\": %.3f,\n\
-    \    \"native_calls\": %d,\n\
-    \    \"bigarray_seconds_1job\": %.3f,\n\
-    \    \"speedup_vs_bigarray\": %.2f,\n\
-    \    \"bit_exact_vs_bigarray\": true\n\
-    \  },\n\
-    \  \"tierlint\": {\n\
-    \    \"proved\": %d,\n\
-    \    \"total\": %d,\n\
-    \    \"probe_disagreements\": %d,\n\
-    \    \"registry_certified\": %b\n\
-    \  },\n\
-    \  \"gemm\": {\n\
-    \    \"dim\": %d,\n\
-    \    \"blocking\": [%d, %d, %d],\n\
-    \    \"seconds_1job\": %.3f,\n\
-    \    \"gflops_1job\": %.4f,\n\
-    \    \"fast_calls\": %d,\n\
-    \    \"fallback_calls\": %d,\n\
-    \    \"sweep_batch_fallback_calls\": %d,\n\
-    \    \"validated_vs_naive_f32\": true\n\
-    \  },\n\
-    \  \"jobs_invariance\": {\n\
-    \    \"blocking\": \"default\",\n\
-    \    \"host_cores\": %d,\n\
-    \    \"oversubscribed\": %b,\n\
-    \    \"seconds_by_width\": {%s},\n\
-    \    \"speedup_w2_over_w1\": %.3f,\n\
-    \    \"identical\": %b\n\
-    \  },\n\
-    \  \"small_n\": {\n\
-    \    \"layer\": \"resnet50 layer 2\",\n\
-    \    \"m\": %d,\n\
-    \    \"n\": %d,\n\
-    \    \"k\": %d,\n\
-    \    \"jc_blocks\": %d,\n\
-    \    \"b_panels\": %d,\n\
-    \    \"host_cores\": %d,\n\
-    \    \"oversubscribed\": %b,\n\
-    \    \"seconds_by_width\": {%s},\n\
-    \    \"jobs_identical\": %b,\n\
-    \    \"small_n_validated_vs_naive_f32\": true\n\
-    \  },\n\
-    \  \"resnet50_dispatch\": {\n\
-    \    \"tier\": %S,\n\
-    \    \"kc\": %d,\n\
-    \    \"us_per_call\": [%s]\n\
-    \  },\n\
-    \  \"batch\": {\n\
-    \    \"model\": \"resnet50\",\n\
-    \    \"tier\": %S,\n\
-    \    \"layers\": [%s],\n\
-    \    \"seconds\": %.3f,\n\
-    \    \"gflops\": %.4f\n\
-    \  }\n\
-     }\n"
-    (meta_json ()) smoke mr nr kc (t_closure *. 1e6) (t_ba *. 1e6) ba_speedup
-    nat_info.R.ni_enabled nat_info.R.ni_target nat_info.R.ni_cc
-    (match Exo_native.Host.isas () with
-    | [] -> "generic"
-    | l -> String.concat "," (List.map Exo_native.Host.isa_name l))
-    nat_info.R.ni_entries nat_info.R.ni_rejected nat_info.R.ni_reason
-    (t_native_ukr *. 1e6) native_calls_run t_ba_gemm native_speedup
-    tk.L.tk_proved tk.L.tk_total tk.L.tk_disagreements
-    reg_certified dim blocking.Exo_blis.Analytical.mc
-    blocking.Exo_blis.Analytical.kc blocking.Exo_blis.Analytical.nc t_serial
-    gemm_gflops fast_calls fallback_calls phase2_fallback host_cores
-    oversubscribed
-    (String.concat ", "
-       (List.map (fun (j, t) -> Printf.sprintf "\"%d\": %.3f" j t) par_times))
-    speedup_w2 jobs_identical sn_m sn_n sn_k sn_jc sn_panels host_cores
-    oversubscribed
-    (String.concat ", "
-       (List.map (fun (j, t) -> Printf.sprintf "\"%d\": %.3f" j t) sn_times))
-    sn_identical
-    serving_tier kc
-    (String.concat ", "
-       (List.map
-          (fun ((r, c), us) ->
-            Printf.sprintf "{\"mr\": %d, \"nr\": %d, \"us\": %.3f}" r c us)
-          dispatch_us))
-    serving_tier
-    (String.concat ", "
-       (List.map
-          (fun (id, m, n, k, _) ->
-            Printf.sprintf "{\"id\": %d, \"m\": %d, \"n\": %d, \"k\": %d}" id m n k)
-          batch_rows))
-    t_batch batch_gflops;
-  close_out oc;
-  ledger_append ~bench:(if smoke then "perf-gemm-smoke" else "perf-gemm")
+  let widths prefix times =
+    List.map
+      (fun (j, t) -> info ~unit_:"s" (Printf.sprintf "%s.seconds_w%d" prefix j) t)
+      times
+  in
+  write_bench ~file:"BENCH_gemm.json"
+    ~bench:(if smoke then "perf-gemm-smoke" else "perf-gemm")
+    ~labels:
+      [
+        ("kernel", Printf.sprintf "uk_%dx%d_neon-f32" mr nr);
+        ("native_enabled", string_of_bool nat_info.R.ni_enabled);
+        ("native_target", nat_info.R.ni_target);
+        ("native_cc", nat_info.R.ni_cc);
+        ("native_reason", nat_info.R.ni_reason);
+        ("serving_tier", serving_tier);
+        ("small_n_layer", "resnet50/2");
+        ("batch_model", "resnet50");
+        ( "batch_layers",
+          String.concat ","
+            (List.map
+               (fun (l : W.layer) ->
+                 let m, n, k = W.gemm_dims l in
+                 Printf.sprintf "%d:%dx%dx%d" l.W.id m n k)
+               layers) );
+      ]
     ([
        Ledger.metric_of_samples ~unit_:"GFLOPS" Ledger.Higher "gemm.gflops_1job"
          (List.map gflops_of serial_samples);
        Ledger.metric ~unit_:"us" Ledger.Lower "ukr.bigarray_us_per_call"
          (t_ba *. 1e6);
-       Ledger.metric ~unit_:"s" Ledger.Info "gemm.bigarray_seconds_1job"
-         t_ba_gemm;
-       Ledger.metric ~unit_:"GFLOPS" Ledger.Info "batch.gflops" batch_gflops;
-       Ledger.metric ~unit_:"x" Ledger.Info "gemm.speedup_w2_over_w1"
-         speedup_w2;
-       Ledger.metric ~unit_:"us" Ledger.Info "ukr.resnet50_dispatch_us_per_call"
+       info ~unit_:"s" "gemm.bigarray_seconds_1job" t_ba_gemm;
+       info ~unit_:"GFLOPS" "batch.gflops" batch_gflops;
+       info ~unit_:"x" "gemm.speedup_w2_over_w1" speedup_w2;
+       info ~unit_:"us" "ukr.resnet50_dispatch_us_per_call"
          (List.fold_left (fun acc (_, us) -> acc +. us) 0.0 dispatch_us
          /. float_of_int (max 1 (List.length dispatch_us)));
-       Ledger.metric Ledger.Info "attr.dim" (float_of_int dim);
-       Ledger.metric ~unit_:"GFLOPS" Ledger.Info "attr.measured_gflops"
-         best_gflops;
-       Ledger.metric ~unit_:"GFLOPS" Ledger.Info "attr.model_gflops"
-         model_gflops;
-       Ledger.metric ~unit_:"GFLOPS" Ledger.Info "attr.model_peak_gflops"
-         model_peak;
-       Ledger.metric ~unit_:"MB" Ledger.Info "attr.sim_dram_mb" sim_dram_mb;
+       info_int "attr.dim" dim;
+       info ~unit_:"GFLOPS" "attr.measured_gflops" best_gflops;
+       info ~unit_:"GFLOPS" "attr.model_gflops" model_gflops;
+       info ~unit_:"GFLOPS" "attr.model_peak_gflops" model_peak;
+       info ~unit_:"MB" "attr.sim_dram_mb" sim_dram_mb;
+       info_int "ukr.kc" kc;
+       info ~unit_:"us" "ukr.closure_us_per_call" (t_closure *. 1e6);
+       info ~unit_:"x" "ukr.bigarray_speedup" ba_speedup;
+       info_int ~unit_:"count" "native.entries" nat_info.R.ni_entries;
+       info_int ~unit_:"count" "native.rejected" nat_info.R.ni_rejected;
+       info_int ~unit_:"count" "tierlint.proved" tk.L.tk_proved;
+       info_int ~unit_:"count" "tierlint.total" tk.L.tk_total;
+       info_int ~unit_:"count" "tierlint.probe_disagreements"
+         tk.L.tk_disagreements;
+       Ledger.metric_of_samples ~unit_:"s" Ledger.Info "gemm.seconds_1job"
+         serial_samples;
+       info_int "gemm.mc" blocking.Exo_blis.Analytical.mc;
+       info_int "gemm.kc" blocking.Exo_blis.Analytical.kc;
+       info_int "gemm.nc" blocking.Exo_blis.Analytical.nc;
+       info_int ~unit_:"count" "gemm.native_calls" native_calls_run;
+       info_int ~unit_:"count" "gemm.fast_calls" fast_calls;
+       info_int ~unit_:"count" "gemm.fallback_calls" fallback_calls;
+       info_int ~unit_:"count" "gemm.sweep_batch_fallback_calls"
+         phase2_fallback;
+       info_int "small_n.m" sn_m;
+       info_int "small_n.n" sn_n;
+       info_int "small_n.k" sn_k;
+       info_int "small_n.jc_blocks" sn_jc;
+       info_int "small_n.b_panels" sn_panels;
+       info ~unit_:"s" "batch.seconds" t_batch;
      ]
+    @ widths "gemm" par_times
+    @ widths "small_n" sn_times
+    @ List.map
+        (fun ((r, c), us) ->
+          info ~unit_:"us" (Printf.sprintf "ukr.dispatch_us.%dx%d" r c) us)
+        dispatch_us
     @ (if nat_info.R.ni_enabled then
          [
            Ledger.metric ~unit_:"x" Ledger.Higher
@@ -841,11 +747,7 @@ let run_perf_gemm ?(smoke = false) () =
              (t_native_ukr *. 1e6);
          ]
        else [])
-    @ List.map
-        (fun (n, s) ->
-          Ledger.metric ~unit_:"s" Ledger.Info ("attr.phase." ^ n) s)
-        phases);
-  Fmt.pr "wrote BENCH_gemm.json@.@."
+    @ List.map (fun (n, s) -> info ~unit_:"s" ("attr.phase." ^ n) s) phases)
 
 (* ------------------------------------------------------------------ *)
 (* perf-serve: cold-start elimination. Measures (a) the cold kernel-    *)
@@ -1001,17 +903,13 @@ let run_perf_serve ?(smoke = false) () =
   in
   ignore (round_trip "PING");
   let warm_requests = if smoke then 10 else 50 in
-  let warm_total = ref 0.0 and warm_min = ref infinity in
-  let warm_samples = ref [] in
-  for _ = 1 to warm_requests do
-    let dt = round_trip gen_req in
-    warm_samples := dt :: !warm_samples;
-    warm_total := !warm_total +. dt;
-    if dt < !warm_min then warm_min := dt
-  done;
-  let warm_mean = !warm_total /. float_of_int warm_requests in
+  let warm_samples = List.init warm_requests (fun _ -> round_trip gen_req) in
+  let warm_min = List.fold_left Float.min infinity warm_samples in
+  let warm_mean =
+    List.fold_left ( +. ) 0.0 warm_samples /. float_of_int warm_requests
+  in
   Fmt.pr "warm GENERATE round-trip: mean %.3f ms, min %.3f ms over %d requests@."
-    (warm_mean *. 1e3) (!warm_min *. 1e3) warm_requests;
+    (warm_mean *. 1e3) (warm_min *. 1e3) warm_requests;
   (* concurrent clients: every request must still succeed *)
   let burst_clients = 4 and burst_each = if smoke then 5 else 10 in
   let burst_ok =
@@ -1081,72 +979,48 @@ let run_perf_serve ?(smoke = false) () =
   (* gate on the latency floor (best round-trip): on an oversubscribed
      1-core container the mean is dominated by scheduler noise between the
      worker domains and the client, not by request cost — the min is the
-     reproducible number. Both are recorded in the JSON. *)
-  let warm_vs_cold = t_cold_oneshot /. !warm_min in
+     reproducible number. Both are recorded. *)
+  let warm_vs_cold = t_cold_oneshot /. warm_min in
   Fmt.pr
     "cold one-shot (%s): %.1f ms; warm daemon request %.3f ms mean / %.3f ms \
      min — %.0fx@."
-    cold_mode (t_cold_oneshot *. 1e3) (warm_mean *. 1e3) (!warm_min *. 1e3)
+    cold_mode (t_cold_oneshot *. 1e3) (warm_mean *. 1e3) (warm_min *. 1e3)
     warm_vs_cold;
   if warm_vs_cold < 50.0 then
     failwith "perf-serve: warm requests are not >= 50x faster than cold one-shots";
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  %s,\n\
-    \  \"smoke\": %b,\n\
-    \  \"cache\": {\n\
-    \    \"entries\": {\"kernel\": %d, \"family\": %d, \"tuner\": %d},\n\
-    \    \"cold_build_seconds\": %.3f,\n\
-    \    \"cold_hits\": %d,\n\
-    \    \"cold_misses\": %d,\n\
-    \    \"cold_writes\": %d,\n\
-    \    \"hydrated_build_seconds\": %.3f,\n\
-    \    \"hydrated_hits\": %d,\n\
-    \    \"hydrated_misses\": %d,\n\
-    \    \"build_speedup\": %.2f,\n\
-    \    \"hydrated_bit_identical\": true,\n\
-    \    \"tierlint_proved\": %d,\n\
-    \    \"tierlint_total\": %d,\n\
-    \    \"tuner_fresh_seconds\": %.4f,\n\
-    \    \"tuner_disk_seconds\": %.4f,\n\
-    \    \"tuner_ranking_identical\": true\n\
-    \  },\n\
-    \  \"serve\": {\n\
-    \    \"workers\": %d,\n\
-    \    \"daemon_start_seconds\": %.3f,\n\
-    \    \"warm_requests\": %d,\n\
-    \    \"warm_mean_seconds\": %.6f,\n\
-    \    \"warm_min_seconds\": %.6f,\n\
-    \    \"concurrent_clients\": %d,\n\
-    \    \"concurrent_requests_each\": %d,\n\
-    \    \"concurrent_ok\": %b,\n\
-    \    \"request_span_observed\": %b,\n\
-    \    \"requests_total\": %d,\n\
-    \    \"request_errors\": %d\n\
-    \  },\n\
-    \  \"cold_oneshot_mode\": %S,\n\
-    \  \"cold_oneshot_seconds\": %.4f,\n\
-    \  \"warm_vs_cold_speedup\": %.1f\n\
-     }\n"
-    (meta_json ()) smoke kernel_entries family_entries tuner_entries
-    t_cold_build cold_hits cold_misses cold_writes t_warm_build warm_hits
-    warm_misses build_speedup tk.L.tk_proved tk.L.tk_total t_tuner_cold
-    t_tuner_disk workers t_daemon_start warm_requests warm_mean !warm_min
-    burst_clients burst_each burst_ok span_observed req_total req_errors
-    cold_mode t_cold_oneshot warm_vs_cold;
-  close_out oc;
-  ledger_append ~bench:(if smoke then "perf-serve-smoke" else "perf-serve")
+  write_bench ~file:"BENCH_serve.json"
+    ~bench:(if smoke then "perf-serve-smoke" else "perf-serve")
+    ~labels:[ ("cold_oneshot_mode", cold_mode) ]
     [
       Ledger.metric_of_samples ~unit_:"us" Ledger.Lower "serve.warm_rt_us"
-        (List.map (fun t -> t *. 1e6) !warm_samples);
+        (List.map (fun t -> t *. 1e6) warm_samples);
       Ledger.metric ~unit_:"x" Ledger.Higher "serve.warm_vs_cold_speedup"
         warm_vs_cold;
-      Ledger.metric ~unit_:"s" Ledger.Info "cache.hydrated_build_seconds"
-        t_warm_build;
-      Ledger.metric ~unit_:"x" Ledger.Info "cache.build_speedup" build_speedup;
-    ];
-  Fmt.pr "wrote BENCH_serve.json@.@."
+      info ~unit_:"s" "cache.hydrated_build_seconds" t_warm_build;
+      info ~unit_:"x" "cache.build_speedup" build_speedup;
+      info_int ~unit_:"count" "cache.entries.kernel" kernel_entries;
+      info_int ~unit_:"count" "cache.entries.family" family_entries;
+      info_int ~unit_:"count" "cache.entries.tuner" tuner_entries;
+      info ~unit_:"s" "cache.cold_build_seconds" t_cold_build;
+      info_int ~unit_:"count" "cache.cold_hits" cold_hits;
+      info_int ~unit_:"count" "cache.cold_misses" cold_misses;
+      info_int ~unit_:"count" "cache.cold_writes" cold_writes;
+      info_int ~unit_:"count" "cache.hydrated_hits" warm_hits;
+      info_int ~unit_:"count" "cache.hydrated_misses" warm_misses;
+      info_int ~unit_:"count" "tierlint.proved" tk.L.tk_proved;
+      info_int ~unit_:"count" "tierlint.total" tk.L.tk_total;
+      info ~unit_:"s" "tuner.fresh_seconds" t_tuner_cold;
+      info ~unit_:"s" "tuner.disk_seconds" t_tuner_disk;
+      info_int "serve.workers" workers;
+      info ~unit_:"s" "serve.daemon_start_seconds" t_daemon_start;
+      info_int ~unit_:"count" "serve.warm_requests" warm_requests;
+      info ~unit_:"us" "serve.warm_mean_us" (warm_mean *. 1e6);
+      info_int "serve.concurrent_clients" burst_clients;
+      info_int ~unit_:"count" "serve.concurrent_requests_each" burst_each;
+      info_int ~unit_:"count" "serve.requests_total" req_total;
+      info_int ~unit_:"count" "serve.request_errors" req_errors;
+      info ~unit_:"s" "serve.cold_oneshot_seconds" t_cold_oneshot;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* lint: the static Fig. 12 gate — every generated kernel must carry    *)

@@ -390,7 +390,17 @@ let lint_cmd =
           o
         end
       in
-      (match json with Some f -> write_out (Some f) (L.tiers_json o) | None -> ());
+      (match json with
+      | Some f ->
+          (* the identity block is a ledger record with no metrics, from
+             the writer every BENCH_*.json goes through *)
+          let meta =
+            Ledger.to_json
+              (Ledger.record ~pool_jobs:(Exo_par.Pool.default_jobs ())
+                 ~bench:"lint-tiers" [])
+          in
+          write_out (Some f) (L.tiers_json ~meta o)
+      | None -> ());
       Fmt.pr "%a@." L.pp_tiers o;
       if L.tiers_ok o then `Ok ()
       else begin

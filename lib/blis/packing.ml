@@ -1,45 +1,28 @@
 (** BLIS packing routines.
 
-    [pack_a_ba_into] re-lays an mc×kc block of A into micro-panels of [mr]
-    rows, each panel k-major ([kc × mr], unit stride across the rows) —
-    exactly the layout the generated micro-kernels' [Ac: f32[KC, MR]]
-    argument assumes. [pack_b_ba_into] does the same for kc×nc blocks of B in
-    [nr]-column panels ([kc × nr]). Edge panels are packed at their true
-    width (the Exo approach: a dedicated kernel per fringe shape) —
-    [panel_width] reports it.
+    [pack_a] re-lays an mc×kc block of A into micro-panels of [mr] rows,
+    each panel k-major ([kc × mr], unit stride across the rows) — exactly
+    the layout the generated micro-kernels' [Ac: f32[KC, MR]] argument
+    assumes. [pack_b] does the same for kc×nc blocks of B in [nr]-column
+    panels ([kc × nr]). Edge panels are packed at their true width (the Exo
+    approach: a dedicated kernel per fringe shape).
 
     Panels live in one contiguous caller-provided float32 Bigarray arena
     (the store is the f32 rounding) at a fixed pitch (the full-width panel
-    size), so a steady-state GEMM driver reuses one buffer per operand
-    instead of allocating per (jc, pc, ic) block:
-    [panel_off] gives each panel's start, fringe panels occupy a prefix of
-    their slot. The packing loops are build-time C ([blis_stubs.c], noalloc,
-    default C flags) behind a single up-front range check (block within the
-    matrix and its storage, arena large enough); the OCaml loops they
-    replaced live on in [test/test_blis.ml] as the oracle they are checked
-    against. [pack_a] and [pack_b] are the record-free forms the GEMM
-    driver calls, [pack_b] at an arena offset, so packing allocates
-    nothing.
+    size: panel [i] starts at [i · kcb · mr] for A, [off + i · kcb · nr]
+    for B), so a steady-state GEMM driver reuses one buffer per operand
+    instead of allocating per (jc, pc, ic) block; fringe panels occupy a
+    prefix of their slot. The packing loops are build-time C
+    ([blis_stubs.c], noalloc, default C flags) behind a single up-front
+    range check (block within the matrix and its storage, arena large
+    enough); the OCaml loops they replaced live on in [test/test_blis.ml]
+    as the oracle they are checked against. Packing allocates nothing.
 
     Packing is also where alpha is applied ([Bc = alpha · B], the paper's
     Fig. 4), so the micro-kernels run the simplified alpha = beta = 1
     code. *)
 
 type ba32 = Exo_interp.Compile.ba32
-
-type packed = {
-  data : ba32;  (** the arena the panels were packed into *)
-  pitch : int;  (** elements between consecutive panel starts *)
-  num_panels : int;
-  depth : int;  (** kc of this packing *)
-  full : int;  (** full panel width: mr (A) or nr (B) *)
-  block : int;  (** packed block extent: mcb (A) or ncb (B) *)
-}
-
-let panel_off (p : packed) (i : int) : int = i * p.pitch
-
-let panel_width (p : packed) (i : int) : int =
-  min p.full (p.block - (i * p.full))
 
 (** Arena sizes for a maximal block: full-width panels at full pitch. *)
 let a_arena_size ~(mcb : int) ~(kcb : int) ~(mr : int) : int =
@@ -85,15 +68,3 @@ let pack_b ~(alpha : float) (dst : ba32) ~(off : int) (b : Matrix.t) ~(pc : int)
   if off < 0 || BA1.dim dst - off < b_arena_size ~ncb ~kcb ~nr then
     invalid_arg "pack_b_ba: arena too small";
   pack_b_stub b.Matrix.data b.Matrix.cols pc jc kcb ncb nr alpha dst off
-
-let pack_a_ba_into (dst : ba32) (a : Matrix.t) ~(ic : int) ~(pc : int)
-    ~(mcb : int) ~(kcb : int) ~(mr : int) : packed =
-  pack_a dst a ~ic ~pc ~mcb ~kcb ~mr;
-  { data = dst; pitch = kcb * mr; num_panels = (mcb + mr - 1) / mr;
-    depth = kcb; full = mr; block = mcb }
-
-let pack_b_ba_into ?(alpha = 1.0) (dst : ba32) (b : Matrix.t) ~(pc : int)
-    ~(jc : int) ~(kcb : int) ~(ncb : int) ~(nr : int) : packed =
-  pack_b ~alpha dst ~off:0 b ~pc ~jc ~kcb ~ncb ~nr;
-  { data = dst; pitch = kcb * nr; num_panels = (ncb + nr - 1) / nr;
-    depth = kcb; full = nr; block = ncb }

@@ -5,28 +5,13 @@
     per fringe shape.
 
     Panels are laid out in one caller-owned float32 Bigarray arena at a
-    fixed pitch (the full-width panel size): [panel_off] gives panel starts,
-    fringe panels occupy a prefix of their slot. The store into the arena
-    is the f32 rounding. The packers are build-time C behind a single
+    fixed pitch (the full-width panel size, [kcb · mr] or [kcb · nr]);
+    fringe panels occupy a prefix of their slot, k-major at their true
+    width. The store into the arena is the f32 rounding. The packers are build-time C behind a single
     up-front range check; they read [Matrix.data] in place and allocate
     nothing. *)
 
 type ba32 = Exo_interp.Compile.ba32
-
-type packed = {
-  data : ba32;  (** the arena the panels were packed into *)
-  pitch : int;  (** elements between consecutive panel starts *)
-  num_panels : int;
-  depth : int;  (** kc of this packing *)
-  full : int;  (** full panel width: mr (A) or nr (B) *)
-  block : int;  (** packed block extent: mcb (A) or ncb (B) *)
-}
-
-(** Flat start of panel [i] in [data]. *)
-val panel_off : packed -> int -> int
-
-(** Rows (A) / columns (B) of panel [i] — [full] except on the fringe. *)
-val panel_width : packed -> int -> int
 
 (** Arena elements needed to pack an mcb×kcb A block / kcb×ncb B block. *)
 val a_arena_size : mcb:int -> kcb:int -> mr:int -> int
@@ -48,14 +33,3 @@ val pack_b :
   ba32 ->
   off:int ->
   Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> unit
-
-(** {!pack_a}, described as a {!packed} value. *)
-val pack_a_ba_into :
-  ba32 ->
-  Matrix.t -> ic:int -> pc:int -> mcb:int -> kcb:int -> mr:int -> packed
-
-(** {!pack_b} at offset 0, described as a {!packed} value. *)
-val pack_b_ba_into :
-  ?alpha:float ->
-  ba32 ->
-  Matrix.t -> pc:int -> jc:int -> kcb:int -> ncb:int -> nr:int -> packed

@@ -6,10 +6,10 @@
    - load never trusts the file: each line parses independently and a bad
      line (torn tail, hand edit) is counted, skipped, and reported;
    - the JSON layer below is deliberately tiny — the ledger depends on
-     nothing beyond the stdlib, [unix], and [exo_obs] (for the shared git
-     commit / identity fields). *)
-
-module Obs = Exo_obs.Obs
+     nothing beyond the stdlib and [unix];
+   - this module is the one writer of the identity fields: every
+     BENCH_*.json is one record, and [ukrgen lint --tiers --json] embeds
+     one as its meta block. *)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -336,21 +336,32 @@ type record = {
   r_pool_jobs : int;
   r_ocaml : string;
   r_flambda : bool option;
+  r_labels : (string * string) list;
   r_metrics : metric list;
 }
 
 let schema_version = 1
 
-let record ?time ?flambda ~pool_jobs ~bench metrics =
+let git_commit () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when line <> "" -> line
+    | _ -> "unknown"
+  with _ -> "unknown"
+
+let record ?time ?flambda ?(labels = []) ~pool_jobs ~bench metrics =
   {
     r_schema = schema_version;
     r_time = (match time with Some t -> t | None -> Unix.gettimeofday ());
     r_bench = bench;
-    r_commit = Obs.Meta.git_commit ();
+    r_commit = git_commit ();
     r_host_cores = Domain.recommended_domain_count ();
     r_pool_jobs = pool_jobs;
     r_ocaml = Sys.ocaml_version;
     r_flambda = flambda;
+    r_labels = labels;
     r_metrics = metrics;
   }
 
@@ -402,6 +413,10 @@ let to_json (r : record) : string =
        @ (match r.r_flambda with
          | None -> []
          | Some f -> [ ("flambda", Json.Bool f) ])
+       @ (match r.r_labels with
+         | [] -> []
+         | ls ->
+             [ ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) ls)) ])
        @ [ ("metrics", Json.Arr (List.map metric_to_json r.r_metrics)) ]))
 
 let metric_of_json (j : Json.t) : metric option =
@@ -438,6 +453,19 @@ let of_json (j : Json.t) : record option =
   let* jobs = Option.bind (Json.member "pool_jobs" j) Json.num in
   let* ocaml = Option.bind (Json.member "ocaml_version" j) Json.str in
   let* ms = Option.bind (Json.member "metrics" j) Json.list_ in
+  (* a line written before labels existed has none *)
+  let* labels =
+    match Json.member "labels" j with
+    | None -> Some []
+    | Some (Json.Obj kvs) ->
+        let ls =
+          List.filter_map
+            (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.str v))
+            kvs
+        in
+        if List.length ls = List.length kvs then Some ls else None
+    | Some _ -> None
+  in
   let metrics = List.filter_map metric_of_json ms in
   if List.length metrics <> List.length ms then None
   else
@@ -451,6 +479,7 @@ let of_json (j : Json.t) : record option =
         r_pool_jobs = int_of_float jobs;
         r_ocaml = ocaml;
         r_flambda = Option.bind (Json.member "flambda" j) Json.bool_;
+        r_labels = labels;
         r_metrics = metrics;
       }
 

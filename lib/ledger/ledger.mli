@@ -1,12 +1,13 @@
 (** The append-only performance run ledger.
 
     Every bench subcommand and the tuner append one JSONL record per run —
-    keyed by the same identity fields as {!Exo_obs.Obs.Meta.json} (git
-    commit, host cores, pool jobs, ocaml version, flambda) plus robust
-    per-metric statistics — and [ukrgen report] replays the file to render
-    the performance trajectory, flag regressions beyond a noise bound, and
-    print the measured-vs-model attribution table. Stdlib + [unix] only,
-    like the rest of the observability stack.
+    identity fields (git commit, host cores, pool jobs, ocaml version,
+    flambda), string labels, and robust per-metric statistics — and
+    [ukrgen report] replays the file to render the performance trajectory,
+    flag regressions beyond a noise bound, and print the measured-vs-model
+    attribution table. A bench's [BENCH_*.json] is that same record, one
+    line, so it is a one-record ledger. Stdlib + [unix] only, like the rest
+    of the observability stack.
 
     {2 Durability contract}
 
@@ -110,31 +111,35 @@ type record = {
   r_pool_jobs : int;
   r_ocaml : string;
   r_flambda : bool option;
+  r_labels : (string * string) list;
+      (** string facts (host compiler and ISA, kernel name, layer ids);
+          [[]] on lines written before labels existed *)
   r_metrics : metric list;
 }
 
 val schema_version : int
-(** Of the ledger line format itself (independent of
-    {!Exo_obs.Obs.Meta.schema_version}, which versions the BENCH_*.json
-    shapes). *)
+(** Of the ledger line format, and so of every [BENCH_*.json]. *)
 
 val record :
   ?time:float ->
   ?flambda:bool ->
+  ?labels:(string * string) list ->
   pool_jobs:int ->
   bench:string ->
   metric list ->
   record
-(** Stamp a record with the ambient identity: current time, git commit
-    via {!Exo_obs.Obs.Meta.git_commit}, host cores, ocaml version. *)
+(** Stamp a record with the ambient identity: current time, short git
+    commit of the working tree (["unknown"] outside a checkout), host
+    cores, ocaml version. *)
 
 val fingerprint : record -> string
 (** The host-comparability key: bench, host cores, pool jobs, ocaml
-    version, flambda — and deliberately {e not} the git commit, since
-    comparing across commits on the same host is the whole point. *)
+    version, flambda — and deliberately {e not} the git commit (comparing
+    across commits on the same host is the whole point) nor the labels. *)
 
 val to_json : record -> string
-(** One line, no trailing newline. *)
+(** One line, no trailing newline; [labels] is a JSON object of strings,
+    omitted when empty. *)
 
 val of_json : Json.t -> record option
 

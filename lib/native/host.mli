@@ -1,8 +1,9 @@
 (** Host capability probe for the native JIT tier: C-compiler presence and
     the machine's vector ISAs, detected once and consulted by the registry
     to pick an emit target (intrinsics on a matching host, the portable
-    lowering otherwise) — and by [ukrgen explain] / {!Exo_obs.Obs.Meta} so
-    every measurement records what the host could actually execute. *)
+    lowering otherwise) — and by [ukrgen explain] and the bench records'
+    [host_cc] / [host_isa] labels, so every measurement records what the
+    host could actually execute. *)
 
 type isa = Neon | Avx2 | Avx512 | Rvv
 

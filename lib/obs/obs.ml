@@ -720,40 +720,3 @@ module Provenance = struct
     in
     summary :: steps
 end
-
-(* ------------------------------------------------------------------ *)
-
-module Meta = struct
-  let schema_version = 6
-
-  let git_commit () =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown"
-    with _ -> "unknown"
-
-  let json ?flambda ?host_cc ?host_isa ~pool_jobs () =
-    Printf.sprintf
-      "\"meta\": {\n\
-      \    \"schema_version\": %d,\n\
-      \    \"git_commit\": %S,\n\
-      \    \"host_cores\": %d,\n\
-      \    \"pool_jobs\": %d,\n\
-      \    \"ocaml_version\": %S%s%s%s\n\
-      \  }"
-      schema_version (git_commit ())
-      (Domain.recommended_domain_count ())
-      pool_jobs Sys.ocaml_version
-      (match flambda with
-      | None -> ""
-      | Some f -> Printf.sprintf ",\n    \"flambda\": %b" f)
-      (match host_cc with
-      | None -> ""
-      | Some cc -> Printf.sprintf ",\n    \"host_cc\": %S" cc)
-      (match host_isa with
-      | None -> ""
-      | Some isa -> Printf.sprintf ",\n    \"host_isa\": %S" isa)
-end

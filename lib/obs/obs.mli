@@ -228,34 +228,5 @@ module Provenance : sig
   val header_lines : entry list -> string list
 end
 
-(** {1 Shared measurement metadata}
-
-    The one ["meta"] JSON block every machine-readable artifact this repo
-    emits carries — the BENCH_*.json files and [ukrgen lint --tiers
-    --json] — so downstream tooling can always find the schema version,
-    the commit the numbers were measured at, and the parallelism that was
-    available. One writer here keeps the files in lock-step: bump
-    {!Meta.schema_version} when any of their shapes change. *)
-
-module Meta : sig
-  (** Version of every meta-carrying JSON artifact (BENCH_*.json,
-      tierlint.json). Bumped in lock-step across all of them. *)
-  val schema_version : int
-
-  (** Short git commit of the working tree, or ["unknown"] outside a
-      checkout (e.g. a release tarball). *)
-  val git_commit : unit -> string
-
-  (** The ["meta": {...}] object (no trailing comma/newline). [pool_jobs]
-      comes from the caller ({!Exo_par.Pool.default_jobs} — this library
-      sits below [exo_par]); [flambda] likewise (compiler-libs [Config]),
-      as do [host_cc] / [host_isa] (the native tier's capability probe,
-      [Exo_native.Host] — this library sits below it too) — each omitted
-      from the JSON when not passed. *)
-  val json :
-    ?flambda:bool -> ?host_cc:string -> ?host_isa:string -> pool_jobs:int ->
-    unit -> string
-end
-
 (** Wall-clock microseconds (for callers timing sub-phases by hand). *)
 val now_us : unit -> float

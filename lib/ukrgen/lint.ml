@@ -316,7 +316,7 @@ let json_str s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-let tiers_json (o : tiers_outcome) : string =
+let tiers_json ~(meta : string) (o : tiers_outcome) : string =
   let verdict = function
     | T.Proved -> "\"proved\""
     | T.Unproved m -> Fmt.str "{\"unproved\": %s}" (json_str m)
@@ -341,11 +341,12 @@ let tiers_json (o : tiers_outcome) : string =
       (json_str k.tk_kit) k.tk_proved k.tk_total (k.tk_total - k.tk_proved)
       k.tk_disagreements
   in
-  (* the same meta block every BENCH_*.json carries, from the one shared
-     writer — downstream tooling keys on its schema_version *)
-  Fmt.str "{\n  %s,\n  \"kits\": [\n%s\n  ],\n  \"entries\": [\n%s\n  ],\n  \
+  (* [meta] is a run-ledger record from the caller (the one writer of the
+     identity fields every BENCH_*.json carries) — this library sits below
+     the ledger *)
+  Fmt.str "{\n  \"meta\": %s,\n  \"kits\": [\n%s\n  ],\n  \"entries\": [\n%s\n  ],\n  \
            \"all_proved\": %b\n}\n"
-    (Exo_obs.Obs.Meta.json ~pool_jobs:(Exo_par.Pool.default_jobs ()) ())
+    meta
     (String.concat ",\n" (List.map kitline o.tier_kits))
     (String.concat ",\n" (List.map entry o.tier_entries))
     (tiers_ok o)

@@ -103,7 +103,8 @@ val pp_tier_entry : Format.formatter -> tier_entry -> unit
     greps: ["KIT: proved P/T, unproved_entries U, probe_disagreements D"]. *)
 val pp_tiers : Format.formatter -> tiers_outcome -> unit
 
-(** The per-entry verdict document ([ukrgen lint --tiers --json]), carrying
-    the same ["meta"] block (schema version, git commit, host cores) as the
-    BENCH_*.json files, from the shared {!Exo_obs.Obs.Meta} writer. *)
-val tiers_json : tiers_outcome -> string
+(** The per-entry verdict document ([ukrgen lint --tiers --json]). [meta]
+    is embedded verbatim as its ["meta"] member: the caller passes a
+    run-ledger record (schema, git commit, host cores, pool jobs), the same
+    identity every BENCH_*.json carries. *)
+val tiers_json : meta:string -> tiers_outcome -> string

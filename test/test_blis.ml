@@ -94,36 +94,48 @@ let arena n =
   Bigarray.Array1.fill b 0.0;
   b
 
+(* pack an A block into a fresh arena of exactly [a_arena_size]; panel i
+   starts at i · kcb · mr *)
 let pack_a a ~ic ~pc ~mcb ~kcb ~mr =
-  P.pack_a_ba_into (arena (P.a_arena_size ~mcb ~kcb ~mr)) a ~ic ~pc ~mcb ~kcb ~mr
+  let dst = arena (P.a_arena_size ~mcb ~kcb ~mr) in
+  P.pack_a dst a ~ic ~pc ~mcb ~kcb ~mr;
+  dst
 
 let test_pack_a_layout () =
   let a = M.init 10 6 (fun i j -> float_of_int ((100 * i) + j)) in
   let p = pack_a a ~ic:2 ~pc:1 ~mcb:8 ~kcb:4 ~mr:4 in
-  Alcotest.(check int) "two panels" 2 p.P.num_panels;
-  Alcotest.(check int) "panel width" 4 (P.panel_width p 0);
+  let pitch = 4 * 4 in
+  Alcotest.(check int) "two full panels" (2 * pitch) (Bigarray.Array1.dim p);
   (* panel 0, k-major: element (kk=0, i=0) is A[2,1] *)
-  Alcotest.(check (float 0.0)) "k-major origin" 201.0
-    (Bigarray.Array1.get p.P.data (P.panel_off p 0));
+  Alcotest.(check (float 0.0)) "k-major origin" 201.0 (Bigarray.Array1.get p 0);
+  (* a full panel has stride mr across k: (kk=1, i=3) of panel 0 is A[5,2] *)
+  Alcotest.(check (float 0.0)) "panel 0 full width" 502.0
+    (Bigarray.Array1.get p ((1 * 4) + 3));
   (* (kk=1, i=2) of panel 1 is A[2+4+2, 1+1] *)
   Alcotest.(check (float 0.0)) "panel 1 interior" 802.0
-    (Bigarray.Array1.get p.P.data (P.panel_off p 1 + (1 * 4) + 2))
+    (Bigarray.Array1.get p (pitch + (1 * 4) + 2))
 
 let test_pack_a_edge_panel () =
   let a = M.init 10 6 (fun i j -> float_of_int ((100 * i) + j)) in
   let p = pack_a a ~ic:0 ~pc:0 ~mcb:10 ~kcb:3 ~mr:4 in
-  Alcotest.(check int) "three panels" 3 p.P.num_panels;
-  Alcotest.(check int) "last panel is the 2-row fringe" 2 (P.panel_width p 2)
+  let pitch = 3 * 4 in
+  Alcotest.(check int) "three panel slots" (3 * pitch) (Bigarray.Array1.dim p);
+  (* the 2-row fringe panel is k-major at its true width: (kk, i) sits at
+     kk · 2 + i, a prefix of its slot *)
+  Alcotest.(check (float 0.0)) "fringe (kk=0, i=1) is A[9,0]" 900.0
+    (Bigarray.Array1.get p ((2 * pitch) + 1));
+  Alcotest.(check (float 0.0)) "fringe (kk=2, i=1) is A[9,2]" 902.0
+    (Bigarray.Array1.get p ((2 * pitch) + (2 * 2) + 1));
+  Alcotest.(check (float 0.0)) "rest of the fringe slot untouched" 0.0
+    (Bigarray.Array1.get p ((2 * pitch) + 6))
 
 let test_pack_b_alpha () =
   let b = M.init 4 8 (fun i j -> float_of_int (i + j)) in
-  let p =
-    P.pack_b_ba_into ~alpha:2.0
-      (arena (P.b_arena_size ~ncb:8 ~kcb:4 ~nr:4))
-      b ~pc:0 ~jc:0 ~kcb:4 ~ncb:8 ~nr:4
-  in
+  let p = arena (P.b_arena_size ~ncb:8 ~kcb:4 ~nr:4) in
+  P.pack_b ~alpha:2.0 p ~off:0 b ~pc:0 ~jc:0 ~kcb:4 ~ncb:8 ~nr:4;
+  (* panel 1 starts at kcb · nr; its (kk=0, j=1) is alpha · B[0,5] *)
   Alcotest.(check (float 0.0)) "alpha applied" (2.0 *. 5.0)
-    (Bigarray.Array1.get p.P.data (P.panel_off p 1 + 1))
+    (Bigarray.Array1.get p ((4 * 4) + 1))
 
 let test_pack_bounds () =
   let a = M.init 4 4 (fun _ _ -> 0.0) in
@@ -132,10 +144,11 @@ let test_pack_bounds () =
     (raises (fun () -> pack_a a ~ic:2 ~pc:0 ~mcb:4 ~kcb:4 ~mr:4));
   Alcotest.(check bool) "short A arena rejected" true
     (raises (fun () ->
-         P.pack_a_ba_into (arena 15) a ~ic:0 ~pc:0 ~mcb:4 ~kcb:4 ~mr:4));
+         P.pack_a (arena 15) a ~ic:0 ~pc:0 ~mcb:4 ~kcb:4 ~mr:4));
   Alcotest.(check bool) "out-of-range B block rejected" true
     (raises (fun () ->
-         P.pack_b_ba_into (arena 64) a ~pc:1 ~jc:0 ~kcb:4 ~ncb:4 ~nr:4))
+         P.pack_b ~alpha:1.0 (arena 64) ~off:0 a ~pc:1 ~jc:0 ~kcb:4 ~ncb:4
+           ~nr:4))
 
 let test_pack_b_offset_bounds () =
   (* the record-free packers the driver calls: pack_b writes from an arena

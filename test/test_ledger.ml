@@ -124,6 +124,43 @@ let test_record_roundtrip () =
       | Some r' -> check_bool "to_json/of_json round-trip" true (r = r')
       | None -> Alcotest.fail "of_json rejected its own to_json")
 
+let test_labels_roundtrip () =
+  let r =
+    L.record ~time:1700000000.5 ~flambda:false ~pool_jobs:2 ~bench:"unit"
+      ~labels:[ ("host_cc", "/usr/bin/cc"); ("layers", "2:3136x64x64,4:\"q\"") ]
+      [ L.metric L.Info "m.info" 7.0 ]
+  in
+  let line = L.to_json r in
+  check_bool "labels serialised as an object" true
+    (contains ~affix:{|"labels":{"host_cc":"/usr/bin/cc",|} line);
+  match L.Json.parse line with
+  | Error e -> Alcotest.fail ("to_json does not reparse: " ^ e)
+  | Ok j -> (
+      match L.of_json j with
+      | Some r' -> check_bool "labels survive the round-trip" true (r = r')
+      | None -> Alcotest.fail "of_json rejected a labelled record")
+
+let test_no_labels_loads () =
+  (* a line as written before records carried labels *)
+  let line =
+    {|{"schema":1,"time":1700000000,"bench":"perf","git_commit":"abc1234","host_cores":2,"pool_jobs":2,"ocaml_version":"5.1.1","flambda":false,"metrics":[{"name":"interp.speedup","value":9.5,"median":9.5,"mad":0,"n":1,"dir":"higher","unit":"x"}]}|}
+  in
+  match Result.to_option (L.Json.parse line) |> Fun.flip Option.bind L.of_json with
+  | Some r ->
+      check_bool "labels default to empty" true (r.L.r_labels = []);
+      check_int "metrics intact" 1 (List.length r.L.r_metrics);
+      check_bool "unlabelled record prints without a labels key" true
+        (not (contains ~affix:"labels" (L.to_json r)))
+  | None -> Alcotest.fail "a line without labels no longer loads"
+
+let test_fingerprint_ignores_labels () =
+  let with_labels labels =
+    L.record ~flambda:false ~labels ~pool_jobs:2 ~bench:"unit" []
+  in
+  check_bool "labels are not part of the host fingerprint" true
+    (L.fingerprint (with_labels [])
+    = L.fingerprint (with_labels [ ("host_isa", "avx2,avx512") ]))
+
 let test_append_load () =
   with_tmp @@ fun path ->
   L.append ~path (record 1.0);
@@ -349,6 +386,14 @@ let () =
             test_corrupt_lines_skipped;
           Alcotest.test_case "4 concurrent writer domains" `Quick
             test_concurrent_append;
+        ] );
+      ( "labels",
+        [
+          Alcotest.test_case "labels round-trip" `Quick test_labels_roundtrip;
+          Alcotest.test_case "line without labels loads" `Quick
+            test_no_labels_loads;
+          Alcotest.test_case "fingerprint ignores labels" `Quick
+            test_fingerprint_ignores_labels;
         ] );
       ( "regression",
         [

@@ -69,7 +69,7 @@ let test_run_tiers_jobs_invariant () =
 
 let test_tiers_json_shape () =
   let o = L.run_tiers ~kits:[ Kits.neon_f32 ] ~jobs:1 ~mr:2 ~nr:2 () in
-  let j = L.tiers_json o in
+  let j = L.tiers_json ~meta:"{\"schema\":1}" o in
   List.iter
     (fun needle ->
       let ok =
@@ -85,6 +85,7 @@ let test_tiers_json_shape () =
       "\"bounds\": \"proved\"";
       "\"accshape\": \"proved\"";
       "\"all_proved\": true";
+      "\"meta\": {\"schema\":1}";
     ]
 
 (* --- registry integration: certified tables and counter resets ---------- *)
