@@ -15,6 +15,8 @@
      dune exec bench/main.exe -- perf-serve   # cold vs cache-hydrated builds,
                                               # warm daemon request latency
                                               # (writes BENCH_serve.json)
+     dune exec bench/main.exe -- nest-ab      # portable nest: paired vector
+                                              # form vs loop nest, per entry
      dune exec bench/main.exe -- -j 4 all     # pool width for parallel sweeps
      dune exec bench/main.exe -- -profile lint # obs tracing + profile report
      dune exec bench/main.exe -- -ledger runs.jsonl perf-gemm
@@ -28,7 +30,7 @@
 
    Experiments: fig12 fig13 fig14 tab1 tab2 fig15 fig16 fig17 fig18
    ablation perf perf-sim[-smoke] perf-gemm[-smoke]
-   perf-serve[-smoke] lint all *)
+   perf-serve[-smoke] nest-ab lint all *)
 
 (* Float32 Bigarray tiles for the single-call benches: integer values in
    [-3, 3], exact in every tier. *)
@@ -360,10 +362,11 @@ let run_perf_gemm ?(smoke = false) () =
     time_runs ~min_time (fun () ->
         serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
-  Fmt.pr "native tier        : %s (target %s, cc %s, %d/%d entries, %s)@."
+  Fmt.pr
+    "native tier        : %s (target %s, %d lanes, cc %s, %d/%d entries, %s)@."
     (if nat_info.R.ni_enabled then "enabled" else "DEGRADED")
-    nat_info.R.ni_target nat_info.R.ni_cc nat_info.R.ni_entries (mr * nr)
-    nat_info.R.ni_reason;
+    nat_info.R.ni_target nat_info.R.ni_lanes nat_info.R.ni_cc
+    nat_info.R.ni_entries (mr * nr) nat_info.R.ni_reason;
   Fmt.pr "closure engine     : %12.1f us/call@." (t_closure *. 1e6);
   Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
   Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
@@ -523,8 +526,9 @@ let run_perf_gemm ?(smoke = false) () =
     failwith "perf-gemm: pool widths disagree on the small-n GEMM result";
   (* the serving entries ResNet50's GEMMs dispatch: with mr-aligned row
      blocks and nc a multiple of nr, a layer's tiles are full, m-fringe
-     (m mod mr), n-fringe (n mod nr) and corner — timed one call each at
-     the paper kc *)
+     (m mod mr), n-fringe (n mod nr) and corner — each timed at the paper
+     kc as [dispatch_samples] adaptive runs; the record keeps the best,
+     the median and the MAD *)
   let dispatch_set =
     List.sort_uniq compare
       (List.concat_map
@@ -535,21 +539,30 @@ let run_perf_gemm ?(smoke = false) () =
            List.concat_map (fun r -> List.map (fun c -> (r, c)) cols) rows)
          W.resnet50)
   in
-  let dispatch_us =
+  let dispatch_samples = 5 in
+  let dispatch_runs =
     List.map
       (fun (mr', nr') ->
         let u = R.table_entry table ~mr:mr' ~nr:nr' in
         let c = random_ba st (nr' * mr') in
-        let t =
-          time_runs ~min_time:(min_time /. 4.0) (fun () ->
-              u ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
-        in
-        ((mr', nr'), t *. 1e6))
+        ( (mr', nr'),
+          List.init dispatch_samples (fun _ ->
+              1e6
+              *. time_runs
+                   ~min_time:(min_time /. float_of_int (4 * dispatch_samples))
+                   (fun () -> u ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)) ))
       dispatch_set
   in
+  let dispatch_us =
+    List.map
+      (fun (shape, samples) -> (shape, List.fold_left Float.min infinity samples))
+      dispatch_runs
+  in
   let serving_tier = if nat_info.R.ni_enabled then "native" else "bigarray" in
-  Fmt.pr "ResNet50 dispatch set (%d of %d entries), %s us/call at kc=%d: %s@."
-    (List.length dispatch_us) (mr * nr) serving_tier kc
+  Fmt.pr
+    "ResNet50 dispatch set (%d of %d entries), %s us/call at kc=%d (best of \
+     %d): %s@."
+    (List.length dispatch_us) (mr * nr) serving_tier kc dispatch_samples
     (String.concat ", "
        (List.map
           (fun ((r, c), us) -> Printf.sprintf "%dx%d %.2f" r c us)
@@ -680,6 +693,7 @@ let run_perf_gemm ?(smoke = false) () =
         ("native_target", nat_info.R.ni_target);
         ("native_cc", nat_info.R.ni_cc);
         ("native_reason", nat_info.R.ni_reason);
+        ("native_lanes", string_of_int nat_info.R.ni_lanes);
         ("serving_tier", serving_tier);
         ("small_n_layer", "resnet50/2");
         ("batch_model", "resnet50");
@@ -736,9 +750,11 @@ let run_perf_gemm ?(smoke = false) () =
     @ widths "gemm" par_times
     @ widths "small_n" sn_times
     @ List.map
-        (fun ((r, c), us) ->
-          info ~unit_:"us" (Printf.sprintf "ukr.dispatch_us.%dx%d" r c) us)
-        dispatch_us
+        (fun ((r, c), samples) ->
+          Ledger.metric_of_samples ~unit_:"us" Ledger.Lower
+            (Printf.sprintf "ukr.dispatch_us.%dx%d" r c)
+            samples)
+        dispatch_runs
     @ (if nat_info.R.ni_enabled then
          [
            Ledger.metric ~unit_:"x" Ledger.Higher
@@ -786,7 +802,10 @@ let run_perf_serve ?(smoke = false) () =
       rm_rf cache_root)
   @@ fun () ->
   (* 1. cold build: schedule + certify + lower all 96 entries, publishing
-     one artifact per entry as it goes *)
+     one artifact per entry as it goes. An earlier subcommand in this
+     process (perf-gemm) may have memoised the same table, which would
+     make this build a memo read that writes nothing to the store. *)
+  R.clear_memos_for_bench ();
   Store.reset_counts ();
   let t0 = Unix.gettimeofday () in
   let table_cold = R.exo_table ~mr ~nr () in
@@ -1023,6 +1042,65 @@ let run_perf_serve ?(smoke = false) () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* nest-ab: the portable nest's two forms, entry by entry. Compiles the *)
+(* neon-f32 8×12 bank twice as the portable target — at the host's f32  *)
+(* lane count and at one lane (the loop nest everywhere) — and times    *)
+(* each entry's two kernels interleaved in this process at kc = 512,    *)
+(* best of [rounds]. Prints one row per entry; writes no file.          *)
+
+let run_nest_ab () =
+  let module C_emit = Exo_codegen.C_emit in
+  let module Host = Exo_native.Host in
+  let module Jit = Exo_native.Jit in
+  let mr = 8 and nr = 12 and kc = 512 and rounds = 7 and calls = 2000 in
+  let lanes = Host.f32_lanes () in
+  let shapes = List.init (mr * nr) (fun idx -> ((idx / nr) + 1, (idx mod nr) + 1)) in
+  let bank lanes =
+    let src =
+      C_emit.native_unit ~target:C_emit.Nat_portable ~lanes
+        ~kernels:(List.map (fun (r, c) -> (r, c, None)) shapes)
+        ()
+    in
+    let syms = List.map (fun (r, c) -> C_emit.native_sym ~mr:r ~nr:c) shapes in
+    match Result.bind (Jit.compile_c ~src) (fun so -> Jit.load_bytes ~so ~syms) with
+    | Ok slots -> slots
+    | Error e -> failwith ("nest-ab: " ^ e)
+  in
+  let at_lanes = bank lanes and loop = bank 1 in
+  let st = Random.State.make [| 0x4e57 |] in
+  let ac = random_ba st (kc * mr) and bc = random_ba st (kc * nr) in
+  let c = random_ba st (mr * nr) in
+  let time slot =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      Jit.call ~slot ~kc ~a:ac ~ao:0 ~b:bc ~bo:0 ~c ~co:0
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int calls
+  in
+  Fmt.pr "portable nest, neon-f32 %dx%d bank, kc=%d, %d lanes vs 1, best of %d@."
+    mr nr kc lanes rounds;
+  Fmt.pr "%-6s %-7s %10s %10s %7s@." "entry" "form" "loop_us" "lanes_us" "ratio";
+  let ratios =
+    List.mapi
+      (fun i (m, n) ->
+        let t_loop = ref infinity and t_lanes = ref infinity in
+        for _ = 1 to rounds do
+          t_loop := Float.min !t_loop (time loop.(i));
+          t_lanes := Float.min !t_lanes (time at_lanes.(i))
+        done;
+        let paired = C_emit.paired_form ~lanes ~mr:m ~nr:n in
+        Fmt.pr "%-6s %-7s %10.3f %10.3f %7.3f@." (Fmt.str "%dx%d" m n)
+          (if paired then "paired" else "loop")
+          !t_loop !t_lanes (!t_lanes /. !t_loop);
+        (paired, !t_lanes /. !t_loop))
+      shapes
+  in
+  Fmt.pr "median lanes/1 ratio: all %.3f, paired entries %.3f@."
+    (Ledger.Stats.median (List.map snd ratios))
+    (Ledger.Stats.median
+       (List.filter_map (fun (v, x) -> if v then Some x else None) ratios))
+
+(* ------------------------------------------------------------------ *)
 (* lint: the static Fig. 12 gate — every generated kernel must carry    *)
 (* its bounds certificate, fit the register file, match the expected    *)
 (* steady-state census and write only C. Exits 1 on any failure.        *)
@@ -1096,13 +1174,15 @@ let () =
     | "perf-serve" -> run_perf_serve ()
     | "perf-serve-smoke" -> run_perf_serve ~smoke:true ()
     | "lint" -> run_lint ()
+    | "nest-ab" -> run_nest_ab ()
     | "all" ->
         run_lint ();
         Experiments.all ()
     | other ->
         Fmt.epr
           "unknown experiment %S (expected figNN, tabN, ablation, perf, \
-           perf-sim[-smoke], perf-gemm[-smoke], perf-serve[-smoke], lint, all)@."
+           perf-sim[-smoke], perf-gemm[-smoke], perf-serve[-smoke], nest-ab, \
+           lint, all)@."
           other;
         exit 2
   in

@@ -723,6 +723,11 @@ let explain_cmd =
         (match Exo_blis.Registry.native_target_for kit with
         | Some t -> Exo_codegen.C_emit.native_target_name t
         | None -> "none (native tier is f32-only)");
+      let lanes = Exo_native.Host.f32_lanes () in
+      Fmt.pr "  portable lanes  : %d (%dx%d nest %s)@." lanes mr nr
+        (if Exo_codegen.C_emit.paired_form ~lanes ~mr ~nr then
+           "paired: two C columns per vector"
+         else "loop");
       `Ok ()
     with Exo_sched.Sched.Sched_error msg | Invalid_argument msg -> `Error (false, msg)
   in
@@ -902,6 +907,8 @@ let native_cmd =
               write_out (Some (base ^ ".c")) src;
               Fmt.pr "target: %s@."
                 (Exo_codegen.C_emit.native_target_name target);
+              Fmt.pr "portable nests emitted for %d f32 lanes@."
+                (Exo_native.Host.f32_lanes ());
               (match Exo_native.Host.cc () with
               | None ->
                   Fmt.pr "no C compiler on this host: skipping the .so@.";

@@ -228,6 +228,9 @@ type native_info = {
   ni_entries : int;  (** entries serving native code (certified) *)
   ni_rejected : int;  (** eligible entries that failed certification *)
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
+  ni_lanes : int;
+      (** f32 lanes the bank's portable nests were emitted for (1: the
+          loop nest everywhere), 0 without a native bank *)
 }
 
 (* Both executors are bare (uncounted): [e_base] is the pre-upgrade one,
@@ -422,15 +425,17 @@ let native_target_for (kit : Kits.t) : C_emit.native_target option =
     | Some isa when Host.supports isa -> Some C_emit.Nat_intrinsics
     | _ -> Some C_emit.Nat_portable
 
-(* Digest of the portable nests a (mr, nr) bank emits — every entry's,
-   since any intrinsics entry whose proc the emitter rejects gets the nest
-   as its body. It is the part of the source an emitter change moves
-   without touching any other key part; rendering it is cheap and needs no
-   kernel build. *)
-let portable_digest ~(mr : int) ~(nr : int) : string =
+(* Digest of the portable nests a (mr, nr) bank emits at [lanes] — every
+   entry's, since any intrinsics entry whose proc the emitter rejects gets
+   the nest as its body. It is the part of the source an emitter change
+   moves without touching any other key part; rendering it is cheap and
+   needs no kernel build. The lane count is rendered too, so the digest
+   moves with it even for a bank where no shape takes the vector form. *)
+let portable_digest ~(lanes : int) ~(mr : int) ~(nr : int) : string =
   let b = Buffer.create 65536 in
+  Buffer.add_string b (Fmt.str "lanes=%d\n" lanes);
   for idx = 0 to (mr * nr) - 1 do
-    C_emit.portable_body b ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
+    C_emit.portable_body b ~lanes ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -442,7 +447,7 @@ let portable_digest ~(mr : int) ~(nr : int) : string =
    tuning flags are parts too — a .so built by a different compiler, or
    for a different -march, is a different entry. *)
 let native_key (kit : Kits.t) ~(mr : int) ~(nr : int)
-    ~(target : C_emit.native_target) : string =
+    ~(target : C_emit.native_target) ~(lanes : int) : string =
   Store.key
     [
       native_abi;
@@ -456,7 +461,7 @@ let native_key (kit : Kits.t) ~(mr : int) ~(nr : int)
       C_emit.native_target_name target;
       Host.cc_identity ();
       String.concat " " (Host.march_flags ());
-      portable_digest ~mr ~nr;
+      portable_digest ~lanes ~mr ~nr;
     ]
 
 (** The native-ABI C source for a whole kernel bank — one exported
@@ -464,7 +469,7 @@ let native_key (kit : Kits.t) ~(mr : int) ~(nr : int)
     scheduled proc from the kernel memo (already populated by the table
     build); the portable lowering needs only the shapes. *)
 let native_source ~(kit : Kits.t) ~(mr : int) ~(nr : int)
-    ~(target : C_emit.native_target) () : string =
+    ~(target : C_emit.native_target) ~(lanes : int) () : string =
   let kernels =
     List.init (mr * nr) (fun idx ->
         let mr' = (idx / nr) + 1 and nr' = (idx mod nr) + 1 in
@@ -477,12 +482,13 @@ let native_source ~(kit : Kits.t) ~(mr : int) ~(nr : int)
         (mr', nr', proc))
   in
   let header_comment =
-    Fmt.str "native kernel bank: kit=%s table=%dx%d target=%s abi=%s\ncc=%s"
+    Fmt.str
+      "native kernel bank: kit=%s table=%dx%d target=%s abi=%s\ncc=%s\nlanes=%d"
       kit.Kits.name mr nr
       (C_emit.native_target_name target)
-      native_abi (Host.cc_identity ())
+      native_abi (Host.cc_identity ()) lanes
   in
-  C_emit.native_unit ~header_comment ~target ~kernels ()
+  C_emit.native_unit ~header_comment ~target ~lanes ~kernels ()
 
 (* A bound native kernel as a ukr_ba: the same operand contract as the
    Bigarray tier (ranges checked up front, Invalid_argument on violation)
@@ -541,6 +547,7 @@ let no_native reason =
     ni_entries = 0;
     ni_rejected = 0;
     ni_reason = reason;
+    ni_lanes = 0;
   }
 
 (* Upgrade a freshly built table's eligible entries to JIT'd machine code:
@@ -577,25 +584,29 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
                     C_emit.native_sym ~mr:entries.(idx).e_mr ~nr:entries.(idx).e_nr)
                   idxs
               in
-              let try_target target =
+              let try_target (target, lanes) =
                 match
                   Native.get_or_compile ~store
-                    ~key:(native_key kit ~mr ~nr ~target)
-                    ~src:(fun () -> native_source ~kit ~mr ~nr ~target ())
+                    ~key:(native_key kit ~mr ~nr ~target ~lanes)
+                    ~src:(fun () -> native_source ~kit ~mr ~nr ~target ~lanes ())
                     ~syms
                 with
-                | Ok (slots, _from_cache) -> Some (target, slots)
+                | Ok (slots, _from_cache) -> Some (target, lanes, slots)
                 | Error _ -> None
               in
+              (* each target at the host's lane count, then at one lane: a
+                 cc without [__builtin_shufflevector] still gets the loop
+                 nest rather than no native bank *)
               let targets =
-                match primary with
+                (match primary with
                 | C_emit.Nat_portable -> [ C_emit.Nat_portable ]
                 | C_emit.Nat_intrinsics ->
-                    [ C_emit.Nat_intrinsics; C_emit.Nat_portable ]
+                    [ C_emit.Nat_intrinsics; C_emit.Nat_portable ])
+                |> List.concat_map (fun t -> [ (t, Host.f32_lanes ()); (t, 1) ])
               in
               match List.find_map try_target targets with
               | None -> degraded "native compilation failed"
-              | Some (target, slots) ->
+              | Some (target, lanes, slots) ->
                   let upgraded = Array.copy entries in
                   let certified = ref 0 and rejected = ref 0 in
                   List.iteri
@@ -621,6 +632,7 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
                       ni_reason =
                         (if !certified > 0 then "ok"
                          else "all entries failed certification");
+                      ni_lanes = lanes;
                     } )))
 
 (** The native-ABI artifacts for a bank without building a table: the
@@ -630,7 +642,8 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
 let native_emit ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
     (C_emit.native_target * string) option =
   Option.map
-    (fun target -> (target, native_source ~kit ~mr ~nr ~target ()))
+    (fun target ->
+      (target, native_source ~kit ~mr ~nr ~target ~lanes:(Host.f32_lanes ()) ()))
     (native_target_for kit)
 
 (* One immutable table per (kit, mr, nr) for the whole process. Executors

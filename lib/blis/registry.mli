@@ -79,6 +79,11 @@ type native_info = {
   ni_entries : int;  (** entries serving native code (certified) *)
   ni_rejected : int;  (** eligible entries that failed certification *)
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
+  ni_lanes : int;
+      (** f32 lanes the bank's portable nests were emitted for
+          ({!Exo_codegen.C_emit.portable_body}): the host's
+          {!Exo_native.Host.f32_lanes}, or 1 when the host [cc] rejected
+          the vector form; 0 without a native bank *)
 }
 
 type tier =
@@ -154,14 +159,18 @@ val native_abi : string
 (** The store key a bank's shared object is filed under: the ABI tag
     {!native_abi}, kit content, table shape, target, compiler identity and
     tuning flags, plus a digest of the portable nests the emitter renders
-    for the bank — so a .so built by an older emitter or for an older ABI
-    is never loaded as this one's. *)
+    for the bank at [lanes] (the lane count included) — so a .so built by
+    an older emitter, for an older ABI or for another lane count is never
+    loaded as this one's. *)
 val native_key :
   Exo_ukr_gen.Kits.t -> mr:int -> nr:int ->
-  target:Exo_codegen.C_emit.native_target -> string
+  target:Exo_codegen.C_emit.native_target -> lanes:int -> string
 
 (** The native-ABI C source for a whole bank, with the target this host
-    would pick — [ukrgen native]'s artifact, [None] for non-f32 kits. *)
+    would pick, its portable nests at the host's
+    {!Exo_native.Host.f32_lanes} (a [// lanes=] line in the header
+    comment says so) — [ukrgen native]'s artifact, [None] for non-f32
+    kits. *)
 val native_emit :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   (Exo_codegen.C_emit.native_target * string) option

@@ -421,15 +421,20 @@ let native_abi_signature (sym : string) : string =
    ISA it targets — the lowering for hosts without the kit's intrinsics,
    and for any entry whose scheduled proc the emitter rejects.
 
-   Register blocking: when mr is a multiple of 4 the i-loop fills whole
-   128-bit vectors, and the j and i loops are fully unrolled (GCC unroll
-   pragmas; compilers that do not know them ignore them) so the nr×mr
-   accumulators live in vector registers across the k-loop instead of
-   being shuffled through memory. Other shapes keep the rolled nest:
-   unrolled, gcc 12 made 7×7, 7×11 and 5×11 1.8–2.5× slower.
+   Register blocking: when mr is a multiple of 4 the j and i loops are
+   fully unrolled (GCC unroll pragmas; compilers that do not know them
+   ignore them) so the nr×mr accumulators live in vector registers across
+   the k-loop instead of being shuffled through memory; gcc then
+   vectorizes the i-loop at its preferred width, which is 8 lanes on an
+   AVX-512 host. Other shapes keep the rolled nest: unrolled, gcc 12 made
+   7×7, 7×11 and 5×11 1.8–2.5× slower.
    Each element still accumulates in k order — no k-splitting, no
-   reassociation. *)
-let portable_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
+   reassociation. Whether each step is one fused multiply-add is the
+   compiler's choice: gcc 12 contracts the shapes it vectorizes along i,
+   but 24 shapes of the 8×12 bank (nr ∈ {1, 2, 3, 4, 8} with mr ≤ 4, and
+   8×1 to 8×4) differ from one FMA per k on real-valued data — in 8×2,
+   gcc vectorizes along k and rounds each product before the add. *)
+let loop_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
   let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
   let unroll n = if mr mod 4 = 0 then bf "#pragma GCC unroll %d\n" n in
   bf "  float acc[%d][%d];\n" nr mr;
@@ -456,6 +461,65 @@ let portable_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
   bf "    for (int i = 0; i < %d; i++)\n" mr;
   bf "      C[j * %d + i] += acc[j][i];\n" mr
 
+let paired_form ~(lanes : int) ~(mr : int) ~(nr : int) : bool =
+  lanes >= 4 && 2 * mr = lanes && nr mod 2 = 0
+
+(* The same nest written with GNU C vector types of [lanes] f32 lanes,
+   for the shapes {!paired_form} accepts (mr = lanes/2, nr even): each
+   accumulator holds a pair of C columns, lane 2·i+e holding
+   C(i, 2·p+e). Per k, A's mr values are loaded once and each is
+   duplicated by one shuffle; each pair of B values is loaded as one
+   64-bit integer and repeated across the vector (a [vpbroadcastq] on
+   x86); then one vector multiply-add per accumulator, which the compiler
+   contracts to an FMA. So every element gets one FMA per k, in k order,
+   from +0, and is added to C once at the end: bit for bit what
+   {!loop_body} computes wherever the compiler fuses that nest's steps,
+   on any data. The end de-interleaves each accumulator into its two
+   columns of the transposed C tile.
+   Only column pairs: with gcc 12, wider groups (4 or 8 columns per
+   vector, for mr = lanes/4 or lanes/8) and 8-byte float vectors go
+   through a stack round-trip per k and ran 1.9–14× slower than the
+   loop nest. *)
+let paired_body (b : Buffer.t) ~(lanes : int) ~(mr : int) ~(nr : int) : unit =
+  let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let list n f = String.concat ", " (List.init n f) in
+  let pairs = nr / 2 in
+  bf "  typedef float vacc __attribute__((vector_size(%d)));\n" (4 * lanes);
+  bf "  typedef uint64_t vpair __attribute__((vector_size(%d)));\n" (4 * lanes);
+  bf "  typedef float va __attribute__((vector_size(%d)));\n" (4 * mr);
+  bf "  vacc acc[%d];\n" pairs;
+  for p = 0 to pairs - 1 do
+    bf "  acc[%d] = (vacc){0};\n" p
+  done;
+  bf "  for (int k = 0; k < kc; k++) {\n";
+  bf "    va a;\n";
+  bf "    __builtin_memcpy(&a, A + (ptrdiff_t)k * %d, sizeof a);\n" mr;
+  bf "    const vacc ai = __builtin_shufflevector(a, a, %s);\n"
+    (list lanes (fun l -> string_of_int (l / 2)));
+  bf "    const float *restrict bp = B + (ptrdiff_t)k * %d;\n" nr;
+  bf "    uint64_t bq;\n";
+  for p = 0 to pairs - 1 do
+    bf "    __builtin_memcpy(&bq, bp + %d, sizeof bq);\n" (2 * p);
+    bf "    acc[%d] += ai * (vacc)(vpair){%s};\n" p
+      (list (lanes / 2) (fun _ -> "bq"))
+  done;
+  bf "  }\n";
+  for p = 0 to pairs - 1 do
+    for e = 0 to 1 do
+      let c = ((2 * p) + e) * mr in
+      bf "  {\n    va c;\n";
+      bf "    __builtin_memcpy(&c, C + %d, sizeof c);\n" c;
+      bf "    c += __builtin_shufflevector(acc[%d], acc[%d], %s);\n" p p
+        (list mr (fun i -> string_of_int ((2 * i) + e)));
+      bf "    __builtin_memcpy(C + %d, &c, sizeof c);\n  }\n" c
+    done
+  done
+
+let portable_body (b : Buffer.t) ~(lanes : int) ~(mr : int) ~(nr : int) : unit
+    =
+  if paired_form ~lanes ~mr ~nr then paired_body b ~lanes ~mr ~nr
+  else loop_body b ~mr ~nr
+
 (** One native-ABI compilation unit for a whole kernel bank: an exported
     [exo_ukr_<mr>x<nr>] per kernel, each with exactly one body. Under
     [Nat_intrinsics] each scheduled proc is emitted [static] (its
@@ -464,7 +528,7 @@ let portable_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
     fringe shapes) gets the portable nest instead. Under [Nat_portable]
     every kernel is the portable nest. *)
 let native_unit ?(header_comment = "") ~(target : native_target)
-    ~(kernels : (int * int * proc option) list) () : string =
+    ~(lanes : int) ~(kernels : (int * int * proc option) list) () : string =
   let b = Buffer.create 8192 in
   if header_comment <> "" then
     String.split_on_char '\n' header_comment
@@ -500,7 +564,7 @@ let native_unit ?(header_comment = "") ~(target : native_target)
           Buffer.add_string b
             (Fmt.str "  float one = 1.0f;\n  %s(kc, &one, A, B, &one, C);\n"
                pname)
-      | None -> portable_body b ~mr ~nr);
+      | None -> portable_body b ~lanes ~mr ~nr);
       Buffer.add_string b "}\n\n")
     kernels;
   Buffer.contents b

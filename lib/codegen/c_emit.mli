@@ -38,20 +38,32 @@ val native_sym : mr:int -> nr:int -> string
     packed B panel, and a contiguous [nr × mr] (transposed) C tile. *)
 val native_abi_signature : string -> string
 
+(** The portable nest of an (mr, nr) kernel takes its paired vector
+    form at [lanes] f32 lanes per vector: [lanes] ≥ 4, [mr = lanes / 2]
+    and [nr] even, so each accumulator vector holds two columns of C.
+    Otherwise the loop nest serves (so [~lanes:1] keeps it for every
+    shape). *)
+val paired_form : lanes:int -> mr:int -> nr:int -> bool
+
 (** Append the portable C nest of one (mr, nr) kernel body under the
-    native ABI: f32 accumulators in k order, fully unrolled over j and i
-    (register-blocked) when [mr] is a multiple of 4, rolled otherwise. *)
-val portable_body : Buffer.t -> mr:int -> nr:int -> unit
+    native ABI: f32 accumulators in k order from +0, added to C once at
+    the end. Shapes {!paired_form} accepts get GNU C vector types of
+    [lanes] lanes ([__builtin_shufflevector]), one FMA per element per k;
+    the others get the [k, j, i] loop nest, fully unrolled over j and i
+    (register-blocked) when [mr] is a multiple of 4, whose steps are
+    fused where the host compiler chooses to. *)
+val portable_body : Buffer.t -> lanes:int -> mr:int -> nr:int -> unit
 
 (** One native-ABI compilation unit for a whole kernel bank — one exported
     [exo_ukr_<mr>x<nr>] per [(mr, nr, proc)] triple, each with exactly one
     body. Under [Nat_intrinsics], each scheduled proc is emitted [static]
     behind a wrapper that only calls it; procs the emitter rejects (or
     [None]) get the portable nest instead. Under [Nat_portable] the procs
-    are ignored. *)
+    are ignored. [lanes] is passed to {!portable_body}. *)
 val native_unit :
   ?header_comment:string ->
   target:native_target ->
+  lanes:int ->
   kernels:(int * int * Exo_ir.Ir.proc option) list ->
   unit ->
   string

@@ -67,6 +67,9 @@ let isas_v =
 let isas () = isas_v
 let supports isa = List.mem isa isas_v
 
+let f32_lanes () =
+  if supports Avx512 then 16 else if supports Avx2 then 8 else 4
+
 (* Architecture family, for the native-tuning flag spelling: x86 compilers
    take -march=native, AArch64 takes -mcpu=native. Inferred from the same
    cpuinfo census (sse2 is baseline on every x86-64). *)
@@ -153,6 +156,7 @@ let describe () =
       match isas_v with
       | [] -> "generic"
       | l -> String.concat "," (List.map isa_name l) );
+    ("f32_lanes", string_of_int (f32_lanes ()));
     ( "tuning_flags",
       match march_flags () with [] -> "-" | l -> String.concat " " l );
   ]

@@ -35,6 +35,11 @@ val isas : unit -> isa list
 
 val supports : isa -> bool
 
+(** f32 lanes in the widest vector register the host executes: 16 with
+    AVX-512, 8 with AVX2, 4 otherwise (Neon, SSE, RVV at its 128-bit
+    minimum) — the width the portable nest's vector form fills. *)
+val f32_lanes : unit -> int
+
 (** Host-tuning flags in the host compiler's spelling ([-march=native] on
     x86, [-mcpu=native] on AArch64, none where unsupported). *)
 val march_flags : unit -> string list

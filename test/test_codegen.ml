@@ -244,7 +244,7 @@ let test_native_unit_one_body () =
   let kit = Exo_ukr_gen.Kits.avx2_f32 and mr, nr = (4, 6) in
   let shapes = List.init (mr * nr) (fun i -> ((i / nr) + 1, (i mod nr) + 1)) in
   let intrinsics =
-    C.native_unit ~target:C.Nat_intrinsics
+    C.native_unit ~target:C.Nat_intrinsics ~lanes:8
       ~kernels:
         (List.map
            (fun (m, n) ->
@@ -253,7 +253,7 @@ let test_native_unit_one_body () =
       ()
   in
   let portable =
-    C.native_unit ~target:C.Nat_portable
+    C.native_unit ~target:C.Nat_portable ~lanes:8
       ~kernels:(List.map (fun (m, n) -> (m, n, None)) shapes)
       ()
   in
@@ -280,6 +280,57 @@ let test_native_unit_one_body () =
         (contains w "acc[" && not (calls w)))
     (native_wrappers portable)
 
+(* The loop nest as the emitter rendered it before the paired vector
+   form existed, with and without the unroll pragmas (mr a multiple of 4
+   or not). A shape outside {!C.paired_form} must keep exactly this text:
+   the 7×11 nest must stay rolled (unrolled, gcc made it ~2× slower), and
+   an 8×12 kernel on an 8-lane host has no column pairs to form. *)
+let loop_nest ~mr ~nr =
+  let u n = if mr mod 4 = 0 then Printf.sprintf "#pragma GCC unroll %d\n" n else "" in
+  String.concat ""
+    [
+      Printf.sprintf "  float acc[%d][%d];\n" nr mr;
+      u nr; Printf.sprintf "  for (int j = 0; j < %d; j++)\n" nr;
+      u mr; Printf.sprintf "    for (int i = 0; i < %d; i++)\n" mr;
+      "      acc[j][i] = 0.0f;\n";
+      "  for (int k = 0; k < kc; k++) {\n";
+      Printf.sprintf "    const float *restrict a = A + (ptrdiff_t)k * %d;\n" mr;
+      Printf.sprintf "    const float *restrict bp = B + (ptrdiff_t)k * %d;\n" nr;
+      u nr; Printf.sprintf "    for (int j = 0; j < %d; j++) {\n" nr;
+      "      const float bj = bp[j];\n";
+      "#pragma GCC ivdep\n";
+      u mr; Printf.sprintf "      for (int i = 0; i < %d; i++)\n" mr;
+      "        acc[j][i] += a[i] * bj;\n";
+      "    }\n";
+      "  }\n";
+      u nr; Printf.sprintf "  for (int j = 0; j < %d; j++)\n" nr;
+      u mr; Printf.sprintf "    for (int i = 0; i < %d; i++)\n" mr;
+      Printf.sprintf "      C[j * %d + i] += acc[j][i];\n" mr;
+    ]
+
+let test_ineligible_shapes_keep_loop_nest () =
+  let body ~lanes ~mr ~nr =
+    let b = Buffer.create 1024 in
+    C.portable_body b ~lanes ~mr ~nr;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (lanes, mr, nr) ->
+      let name = Printf.sprintf "%dx%d at %d lanes" mr nr lanes in
+      Alcotest.(check bool) (name ^ ": not paired") false
+        (C.paired_form ~lanes ~mr ~nr);
+      Alcotest.(check string) (name ^ ": today's loop nest") (loop_nest ~mr ~nr)
+        (body ~lanes ~mr ~nr))
+    [ (16, 7, 11); (8, 8, 12); (16, 8, 11); (1, 8, 12) ];
+  (* and the eligible shape does change form *)
+  let paired = body ~lanes:16 ~mr:8 ~nr:12 in
+  Alcotest.(check bool) "8x12 at 16 lanes: paired" true
+    (C.paired_form ~lanes:16 ~mr:8 ~nr:12);
+  check_contains "8x12 at 16 lanes" paired "vector_size(64)";
+  check_contains "8x12 at 16 lanes" paired "vacc acc[6];";
+  check_contains "8x12 at 16 lanes" paired
+    "__builtin_shufflevector(a, a, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7)"
+
 let () =
   Alcotest.run "codegen"
     [
@@ -294,6 +345,8 @@ let () =
           Alcotest.test_case "register access rejected" `Quick test_register_access_rejected;
           Alcotest.test_case "native unit: one body per entry" `Quick
             test_native_unit_one_body;
+          Alcotest.test_case "ineligible shapes keep the loop nest" `Quick
+            test_ineligible_shapes_keep_loop_nest;
         ] );
       ( "host-compiler",
         [

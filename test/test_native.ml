@@ -284,11 +284,14 @@ let key_parts abi (kit : K.t) ~mr ~nr ~target =
 let pre_digest_key kit ~mr ~nr ~target =
   Store.key (key_parts "native-v1" kit ~mr ~nr ~target)
 
-(* The full store key under ABI tag [abi], every other part current. *)
-let abi_key abi kit ~mr ~nr ~target =
+(* The full store key under ABI tag [abi] for portable nests emitted at
+   [lanes], every other part current. *)
+let abi_key abi kit ~mr ~nr ~target ~lanes =
   let b = Buffer.create 65536 in
+  Buffer.add_string b (Printf.sprintf "lanes=%d\n" lanes);
   for idx = 0 to (mr * nr) - 1 do
-    Exo_codegen.C_emit.portable_body b ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
+    Exo_codegen.C_emit.portable_body b ~lanes ~mr:((idx / nr) + 1)
+      ~nr:((idx mod nr) + 1)
   done;
   Store.key
     (key_parts abi kit ~mr ~nr ~target
@@ -316,7 +319,8 @@ let test_stale_emitter_so_not_loaded () =
       | Error e -> Alcotest.fail ("decoy did not compile: " ^ e)
       | Ok decoy ->
           let st = Store.of_dir dir in
-          let current = R.native_key kit ~mr ~nr ~target in
+          let lanes = Host.f32_lanes () in
+          let current = R.native_key kit ~mr ~nr ~target ~lanes in
           (* a decoy under [stale] is never loaded: the bank compiles
              afresh under the current key and every entry certifies *)
           let not_loaded name stale =
@@ -341,8 +345,19 @@ let test_stale_emitter_so_not_loaded () =
              current: called through today's stub it would read a garbage
              stride *)
           Alcotest.(check string) "the key formula is the registry's" current
-            (abi_key R.native_abi kit ~mr ~nr ~target);
-          not_loaded "native-v1 key" (abi_key "native-v1" kit ~mr ~nr ~target);
+            (abi_key R.native_abi kit ~mr ~nr ~target ~lanes);
+          not_loaded "native-v1 key"
+            (abi_key "native-v1" kit ~mr ~nr ~target ~lanes);
+          (* a .so whose portable nests were emitted for another lane
+             count: at 16 lanes no shape of this 4×4 bank is paired, so
+             there the rendered lane count alone moves the key *)
+          List.iter
+            (fun other ->
+              if other <> lanes then
+                not_loaded
+                  (Printf.sprintf "lanes=%d key" other)
+                  (abi_key R.native_abi kit ~mr ~nr ~target ~lanes:other))
+            [ 1; 4; 8; 16 ];
           (* control: the same decoy under the current key IS loaded, and
              certification catches it — so a zero hit count above means
              the key moved, not that the decoy was unloadable *)
@@ -356,6 +371,149 @@ let test_stale_emitter_so_not_loaded () =
             hits';
           Alcotest.(check bool) "control: certification rejects the decoy" true
             (t'.R.t_native_info.R.ni_rejected > 0))
+
+(* --- the paired portable nest on real-valued data ------------------------- *)
+
+(* Decision 13's claim beyond the integer probe domain: a paired vector
+   nest performs, for every element, one fused multiply-add per k in k
+   order from +0, then adds the sum to C once. The reference below spells
+   exactly that out with [__builtin_fmaf], one element at a time, so the
+   comparison holds on any data — real values, wide exponents, denormals,
+   NaN and Inf. Each paired entry of the neon-f32 8×12 bank (at 16 lanes,
+   and at the host's lane count) is compiled through the JIT and run
+   against it on the same operands. A host without an FMA unit cannot
+   fuse [a * b + c] at all; there the case skips. *)
+let fma_reference ~mr ~nr =
+  Printf.sprintf
+    "void ref_%dx%d(int kc, const float *A, const float *B, float *C) {\n\
+    \  for (int j = 0; j < %d; j++)\n\
+    \    for (int i = 0; i < %d; i++) {\n\
+    \      float acc = 0.0f;\n\
+    \      for (int k = 0; k < kc; k++)\n\
+    \        acc = __builtin_fmaf(A[k * %d + i], B[k * %d + j], acc);\n\
+    \      C[j * %d + i] += acc;\n\
+    \    }\n\
+     }\n"
+    mr nr nr mr mr nr mr
+
+let test_paired_nest_bit_identical () =
+  match Host.cc () with
+  | None -> skip "no C compiler on host"
+  | Some _ ->
+      let module C_emit = Exo_codegen.C_emit in
+      let module BA1 = Bigarray.Array1 in
+      (* slots: the paired kernels, then the references, in shape order *)
+      let bank ~lanes shapes =
+        let src =
+          C_emit.native_unit ~target:C_emit.Nat_portable ~lanes
+            ~kernels:(List.map (fun (m, n) -> (m, n, None)) shapes)
+            ()
+          ^ String.concat "" (List.map (fun (m, n) -> fma_reference ~mr:m ~nr:n) shapes)
+          ^ "void fuses(int kc, const float *A, const float *B, float *C) {\n\
+            \  (void)kc; C[0] = A[0] * B[0] + C[0];\n\
+             }\n"
+        in
+        let syms =
+          List.map (fun (m, n) -> C_emit.native_sym ~mr:m ~nr:n) shapes
+          @ List.map (fun (m, n) -> Printf.sprintf "ref_%dx%d" m n) shapes
+          @ [ "fuses" ]
+        in
+        match Result.bind (Jit.compile_c ~src) (fun so -> Jit.load_bytes ~so ~syms) with
+        | Ok slots -> slots
+        | Error e -> Alcotest.fail ("bank did not compile: " ^ e)
+      in
+      (* value kinds: real in [-1, 1), wide exponent (2^±100), denormal,
+         signed zero, and — with [specials] — NaN and ±Inf *)
+      let value st ~specials =
+        let r = Random.State.float st 2.0 -. 1.0 in
+        match Random.State.int st 40 with
+        | 0 when specials -> Float.nan
+        | 1 when specials -> Float.infinity
+        | 2 when specials -> Float.neg_infinity
+        | 3 -> -0.0
+        | n when n < 16 -> Float.ldexp r (Random.State.int st 201 - 100)
+        | n when n < 24 -> Float.ldexp r (-140)
+        | _ -> r
+      in
+      let fill st ~specials n =
+        let ba = BA1.create Bigarray.float32 Bigarray.c_layout (max 1 n) in
+        for i = 0 to n - 1 do
+          BA1.set ba i (value st ~specials)
+        done;
+        ba
+      in
+      let bits ba = Array.init (BA1.dim ba) (fun i -> Int64.bits_of_float (BA1.get ba i)) in
+      (* (1 + 2^-12)² − (1 + 2^-11) is 2^-24 when fused, 0 when the
+         product is rounded first *)
+      let host_fuses slot =
+        let x = BA1.of_array Bigarray.float32 Bigarray.c_layout [| Float.ldexp 1.0 (-12) +. 1.0 |] in
+        let c = BA1.of_array Bigarray.float32 Bigarray.c_layout [| -.(Float.ldexp 1.0 (-11) +. 1.0) |] in
+        Jit.call ~slot ~kc:1 ~a:x ~ao:0 ~b:x ~bo:0 ~c ~co:0;
+        BA1.get c 0 <> 0.0
+      in
+      let checked = ref 0 in
+      List.iter
+        (fun lanes ->
+          let shapes =
+            List.filter
+              (fun (m, n) -> C_emit.paired_form ~lanes ~mr:m ~nr:n)
+              (List.init 96 (fun idx -> ((idx / 12) + 1, (idx mod 12) + 1)))
+          in
+          let slots = bank ~lanes shapes and n = List.length shapes in
+          if host_fuses slots.(2 * n) then
+            List.iteri
+              (fun si (mr, nr) ->
+                List.iter
+                  (fun kc ->
+                    List.iter
+                      (fun specials ->
+                        let st =
+                          Random.State.make [| lanes; mr; nr; kc; Bool.to_int specials |]
+                        in
+                        let a = fill st ~specials (kc * mr)
+                        and b = fill st ~specials (kc * nr)
+                        and c1 = fill st ~specials:false (nr * mr) in
+                        let c2 = BA1.create Bigarray.float32 Bigarray.c_layout (nr * mr) in
+                        BA1.blit c1 c2;
+                        Jit.call ~slot:slots.(n + si) ~kc ~a ~ao:0 ~b ~bo:0 ~c:c1 ~co:0;
+                        Jit.call ~slot:slots.(si) ~kc ~a ~ao:0 ~b ~bo:0 ~c:c2 ~co:0;
+                        incr checked;
+                        Alcotest.(check (array int64))
+                          (Printf.sprintf "%dx%d at %d lanes, kc=%d%s: same bits" mr
+                             nr lanes kc
+                             (if specials then ", NaN/Inf" else ""))
+                          (bits c1) (bits c2))
+                      [ false; true ])
+                  [ 0; 1; 2; 3; 8; 17; 512 ])
+              shapes)
+        (List.sort_uniq compare [ 16; Host.f32_lanes () ]);
+      if !checked = 0 then skip "the host compiler does not fuse multiply-add"
+
+(* A host cc that rejects [__builtin_shufflevector] (gcc before 12) still
+   gets a native bank: the registry falls back to the loop nest at one
+   lane instead of degrading the bank to the Bigarray tier. *)
+let test_cc_without_shufflevector () =
+  match Host.cc () with
+  | None -> skip "no C compiler on host"
+  | Some cc ->
+      with_fresh_tables @@ fun dir ->
+      let wrapper = Filename.concat dir "cc-no-shuffle" in
+      Out_channel.with_open_text wrapper (fun oc ->
+          Printf.fprintf oc
+            "#!/bin/sh\n\
+             for f in \"$@\"; do\n\
+            \  case \"$f\" in *.c) grep -q __builtin_shufflevector \"$f\" && exit 1;; esac\n\
+             done\n\
+             exec %s \"$@\"\n"
+            (Filename.quote cc));
+      Unix.chmod wrapper 0o755;
+      with_env Host.env_cc wrapper @@ fun () ->
+      let kit = K.neon_f32 and mr, nr = (8, 2) in
+      let t = R.exo_table ~kit ~mr ~nr () in
+      let ni = t.R.t_native_info in
+      Alcotest.(check int) "every entry native" (mr * nr) ni.R.ni_entries;
+      Alcotest.(check int) "no entry rejected" 0 ni.R.ni_rejected;
+      Alcotest.(check int) "emitted at one lane" 1 ni.R.ni_lanes
 
 (* --- graceful degradation ------------------------------------------------- *)
 
@@ -436,6 +594,10 @@ let () =
             test_corrupted_so_recompiles;
           Alcotest.test_case "stale-emitter .so is not loaded" `Quick
             test_stale_emitter_so_not_loaded;
+          Alcotest.test_case "paired nest: one FMA per k, on any data" `Quick
+            test_paired_nest_bit_identical;
+          Alcotest.test_case "cc without shufflevector: loop-nest bank" `Quick
+            test_cc_without_shufflevector;
         ] );
       ( "degradation",
         [
