@@ -92,9 +92,9 @@ let info ?unit_ name v = Ledger.metric ?unit_ Ledger.Info name v
 let info_int ?unit_ name n = info ?unit_ name (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
-(* perf: the compiled execution engine vs the tree-walking interpreter  *)
-(* on the paper's base kernel, plus a tuner-sweep timing. Writes the    *)
-(* measurements to BENCH_interp.json.                                   *)
+(* perf: the serving tape executor of the non-f32 kits against the    *)
+(* tree-walking interpreter on the 8x12 entry, plus a tuner-sweep     *)
+(* timing. Writes the measurements to BENCH_interp.json.              *)
 
 (** Adaptive timing: run [f] until at least [min_time] CPU-seconds have
     accumulated, return seconds per run. *)
@@ -113,31 +113,44 @@ let time_runs ?(min_time = 0.3) (f : unit -> unit) : float =
 
 let run_perf () =
   let module R = Exo_blis.Registry in
+  let module K = Exo_ukr_gen.Kits in
   let machine = Exo_isa.Machine.carmel in
   let kc = 512 and mr = 8 and nr = 12 in
-  Fmt.pr "Execution-engine benchmark: 8x12 f32 kernel, one call at kc=%d@." kc;
+  Fmt.pr "Tape-executor benchmark: the serving 8x12 entry, one call at kc=%d@." kc;
   Fmt.pr "%s@." (String.make 78 '-');
   let st = Random.State.make [| 42 |] in
   let ac = random_ba st (kc * mr) and bc = random_ba st (kc * nr) in
   let c0 = random_ba st (nr * mr) in
-  let compiled = R.oracle_entry R.Closure ~mr ~nr ()
-  and interp = R.oracle_entry R.Interp ~mr ~nr () in
-  (* sanity: both engines produce the identical C tile *)
-  let c1 = ba_copy c0 and c2 = ba_copy c0 in
-  compiled ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c1 ~co:0;
-  interp ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c2 ~co:0;
-  if c1 <> c2 then failwith "perf: compiled and interpreted kernels disagree";
-  Fmt.pr "engines agree bit-exactly on the C tile@.";
-  let c = ba_copy c0 in
-  let t_compiled =
-    time_runs (fun () -> compiled ~kc ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0)
+  let per_kit (kit : K.t) tag =
+    let e = R.entry (R.exo_table ~kit ~mr ~nr ()) ~mr ~nr in
+    if e.R.e_tier <> R.Bigarray then
+      failwith ("perf: the " ^ kit.K.name ^ " 8x12 entry is not served by the tape");
+    let tape = e.R.e_exec and interp = R.oracle_entry ~kit ~mr ~nr () in
+    (* sanity: tape and interpreter produce the identical C tile *)
+    let c1 = ba_copy c0 and c2 = ba_copy c0 in
+    tape ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c1 ~co:0;
+    interp ~kc ~ac ~ao:0 ~bc ~bo:0 ~c:c2 ~co:0;
+    if c1 <> c2 then failwith ("perf: " ^ kit.K.name ^ " tape and interpreter disagree");
+    let c = ba_copy c0 in
+    let t_tape = time_runs (fun () -> tape ~kc ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0) in
+    let t_interp = time_runs (fun () -> interp ~kc ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0) in
+    let speedup = t_interp /. t_tape in
+    Fmt.pr "%-9s interpreter %10.1f us/call | tape %10.1f us/call | %5.1fx \
+            (agree bit-exactly)@."
+      kit.K.name (t_interp *. 1e6) (t_tape *. 1e6) speedup;
+    [
+      Ledger.metric ~unit_:"us" Ledger.Lower
+        (Printf.sprintf "interp.%s_tape_us_per_call" tag)
+        (t_tape *. 1e6);
+      info ~unit_:"us" (Printf.sprintf "interp.%s_interpreted_us_per_call" tag)
+        (t_interp *. 1e6);
+      Ledger.metric ~unit_:"x" Ledger.Higher
+        (Printf.sprintf "interp.%s_speedup" tag)
+        speedup;
+    ]
   in
-  let t_interp = time_runs (fun () -> interp ~kc ~ac ~ao:0 ~bc ~bo:0 ~c ~co:0) in
-  let speedup = t_interp /. t_compiled in
-  Fmt.pr "tree-walking interpreter : %12.1f us/call@." (t_interp *. 1e6);
-  Fmt.pr "compiled closures        : %12.1f us/call@." (t_compiled *. 1e6);
-  Fmt.pr "speedup                  : %12.1fx %s@." speedup
-    (if speedup >= 10.0 then "(>= 10x: ok)" else "(below the 10x target!)");
+  let f16 = per_kit K.neon_f16 "f16" in
+  let i32 = per_kit K.neon_i32 "i32" in
   (* tuner sweep: time fresh problems (distinct k) so the memo is cold *)
   let k_base = ref 100 in
   let t_sweep =
@@ -145,18 +158,15 @@ let run_perf () =
         incr k_base;
         ignore (Exo_blis.Tuner.sweep machine ~m:784 ~n:512 ~k:!k_base))
   in
-  Fmt.pr "tuner sweep (cold memo)  : %12.1f us/sweep@." (t_sweep *. 1e6);
+  Fmt.pr "tuner sweep (cold memo) : %10.1f us/sweep@." (t_sweep *. 1e6);
   write_bench ~file:"BENCH_interp.json" ~bench:"perf"
-    ~labels:[ ("kernel", Printf.sprintf "uk_%dx%d_neon-f32" mr nr) ]
-    [
-      Ledger.metric ~unit_:"us" Ledger.Lower "interp.compiled_us_per_call"
-        (t_compiled *. 1e6);
-      info ~unit_:"us" "interp.interpreted_us_per_call" (t_interp *. 1e6);
-      Ledger.metric ~unit_:"x" Ledger.Higher "interp.speedup" speedup;
-      Ledger.metric ~unit_:"us" Ledger.Lower "tuner.sweep_cold_us"
-        (t_sweep *. 1e6);
-      info_int "interp.kc" kc;
-    ]
+    ~labels:[ ("kernel", Printf.sprintf "uk_%dx%d_neon-f16,neon-i32" mr nr) ]
+    (f16 @ i32
+    @ [
+        Ledger.metric ~unit_:"us" Ledger.Lower "tuner.sweep_cold_us"
+          (t_sweep *. 1e6);
+        info_int "interp.kc" kc;
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* perf-sim: the simulation/sweep engine benchmark. Measures the        *)
@@ -272,17 +282,18 @@ let run_perf_sim ?(smoke = false) () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* perf-gemm: the executable GEMM path. Measures the kernel tiers       *)
-(* (closure oracle, monomorphized Bigarray, native JIT) on one 8x12     *)
-(* call at paper kc, times a full paper-scale GEMM through the          *)
-(* macro-kernel (validated exactly against naive f32 AND the Bigarray   *)
-(* bank, with zero closure fallbacks demanded of the table), checks     *)
-(* bit-identical C at pool widths 1/2/4 at the default blocking —       *)
-(* including a small-n ResNet50 layer shape with a single jc block —    *)
-(* times the serving entries ResNet50 dispatches, and runs a DNN        *)
-(* workload slice through Gemm.batch_ba. Writes                         *)
-(* BENCH_gemm.json; any numeric mismatch, fallback dispatch, or width   *)
-(* divergence is a hard process failure so CI can assert via exit code. *)
+(* perf-gemm: the executable GEMM path. Times the kernel tiers        *)
+(* (monomorphized Bigarray, native JIT) on one 8x12 call at paper kc, *)
+(* each checked bit for bit against the interpreter oracle, times a   *)
+(* full paper-scale GEMM through the macro-kernel (validated exactly  *)
+(* against naive f32 AND the Bigarray bank, with zero interpreter     *)
+(* fallbacks demanded of the table), checks bit-identical C at pool   *)
+(* widths 1/2/4 at the default blocking — including a small-n         *)
+(* ResNet50 layer shape with a single jc block — times the serving    *)
+(* entries ResNet50 dispatches, and runs a DNN workload slice through *)
+(* Gemm.batch_ba. Writes BENCH_gemm.json; any numeric mismatch,       *)
+(* fallback dispatch, or width divergence is a hard process failure   *)
+(* so CI can assert via exit code.                                    *)
 
 let run_perf_gemm ?(smoke = false) () =
   let module R = Exo_blis.Registry in
@@ -294,20 +305,15 @@ let run_perf_gemm ?(smoke = false) () =
   Fmt.pr "Executable-GEMM benchmark%s@." (if smoke then " (smoke)" else "");
   Fmt.pr "%s@." (String.make 78 '-');
   (* 1. one micro-kernel call per tier at the paper blocking's kc: the
-     closure oracle, the Bigarray executor and the serving (native) entry *)
+     Bigarray executor and the serving (native) entry, each checked against
+     the interpreter oracle *)
   let kc = if smoke then 128 else 512 in
   let mr = 8 and nr = 12 in
   let st = Random.State.make [| 42 |] in
   let ac_ba = random_ba st (kc * mr) and bc_ba = random_ba st (kc * nr) in
   let c0 = random_ba st (nr * mr) in
-  let closure = R.oracle_entry R.Closure ~mr ~nr () in
   let c1 = ba_copy c0 in
-  closure ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c1 ~co:0;
-  let t_closure =
-    let c = ba_copy c0 in
-    time_runs ~min_time (fun () ->
-        closure ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
-  in
+  R.oracle_entry ~mr ~nr () ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c1 ~co:0;
   (* the monomorphized Bigarray tier on the same tile, through the real
      dispatch table (counting wrapper included) *)
   let table = R.exo_table ~mr ~nr () in
@@ -341,14 +347,13 @@ let run_perf_gemm ?(smoke = false) () =
   let ba_ukr = (R.entry table ~mr ~nr).R.e_base in
   let c3 = ba_copy c0 in
   ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c3 ~co:0;
-  if c3 <> c1 then failwith "perf-gemm: Bigarray and closure kernels disagree";
-  Fmt.pr "kernel tiers (closure, Bigarray) agree bit-exactly on the C tile@.";
+  if c3 <> c1 then failwith "perf-gemm: Bigarray and interpreter kernels disagree";
+  Fmt.pr "kernel tiers (interpreter, Bigarray) agree bit-exactly on the C tile@.";
   let t_ba =
     let c = ba_copy c0 in
     time_runs ~min_time (fun () ->
         ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
-  let ba_speedup = t_closure /. t_ba in
   (* the serving table entry: JIT'd machine code when the native upgrade
      certified this host, the Bigarray executor otherwise *)
   let nat_info = table.R.t_native_info in
@@ -356,7 +361,7 @@ let run_perf_gemm ?(smoke = false) () =
   let c4 = ba_copy c0 in
   serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c4 ~co:0;
   if c4 <> c1 then
-    failwith "perf-gemm: serving (native) and closure kernels disagree";
+    failwith "perf-gemm: serving (native) and interpreter kernels disagree";
   let t_native_ukr =
     let c = ba_copy c0 in
     time_runs ~min_time (fun () ->
@@ -367,10 +372,8 @@ let run_perf_gemm ?(smoke = false) () =
     (if nat_info.R.ni_enabled then "enabled" else "DEGRADED")
     nat_info.R.ni_target nat_info.R.ni_lanes nat_info.R.ni_cc
     nat_info.R.ni_entries (mr * nr) nat_info.R.ni_reason;
-  Fmt.pr "closure engine     : %12.1f us/call@." (t_closure *. 1e6);
   Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
   Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
-  Fmt.pr "speedup (bigarray) : %12.1fx vs closure@." ba_speedup;
   Fmt.pr "speedup (native)   : %12.1fx vs bigarray (per ukr call)@."
     (t_ba /. t_native_ukr);
   (* 2. a full paper-scale GEMM through the macro-kernel, validated exactly
@@ -390,16 +393,16 @@ let run_perf_gemm ?(smoke = false) () =
   in
   R.reset_dispatch_counts ();
   let c_serial, t_serial = run_width 1 in
-  (* the fallbacks-zero gate: with the complete monomorphized table no
-     tile of a full f32 GEMM may reach the closure engine *)
+  (* the fallbacks-zero gate: with the complete table no tile of a full
+     GEMM may reach the interpreter fallback *)
   let native_calls_run, ba_calls_run, fallback_calls = R.ukr_tier_counts () in
   let fast_calls = native_calls_run + ba_calls_run in
-  Fmt.pr "dispatch: %d monomorphized calls, %d closure fallbacks@." fast_calls
+  Fmt.pr "dispatch: %d monomorphized calls, %d interpreter fallbacks@." fast_calls
     fallback_calls;
   Fmt.pr "tier dispatch: %d native, %d bigarray, %d fallback@." native_calls_run
     ba_calls_run fallback_calls;
   if fallback_calls > 0 then
-    failwith "perf-gemm: closure-engine fallbacks fired on the full GEMM run";
+    failwith "perf-gemm: interpreter fallbacks fired on the full GEMM run";
   (* with the native tier serving, EVERY tile of the full GEMM must
      dispatch into machine code — a Bigarray call here means a hole in the
      upgraded bank *)
@@ -617,7 +620,7 @@ let run_perf_gemm ?(smoke = false) () =
   let _, _, phase2_fallback = R.ukr_tier_counts () in
   if phase2_fallback > 0 then
     failwith
-      "perf-gemm: closure-engine fallbacks fired in the sweep/batch phases";
+      "perf-gemm: interpreter fallbacks fired in the sweep/batch phases";
   (* 5. measured-vs-model attribution for the run ledger: the analytical
      kernel model's predicted solo GFLOPS and machine peak, the cache
      simulator's DRAM-traffic prediction under this blocking, and a traced
@@ -722,8 +725,6 @@ let run_perf_gemm ?(smoke = false) () =
        info ~unit_:"GFLOPS" "attr.model_peak_gflops" model_peak;
        info ~unit_:"MB" "attr.sim_dram_mb" sim_dram_mb;
        info_int "ukr.kc" kc;
-       info ~unit_:"us" "ukr.closure_us_per_call" (t_closure *. 1e6);
-       info ~unit_:"x" "ukr.bigarray_speedup" ba_speedup;
        info_int ~unit_:"count" "native.entries" nat_info.R.ni_entries;
        info_int ~unit_:"count" "native.rejected" nat_info.R.ni_rejected;
        info_int ~unit_:"count" "tierlint.proved" tk.L.tk_proved;

@@ -47,7 +47,10 @@ let kit_conv =
 
 let kit =
   Arg.(value & opt kit_conv Kits.neon_f32 & info [ "kit" ] ~docv:"KIT"
-         ~doc:"Target instruction kit: neon-f32, neon-f16, avx512-f32, rvv-f32.")
+         ~doc:
+           ("Target instruction kit: "
+           ^ String.concat ", " (List.map (fun k -> k.Kits.name) Kits.all)
+           ^ "."))
 
 let mr = Arg.(value & opt int 8 & info [ "mr" ] ~docv:"MR" ~doc:"Kernel rows.")
 let nr = Arg.(value & opt int 12 & info [ "nr" ] ~docv:"NR" ~doc:"Kernel columns.")

@@ -5,24 +5,18 @@
 
     - [EXO]: the generated family — one specialized kernel per (mr, nr),
       produced on demand by {!Exo_ukr_gen.Family} and cached; numerics run
-      through the serving table (native JIT code, else the monomorphized
-      Bigarray executors), checked against two oracles that run the
-      scheduled IR itself: the compiled closure engine and the
-      tree-walking interpreter.
+      through the serving table (native JIT code, else the Bigarray
+      executors), checked against the oracle that runs the scheduled IR
+      itself: the tree-walking interpreter.
     - [BLIS]: the monolithic 8×12 assembly kernel model (fringe logic,
       prefetch-capable).
     - [NEON]: the monolithic 8×12 hand-written-intrinsics kernel model
       (fringe logic, compiler-scheduled).
 
     Domain-safety: generated kernels are immutable IR values, so one
-    process-wide {!Exo_par.Memo} serves every domain. Compiled kernels
-    ({!Exo_interp.Compile.t}) are NOT re-entrant — each carries a mutable
-    argument frame and fused-loop plan cells — so the compiled cache is
-    per-domain ([Domain.DLS]): each domain compiles its own closure once
-    and reuses it freely. The kernel table is the exception: its executors
-    are re-entrant (per-call accumulators, or an oracle engine resolved
-    per domain at call time), so one immutable table per (kit, mr, nr) is
-    built once and shared by every domain.
+    process-wide {!Exo_par.Memo} serves every domain. The kernel table's
+    executors are re-entrant (per-call scratch), so one immutable table per
+    (kit, mr, nr) is built once and shared by every domain.
 
     The table holds one {!entry} record per (mr', nr'): shape, Tierlint
     verdict, tier, and two bare executors (pre-upgrade and serving). Build-
@@ -54,23 +48,6 @@ let exo_kernel ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : Family.kernel
       (* persistent read-through: a warm ambient store answers from disk *)
       Family.generate_cached ~kit ~mr ~nr ())
 
-(* Compile-once/run-many: the closure-compiled form of each generated
-   kernel, cached alongside the IR so every micro-kernel call after the
-   first is a plain closure invocation. Per-domain — see the module
-   header. *)
-let compiled_key : (string * int * int, C.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let exo_compiled ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : C.t =
-  let tbl = Domain.DLS.get compiled_key in
-  let key = (kit.Kits.name, mr, nr) in
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
-      let c = C.compile (exo_kernel ~kit ~mr ~nr ()).Family.proc in
-      Hashtbl.replace tbl key c;
-      c
-
 (** Model impl for a generated kernel. *)
 let exo_impl ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : KM.impl =
   let k = exo_kernel ~kit ~mr ~nr () in
@@ -82,59 +59,45 @@ let blis_impl ?kit () : KM.impl = KM.blis_asm_8x12 (base_8x12 ?kit ())
 let neon_impl ?kit () : KM.impl = KM.neon_intrinsics_8x12 (base_8x12 ?kit ())
 
 (* ------------------------------------------------------------------ *)
-(* Oracles                                                             *)
-
-type oracle = Closure | Interp
+(* The interpreter oracle                                              *)
 
 (* Eager, not [lazy]: a [Lazy.t] forced concurrently from two domains
    raises [Lazy.Undefined] in OCaml 5. The buffer is read-only (it backs
    the α/β scalar arguments), so sharing one across domains is safe. *)
 let ones_buf = B.of_array Exo_ir.Dtype.F32 [ 1 ] [| 1.0 |]
 
-(* A row-major buffer view over a whole float array. *)
-let view dt (data : float array) (dims : int list) : B.t =
-  let dims = Array.of_list dims in
-  let n = Array.length dims in
-  let strides = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    strides.(i) <- strides.(i + 1) * dims.(i + 1)
-  done;
-  { B.data; dtype = dt; dims; strides; offset = 0 }
-
 (* The one Bigarray copy-through adapter: copy the tile's operands out to
-   float arrays, run the engine over buffer views, copy C back. The engine
-   is resolved at call time (the compiled closure per domain), so the
+   float arrays, run the interpreter over row-major buffers of the
+   kernel's dtype, copy C back. Every call builds its own buffers, so the
    entry is re-entrant. *)
-let oracle_entry ?(kit = Kits.neon_f32) (o : oracle) ~(mr : int) ~(nr : int)
-    () : C.ukr_ba =
+let interp_entry ~(dt : Exo_ir.Dtype.t) (proc : Exo_ir.Ir.proc) ~(mr : int)
+    ~(nr : int) : C.ukr_ba =
   let module BA1 = Bigarray.Array1 in
-  let dt = kit.Kits.dt in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
-    let af = Array.init (max 1 (kc * mr)) (fun i -> BA1.get ac (ao + i)) in
-    let bf = Array.init (max 1 (kc * nr)) (fun i -> BA1.get bc (bo + i)) in
-    let cf = Array.init (nr * mr) (fun i -> BA1.get c (co + i)) in
-    let args =
+    let copy ba o n = Array.init n (fun i -> BA1.get ba (o + i)) in
+    let cf = copy c co (nr * mr) in
+    I.run proc
       [
         I.VInt kc;
         I.VBuf ones_buf;
-        I.VBuf (view dt af [ kc; mr ]);
-        I.VBuf (view dt bf [ kc; nr ]);
+        I.VBuf (B.of_array dt [ kc; mr ] (copy ac ao (kc * mr)));
+        I.VBuf (B.of_array dt [ kc; nr ] (copy bc bo (kc * nr)));
         I.VBuf ones_buf;
-        I.VBuf (view dt cf [ nr; mr ]);
-      ]
-    in
-    (match o with
-    | Closure -> C.run (exo_compiled ~kit ~mr ~nr ()) args
-    | Interp -> I.run (exo_kernel ~kit ~mr ~nr ()).Family.proc args);
-    for i = 0 to (nr * mr) - 1 do
-      BA1.set c (co + i) cf.(i)
-    done
+        I.VBuf (B.of_array dt [ nr; mr ] cf);
+      ];
+    Array.iteri (fun i v -> BA1.set c (co + i) v) cf
 
-let oracle_bank ?kit (o : oracle) ~(mr : int) ~(nr : int) () :
-    unit -> C.ukr_ba array =
+(* The kernel is resolved per call (a memo lookup), so building an entry
+   or a bank generates nothing. *)
+let oracle_entry ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : C.ukr_ba =
+ fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
+  interp_entry ~dt:kit.Kits.dt (exo_kernel ~kit ~mr ~nr ()).Family.proc ~mr ~nr
+    ~kc ~ac ~ao ~bc ~bo ~c ~co
+
+let oracle_bank ?kit ~(mr : int) ~(nr : int) () : unit -> C.ukr_ba array =
   let bank =
     Array.init (mr * nr) (fun idx ->
-        oracle_entry ?kit o ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1) ())
+        oracle_entry ?kit ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1) ())
   in
   fun () -> bank
 
@@ -258,11 +221,11 @@ type table = {
 let bare ~mr ~nr ~proved tier u =
   { e_mr = mr; e_nr = nr; e_proved = proved; e_tier = tier; e_base = u; e_exec = u }
 
-(* Hole filler: the Closure oracle entry. Correct for every kit
-   (integer-domain exact, like the engine itself) but slow — its call
-   count is what the bench's fallbacks-zero gate pins at 0 for f32 runs. *)
+(* Hole filler for a proc the tape lowering refuses: the interpreter
+   oracle entry. Correct for every kit but slow — its call count is what
+   the bench's fallbacks-zero gate pins at 0. *)
 let fallback_entry ~(kit : Kits.t) ~mr ~nr ~proved =
-  bare ~mr ~nr ~proved Fallback (oracle_entry ~kit Closure ~mr ~nr ())
+  bare ~mr ~nr ~proved Fallback (oracle_entry ~kit ~mr ~nr ())
 
 let table_holes (t : table) : int =
   Array.fold_left (fun n e -> if e.e_tier = Fallback then n + 1 else n) 0 t.t_entries
@@ -300,7 +263,7 @@ type table_artifact = {
   ta_summary : C.Summary.t option;
 }
 
-let entry_abi = "regtable-v1"
+let entry_abi = "regtable-v2"
 let entry_kind = "kernel"
 
 (* The content address: kit name + kit content digest (invalidates on any
@@ -647,9 +610,8 @@ let native_emit ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
     (native_target_for kit)
 
 (* One immutable table per (kit, mr, nr) for the whole process. Executors
-   are re-entrant (they allocate their accumulator per call; the fallback
-   resolves its per-domain engine at call time), so every domain of a pool
-   shares the same table — no per-domain rebuilds. *)
+   are re-entrant (they allocate their scratch per call), so every domain
+   of a pool shares the same table — no per-domain rebuilds. *)
 let table_memo : (string * int * int, table) Memo.t = Memo.create ()
 
 let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
@@ -684,12 +646,11 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
 
 (** Forget every memoized kernel and table so the next {!exo_table} call
     exercises the cold path — the bench's cold/warm A-B harness and the
-    cache tests need a genuine rebuild inside one process. Also resets the
-    calling domain's compiled-closure caches. Not for production paths. *)
+    cache tests need a genuine rebuild inside one process. Not for
+    production paths. *)
 let clear_memos_for_bench () =
   Memo.clear cache;
-  Memo.clear table_memo;
-  Hashtbl.reset (Domain.DLS.get compiled_key)
+  Memo.clear table_memo
 
 (** The {!Gemm.blis_ba} [kernels] thunk: called once per pool task, it
     resolves the shared table (building it on first use) and hands back

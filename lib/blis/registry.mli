@@ -7,13 +7,6 @@
 val exo_kernel :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_ukr_gen.Family.kernel
 
-(** The closure-compiled form of a generated kernel — the engine behind
-    the {!Closure} oracle. Compiled once per (kit, mr, nr) PER DOMAIN and
-    cached in domain-local storage: a compiled kernel carries a mutable
-    argument frame and is not re-entrant across domains. *)
-val exo_compiled :
-  ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_interp.Compile.t
-
 (** Model impl for a generated kernel. *)
 val exo_impl :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> Exo_sim.Kernel_model.impl
@@ -24,40 +17,43 @@ val base_8x12 : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_ir.Ir.proc
 val blis_impl : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_sim.Kernel_model.impl
 val neon_impl : ?kit:Exo_ukr_gen.Kits.t -> unit -> Exo_sim.Kernel_model.impl
 
-(** {1 Oracles}
+(** {1 The oracle}
 
-    The two reference engines every serving tier is checked against: the
-    compiled closure engine and the tree-walking interpreter, each run on
-    the scheduled IR of the generated kernel. *)
+    The reference every serving tier is checked against: the tree-walking
+    {!Exo_interp.Interp}, run on the scheduled IR of the generated
+    kernel. *)
 
-type oracle =
-  | Closure  (** {!Exo_interp.Compile.run} — also serves non-f32 holes *)
-  | Interp  (** {!Exo_interp.Interp.run} — the definitional oracle *)
+(** Any proc with the micro-kernel signature [(KC, alpha, Ac[KC,mr],
+    Bc[KC,nr], beta, C[nr,mr])] through the interpreter, as an executor:
+    the Bigarray operands are copied out to float arrays, run over
+    buffers of dtype [dt], and the C tile is copied back. Slow,
+    definitional, and re-entrant (every call builds its own buffers). *)
+val interp_entry :
+  dt:Exo_ir.Dtype.t -> Exo_ir.Ir.proc -> mr:int -> nr:int ->
+  Exo_interp.Compile.ukr_ba
 
-(** One mr×nr tile through an oracle engine, as a table entry: the
-    Bigarray operands are copied out to float arrays, run through the
-    engine over buffer views, and the C tile is copied back. Slow, exact
-    on integer data, and re-entrant (the engine is resolved per domain at
-    call time). *)
+(** One mr×nr tile of a generated family through {!interp_entry}, as a
+    table entry. *)
 val oracle_entry :
-  ?kit:Exo_ukr_gen.Kits.t -> oracle -> mr:int -> nr:int -> unit ->
+  ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   Exo_interp.Compile.ukr_ba
 
 (** A whole (mr' × nr') table of {!oracle_entry} values in {!exo_bank}'s
     layout — the reference side of GEMM-level cross-checks. Uncounted:
     oracle calls never touch the dispatch counters. *)
 val oracle_bank :
-  ?kit:Exo_ukr_gen.Kits.t -> oracle -> mr:int -> nr:int -> unit ->
+  ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   unit -> Exo_interp.Compile.ukr_ba array
 
 (** {1 The monomorphized (mr' × nr') kernel table}
 
     One {!entry} record per (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr,
     flat at index [(mr'-1)·nr + nr'-1]. Each entry serves JIT'd native
-    code where the upgrade certified it, the monomorphized Bigarray
-    executor elsewhere, and the {!Closure} oracle for the holes of non-f32
-    kits — so fringe macro-kernel calls dispatch by plain array indexing
-    and never fall back on an f32 kit. Built once per (kit, mr, nr) for
+    code where the upgrade certified it and the Bigarray executor
+    elsewhere (the monomorphized nest for f32, the tape for other dtypes);
+    only a proc the tape lowering refuses would fall back to the
+    interpreter oracle — so fringe macro-kernel calls dispatch by plain
+    array indexing and never fall back. Built once per (kit, mr, nr) for
     the whole process and shared by every domain — the executors are
     re-entrant (per-call accumulators), so repeated {!exo_table} calls
     return the physically same table from any domain.
@@ -88,8 +84,12 @@ type native_info = {
 
 type tier =
   | Native  (** JIT'd machine code, certified bit-exact against [e_base] *)
-  | Bigarray  (** the certified monomorphized Bigarray executor *)
-  | Fallback  (** the {!Closure} oracle round-trip (non-f32 kits only) *)
+  | Bigarray
+      (** the certified Bigarray executor: the monomorphized nest for f32,
+          the tape executor for other dtypes *)
+  | Fallback
+      (** the {!oracle_entry} round-trip, for a proc the tape lowering
+          refuses; no generated entry of the six kits needs it *)
 
 type entry = {
   e_mr : int;
@@ -100,7 +100,7 @@ type entry = {
           entries entered service without the dynamic integer probe. *)
   e_tier : tier;  (** the tier [e_exec] serves from *)
   e_base : Exo_interp.Compile.ukr_ba;
-      (** the pre-upgrade executor (Bigarray, or the oracle for a
+      (** the pre-upgrade executor (Bigarray, or the interpreter for a
           [Fallback] hole): the certification oracle. Uncounted. *)
   e_exec : Exo_interp.Compile.ukr_ba;
       (** the serving executor, uncounted; [e_base] unless [Native] *)
@@ -121,7 +121,7 @@ type table = {
 val exo_table :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> table
 
-(** Entries served by the closure-engine round-trip; 0 for the f32 kits. *)
+(** Entries served by the interpreter fallback; 0 for all six kits. *)
 val table_holes : table -> int
 
 val table_complete : table -> bool
@@ -175,9 +175,9 @@ val native_emit :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   (Exo_codegen.C_emit.native_target * string) option
 
-(** Forget every memoized kernel, table and compiled closure (calling
-    domain) so the next {!exo_table} exercises the cold path — for the
-    bench's cold/warm A-B harness and the cache tests only. *)
+(** Forget every memoized kernel and table so the next {!exo_table}
+    exercises the cold path — for the bench's cold/warm A-B harness and
+    the cache tests only. *)
 val clear_memos_for_bench : unit -> unit
 
 (** {1 Dispatch counters}

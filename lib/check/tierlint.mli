@@ -2,7 +2,7 @@
 
     The Bigarray tier ({!Exo_interp.Compile.to_ukr_ba}) runs [unsafe]
     accesses behind one hoisted range check, and was first certified only
-    *dynamically* (integer probes against the closure engine). This module
+    *dynamically* (integer probes through the interpreter). This module
     is a static validator over the auditable
     {!Exo_interp.Compile.Summary} of each kernel's lowered tape: the
     summary's affine addresses are evaluated in the
@@ -54,5 +54,5 @@ val check : Exo_interp.Compile.Summary.t -> report
     the statically computed write-set, enumerable because every store
     address is affine in [k] with constant coefficients. The qcheck oracle
     pins this against the touched-index set observed dynamically from the
-    closure engine. Sorted, duplicate-free. *)
+    interpreter. Sorted, duplicate-free. *)
 val c_write_indices : Exo_interp.Compile.Summary.t -> kc:int -> int list

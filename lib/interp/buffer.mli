@@ -15,6 +15,9 @@ type t = {
 
 exception Bounds of string
 
+(** Row-major strides (in elements) of the given extents. *)
+val row_major_strides : int array -> int array
+
 (** Fresh buffer; default init is NaN so a read of a never-written element
     poisons the result and tests catch missing stores. *)
 val create : ?init:float -> Exo_ir.Dtype.t -> int list -> t

@@ -1,38 +1,9 @@
-(** Compile-once/run-many execution engine.
-
-    [compile] lowers a procedure to nested OCaml closures: symbols become
-    integer frame slots (no [Sym.Map] at runtime), expressions split
-    statically into unboxed int and float paths, buffer accesses compute
-    their flat address directly against the strides, and instruction calls
-    run their semantic bodies' compiled closures with preconditions checked
-    in a once-per-call prologue.
-
-    Observationally identical to {!Interp.run} — same dtype rounding, bounds
-    checks, and precondition failures (it raises {!Interp.Runtime_error} and
-    {!Buffer.Bounds} like the interpreter). The tree-walking {!Interp} stays
-    as the definitional oracle; a qcheck property pins bit-identical buffers
-    between the two. Use this engine anywhere a kernel runs more than once:
-    the GEMM oracle and non-f32 kernel entries, tuner sweeps, and
-    property-test harnesses.
-
-    The module also holds the micro-kernel tier built on top of the
-    engine: the tape lowering whose {!Summary} {!Exo_check.Tierlint}
-    proves over, and the monomorphized float32-Bigarray executors that
-    serve the GEMM driver wherever the native tier does not. *)
-
-type t
-
-(** Compile a procedure. Instruction callees are compiled once and shared
-    across all their call sites. *)
-val compile : Exo_ir.Ir.proc -> t
-
-(** The source procedure. *)
-val proc : t -> Exo_ir.Ir.proc
-
-(** Run a compiled procedure: [VInt] for size/index/bool arguments, [VBuf]
-    for tensors (mutated in place) — the same conventions as {!Interp.run}.
-    Preconditions are checked; violations raise {!Interp.Runtime_error}. *)
-val run : t -> Interp.value list -> unit
+(** The micro-kernel execution tiers built on the tape lowering: the
+    lowered tape's auditable {!Summary}, which {!Exo_check.Tierlint}
+    proves over, and the executors that serve the GEMM driver wherever the
+    native tier does not — the monomorphized float32 Bigarray loop nests
+    for the f32 kits, and the tape executor for every other dtype. The
+    tree-walking {!Interp} is their definitional oracle. *)
 
 (** The auditable access summary of a lowered micro-kernel tape: the exact
     per-statement memory operands (affine addresses [base + kstep·k] over
@@ -45,9 +16,12 @@ val run : t -> Interp.value list -> unit
     evaluates it in an affine-interval domain to prove bounds, write-set
     containment and accumulation shape statically. *)
 module Summary : sig
+  (** The address spaces a tape operand can touch: the packed A and B
+      panels, the C tile, and the kernel's private scratch slab. *)
   type space = A | B | C | Slab
 
-  (** Element [base + kstep·k] of [sp]; [kstep = 0] outside the k loop. *)
+  (** Element [base + kstep·k] of [sp], with [k] the k-loop counter;
+      [kstep = 0] outside the k loop, where addresses are constants. *)
   type operand = { sp : space; base : int; kstep : int }
 
   type rhs =
@@ -56,16 +30,21 @@ module Summary : sig
     | Bin of Exo_ir.Ir.binop * rhs * rhs
     | Neg of rhs
 
+  (** One tape statement: [dst = rhs], or [dst += rhs] when [reduce]. *)
   type op = { dst : operand; reduce : bool; rhs : rhs }
+
+  (** A maximal run of statements, either straight-line ([in_loop] false,
+      executed once per call) or the k-loop body (executed for
+      k = 0 .. kc-1). *)
   type seg = { in_loop : bool; ops : op list }
 
   type t = {
     mr : int;
     nr : int;
     dt : Exo_ir.Dtype.t;
-    slab : int;
-    kc_pos : bool;
-    n_preds : int;
+    slab : int;  (** scratch slab length (register-memory flattening) *)
+    kc_pos : bool;  (** tape demands kc ≥ 1 (loop-carried post-loop read) *)
+    n_preds : int;  (** residual KC-dependent runtime predicates *)
     segs : seg list;
   }
 
@@ -74,7 +53,7 @@ end
 
 (** The access summary of a proc, [None] when the tape lowering refuses
     it (non-affine indices, reads of alpha/beta data, symbolic loop nests,
-    unsupported expression shapes) — such procs keep the closure engine. *)
+    unsupported expression shapes) — such procs run on {!Interp}. *)
 val summarize_ukr : Exo_ir.Ir.proc -> Summary.t option
 
 (** A float32 Bigarray: the storage type of the GEMM driver's packed
@@ -97,30 +76,43 @@ type ukr_ba =
   kc:int -> ac:ba32 -> ao:int -> bc:ba32 -> bo:int -> c:ba32 -> co:int ->
   unit
 
-(** [to_ukr_ba p] — the monomorphized execution tier: for f32 procs the
-    tape lowering accepts (with no runtime preconditions), the
-    proc's semantics are certified against the canonical GEMM formula on
-    integer probes via the compiled closure engine, and the returned
-    executor is a straight-line OCaml loop nest specialized to (mr, nr) —
+(** [to_ukr_ba p] — the Bigarray execution tier, for procs the tape
+    lowering accepts with no runtime preconditions and no kc ≥ 1
+    requirement, once the proc is certified to compute the canonical GEMM
+    reduction. The executor is chosen by {!ukr_ba_of_summary}: for f32, a
+    straight-line OCaml loop nest specialized to (mr, nr) —
     hand-monomorphized with literal constants for 8×12, shape-captured for
-    every other pair. [None] means the proc keeps the earlier tiers.
+    every other pair; for every other dtype, {!tape_ukr_ba}. [None] means
+    the proc is served by {!Interp}.
 
     [~certified:true] records that the caller holds a static
     {!Exo_check.Tierlint} proof that the tape computes the canonical
-    reduction — the dynamic integer probe is then skipped (it would
-    establish the same fact). Default [false]: probe as before.
+    reduction — the dynamic integer probe ({!probe_ukr_ba}) is then
+    skipped (it would establish the same fact). Default [false]: probe.
 
-    The returned executor is re-entrant — its unboxed accumulator is
-    allocated per call — so one executor can be shared by every domain of
-    a pool. *)
+    The returned executor is re-entrant — its scratch is allocated per
+    call — so one executor can be shared by every domain of a pool. *)
 val to_ukr_ba :
   ?certified:bool -> Exo_ir.Ir.proc -> (ukr_ba * Summary.t) option
 
+(** The tape executor: the lowered tape itself run over the Bigarray
+    operands, for any dtype — the serving executor of the non-f32 kits.
+    Built into closures once; a call copies A, B and the C tile out to
+    float arrays, runs the straight-line segments once and the loop
+    segments for k = 0 .. kc-1 over a fresh scratch slab (so it is
+    re-entrant), rounds every store through {!Buffer.round_dtype} exactly
+    as {!Interp} does, and copies C back — bit-identical to the
+    interpreter on any data. [None] when the summary has runtime
+    predicates, needs kc ≥ 1, or has an operand outside the arrays the
+    executor allocates for some kc ≥ 0. *)
+val tape_ukr_ba : Summary.t -> ukr_ba option
+
 (** Re-materialize the Bigarray executor from a stored access summary — the
-    cache-hydration path ({!Exo_blis.Registry}). Returns [None] when the
-    summary fails the tier's eligibility gate (non-f32, runtime preds,
-    kc>0 requirement). Sound because the executors are selected by
-    (mr, nr) alone, so the result is bit-identical to what {!to_ukr_ba}
+    cache-hydration path ({!Exo_blis.Registry}), and the one place the
+    executor is selected: the monomorphized nests for f32 by (mr, nr)
+    alone, {!tape_ukr_ba} for every other dtype. Returns [None] when the
+    summary fails the tier's eligibility gate (runtime preds, kc>0
+    requirement). The result is bit-identical to what {!to_ukr_ba}
     returns for the proc the summary was derived from; callers must still
     re-run the {!Exo_check.Tierlint} gate over the summary so a stale or
     tampered artifact never enters service silently. *)
@@ -128,7 +120,7 @@ val ukr_ba_of_summary : Summary.t -> ukr_ba option
 
 (** The Bigarray tier's dynamic certificate, exposed so the bench and the
     [--tiers] lint sweep can cross-check it against the static verdicts:
-    runs the proc through the compiled closure engine on integer probes
-    and demands the canonical [C[j,i] += Σ_k Ac[k,i]·Bc[k,j]] answer bit
-    for bit. F32 procs only (the probes are f32 buffers). *)
+    runs the proc through {!Interp} on integer probes, over buffers of the
+    proc's own dtype, and demands the canonical
+    [C[j,i] += Σ_k Ac[k,i]·Bc[k,j]] answer bit for bit. *)
 val probe_ukr_ba : Exo_ir.Ir.proc -> mr:int -> nr:int -> bool

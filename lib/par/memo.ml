@@ -20,9 +20,8 @@
     - a compute may therefore run more than once per key under contention
       (never more than once per racing domain). Computes must be pure.
 
-    Per-DOMAIN state (compiled kernels, whose closures carry mutable frame
-    slots and are not re-entrant across domains) does not belong here — use
-    [Domain.DLS] for those; see {!Exo_blis.Registry.exo_compiled}. *)
+    Per-DOMAIN state (anything mutable that is not re-entrant across
+    domains) does not belong here — use [Domain.DLS] for it. *)
 
 type ('a, 'b) t = { lock : Mutex.t; tbl : ('a, 'b) Hashtbl.t }
 

@@ -198,12 +198,8 @@ let tier_unit (kit : Kits.t) (mr', nr') () : tier_entry =
         { T.r_mr = mr'; r_nr = nr'; r_bounds = u; r_writes = u; r_accshape = u }
   in
   (* the dynamic integer certification, for the static-vs-dynamic
-     cross-check; f32 only (the probe buffers are f32) *)
-  let probe =
-    if kit.Kits.dt = Exo_ir.Dtype.F32 then
-      Some (C.probe_ukr_ba proc ~mr:mr' ~nr:nr')
-    else None
-  in
+     cross-check *)
+  let probe = Some (C.probe_ukr_ba proc ~mr:mr' ~nr:nr') in
   {
     te_kit = kit.Kits.name;
     te_mr = mr';

@@ -56,14 +56,14 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
     For every (mr', nr') entry of a kit's monomorphized kernel table
     (mr' ∈ 1..mr, nr' ∈ 1..nr), generate the kernel, lower it, and run
-    {!Exo_check.Tierlint} over its access summary; f32 entries are also run
+    {!Exo_check.Tierlint} over its access summary; every entry is also run
     through the dynamic integer certification
     ({!Exo_interp.Compile.probe_ukr_ba}) so static and dynamic verdicts can
     be cross-checked — a statically proved entry whose probe rejects is a
     disagreement (and a bug in one of the two). *)
 
 (** One validated table entry. [te_probe]: the dynamic certificate's
-    verdict, [None] for non-f32 kits (the probe buffers are f32). *)
+    verdict ([None] only in the CLI's injected-failure selftest). *)
 type tier_entry = {
   te_kit : string;
   te_mr : int;

@@ -269,7 +269,7 @@ let small_blocking = { A.mc = 16; kc = 8; nc = 24 }
 (* the serving bank (native where certified, Bigarray executors elsewhere)
    and the interpreter oracle bank of the 8x12 family *)
 let serving () = R.exo_bank ~mr:8 ~nr:12 ()
-let interp_bank = R.oracle_bank R.Interp ~mr:8 ~nr:12 ()
+let interp_bank = R.oracle_bank ~mr:8 ~nr:12 ()
 
 let test_blis_exact_vs_naive () =
   let st = Random.State.make [| 1 |] in
@@ -295,16 +295,15 @@ let test_blis_with_exo_kernels () =
     (M.equal c1 c2)
 
 let test_blis_compiled_vs_interpreted_ukr () =
-  (* the compiled closure engine against the tree-walking oracle, through
-     the full macro-kernel: bit-identical C *)
+  (* the compiled serving bank (native code, else the monomorphized
+     Bigarray executors) against the tree-walking oracle, through the full
+     macro-kernel: bit-identical C *)
   let st = Random.State.make [| 4 |] in
   let m, n, k = (19, 23, 13) in
   let a = M.random_int m k st and b = M.random_int k n st in
   let c1 = M.random_int m n st in
   let c2 = M.copy c1 in
-  G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12
-    ~kernels:(R.oracle_bank R.Closure ~mr:8 ~nr:12 ())
-    a b c1;
+  G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:(serving ()) a b c1;
   G.blis_ba ~blocking:small_blocking ~mr:8 ~nr:12 ~kernels:interp_bank a b c2;
   Alcotest.(check bool) "compiled ≡ interpreted through the macro-kernel" true
     (M.equal c1 c2)
@@ -416,8 +415,9 @@ let test_gemm_batch () =
 module K = Exo_ukr_gen.Kits
 
 let test_table_complete_all_families () =
-  (* the generated dispatch table covers every (mr', nr') pair; on the f32
-     kits every entry is a certified monomorphized executor (zero holes) *)
+  (* the generated dispatch table covers every (mr', nr') pair, and on
+     every kit every entry is a certified Bigarray executor — the
+     monomorphized nest for f32, the tape for f16 and i32 (zero holes) *)
   List.iter
     (fun kit ->
       let t = R.exo_table ~kit ~mr:8 ~nr:12 () in
@@ -425,16 +425,10 @@ let test_table_complete_all_families () =
         (Fmt.str "%s: 96 entries" kit.K.name)
         96
         (Array.length t.R.t_entries);
-      let holes = R.table_holes t in
-      if kit.K.dt = Exo_ir.Dtype.F32 then (
-        Alcotest.(check bool)
-          (Fmt.str "%s: complete" kit.K.name)
-          true (R.table_complete t);
-        Alcotest.(check int) (Fmt.str "%s: no holes" kit.K.name) 0 holes)
-      else
-        Alcotest.(check int)
-          (Fmt.str "%s: all closure round-trips" kit.K.name)
-          96 holes)
+      Alcotest.(check bool)
+        (Fmt.str "%s: complete" kit.K.name)
+        true (R.table_complete t);
+      Alcotest.(check int) (Fmt.str "%s: no holes" kit.K.name) 0 (R.table_holes t))
     K.all
 
 let test_table_dispatch_is_array_indexing () =
@@ -479,7 +473,7 @@ let test_table_dispatch_is_array_indexing () =
 
 let test_blis_ba_exact_and_counters () =
   (* the Bigarray tier matches naive_f32 on fringe-heavy shapes and never
-     touches the closure fallback on an f32 family *)
+     touches the interpreter fallback *)
   let st = Random.State.make [| 19 |] in
   let kernels = R.exo_bank ~mr:8 ~nr:12 () in
   R.reset_dispatch_counts ();
@@ -497,7 +491,7 @@ let test_blis_ba_exact_and_counters () =
     ((1, 1, 1) :: (7, 11, 3) :: (5, 7, 0) :: fringe_shapes);
   let native, ba, fallback = R.ukr_tier_counts () in
   Alcotest.(check bool) "monomorphized entries fired" true (native + ba > 0);
-  Alcotest.(check int) "no closure fallbacks on an f32 family" 0 fallback
+  Alcotest.(check int) "no interpreter fallbacks" 0 fallback
 
 let test_blis_ba_pool_width_invariance () =
   (* the row-slice split: a small-n shape with a single B panel still fans
@@ -809,11 +803,11 @@ let test_gemm_batch_ba () =
 
 let prop_blis_ba_cross_tier_all_kits =
   (* random shapes including m < mr, n < nr and k = 0, across every kit:
-     the serving bank and the closure oracle agree bit for bit, and both
-     match naive_f32 (integer data keeps every dtype exact:
+     the serving bank and the interpreter oracle agree bit for bit, and
+     both match naive_f32 (integer data keeps every dtype exact:
      |Σ| ≤ 3·3·24 + 3 < 2^11, within f16's exact-integer range) *)
   QCheck2.Test.make
-    ~name:"serving bank ≡ closure oracle ≡ naive (all kits)"
+    ~name:"serving bank ≡ interp oracle ≡ naive (all kits)"
     ~count:8
     QCheck2.Gen.(triple (int_range 1 20) (int_range 1 30) (int_range 0 24))
     (fun (m, n, k) ->
@@ -830,8 +824,8 @@ let prop_blis_ba_cross_tier_all_kits =
             c
           in
           let c_ba = run (R.exo_bank ~kit ~mr:8 ~nr:12 ()) in
-          let c_closure = run (R.oracle_bank ~kit R.Closure ~mr:8 ~nr:12 ()) in
-          M.equal c_naive c_ba && M.equal c_ba c_closure)
+          let c_interp = run (R.oracle_bank ~kit ~mr:8 ~nr:12 ()) in
+          M.equal c_naive c_ba && M.equal c_ba c_interp)
         K.all)
 
 let prop_blis_exo_fringe_random =

@@ -261,7 +261,7 @@ let test_family_generate_cached_hydrates () =
   Alcotest.(check bool) "fresh kernel after hydration certifies" true
     (r.Exo_check.Bounds.violations = [] && r.Exo_check.Bounds.unknowns = [])
 
-(* per entry: served by a certified executor (not the closure round-trip) *)
+(* per entry: served by a certified executor (not the interpreter fallback) *)
 let fast_flags (t : R.table) =
   Array.map (fun e -> e.R.e_tier <> R.Fallback) t.R.t_entries
 
@@ -321,18 +321,17 @@ let test_hydrated_tables_bit_identical () =
       Alcotest.(check (array bool))
         (kit.K.name ^ ": fast flags survive hydration")
         (fast_flags tc) (fast_flags tw);
+      Alcotest.(check bool)
+        (kit.K.name ^ ": hydrated table has no interpreter holes")
+        true (R.table_complete tw);
       Alcotest.(check (array bool))
         (kit.K.name ^ ": proved flags survive hydration")
         (proved_flags tc) (proved_flags tw))
     cold warm;
-  (* executable fidelity on the f32 kits: every hydrated executor computes
-     the same C tile as the one compiled from scratch *)
-  let f32 =
-    List.filter_map
-      (fun ((kit, tc), (_, tw)) ->
-        if kit.K.dt = Exo_ir.Dtype.F32 then Some (tc, tw) else None)
-      (List.combine cold warm)
-  in
+  (* executable fidelity on every kit: each hydrated executor (the
+     monomorphized nest for f32, the tape for f16 and i32) computes the
+     same C tile as the one built from scratch *)
+  let pairs = List.map2 (fun (_, tc) (_, tw) -> (tc, tw)) cold warm in
   let q =
     QCheck2.Test.make ~count:60
       ~name:"hydrated executor = fresh executor on random tiles"
@@ -341,7 +340,7 @@ let test_hydrated_tables_bit_identical () =
           (pair (int_bound 20) (int_range 1 8))
           (pair (int_range 1 12) (pair (int_range 1 24) (int_bound 1000))))
       (fun ((ki, mr'), (nr', (kc, seed))) ->
-        let tc, tw = List.nth f32 (ki mod List.length f32) in
+        let tc, tw = List.nth pairs (ki mod List.length pairs) in
         exec (R.table_entry tc ~mr:mr' ~nr:nr') ~mr:mr' ~nr:nr' ~kc ~seed
         = exec (R.table_entry tw ~mr:mr' ~nr:nr') ~mr:mr' ~nr:nr' ~kc ~seed)
   in

@@ -10,7 +10,6 @@ module E = Exo_check.Effects
 module Sched = Exo_sched.Sched
 module B = Exo_interp.Buffer
 module I = Exo_interp.Interp
-module C = Exo_interp.Compile
 
 let aff e = Option.get (Affine.of_expr e)
 let check_bool = Alcotest.(check bool)
@@ -179,8 +178,8 @@ let test_preserves_fresh_buffer () =
 
 (* --- qcheck soundness: admitted rewrites are bit-exact ------------------- *)
 
-(* Same random-program shape as test_sched_random, but the oracle runs both
-   procs through the compiled execution engine (Exo_interp.Compile). *)
+(* Same random-program shape as test_sched_random; the oracle runs both
+   procs through the interpreter. *)
 
 type gctx = { src : Sym.t; dst : Sym.t; loops : (Sym.t * int) list }
 
@@ -239,7 +238,7 @@ let gen_proc : proc QCheck2.Gen.t =
   Exo_check.Wellformed.check_proc p;
   return p
 
-let run_compiled (t : C.t) ~(seed : int) : B.t =
+let run_interp (p : proc) ~(seed : int) : B.t =
   let st = Random.State.make [| seed |] in
   let mk () =
     let b = B.create ~init:0.0 Dtype.F32 [ dim0; dim1 ] in
@@ -247,13 +246,12 @@ let run_compiled (t : C.t) ~(seed : int) : B.t =
     b
   in
   let src = mk () and dst = mk () in
-  C.run t [ I.VBuf src; I.VBuf dst ];
+  I.run p [ I.VBuf src; I.VBuf dst ];
   dst
 
 let equivalent p q =
-  let tp = C.compile p and tq = C.compile q in
   List.for_all
-    (fun seed -> B.equal (run_compiled tp ~seed) (run_compiled tq ~seed))
+    (fun seed -> B.equal (run_interp p ~seed) (run_interp q ~seed))
     [ 1; 2; 3 ]
 
 let sound (xform : proc -> proc) (p : proc) : bool =
@@ -277,7 +275,7 @@ let pick_loop (p : proc) (salt : int) : string option =
    answers must never admit a meaning-changing rewrite *)
 let prop_oracle_sound =
   QCheck2.Test.make
-    ~name:"effect-oracle-admitted rewrites are bit-exact (compiled engine)"
+    ~name:"effect-oracle-admitted rewrites are bit-exact (interpreter)"
     ~count:200
     QCheck2.Gen.(pair gen_proc (int_range 0 1000))
     (fun (p, salt) ->

@@ -11,7 +11,7 @@
       this host, the serving table (native where certified) is bit-exact
       against the Bigarray tier on random tiles, and a full fringe-laden
       GEMM agrees across all four execution paths: native bank, Bigarray
-      bank, compiled-closure engine, and the binary32 naive reference.
+      bank, the interpreter oracle, and the binary32 naive reference.
 
    3. Cache robustness — a corrupted cached [.so] reads as a miss and is
       recompiled; the rebuilt table serves native code again and computes
@@ -157,7 +157,7 @@ let test_differential kit () =
     in
     QCheck2.Test.check_exn q;
     (* whole-GEMM level, fringes in both m and n: native bank = bigarray
-       bank = compiled-closure engine = binary32 naive reference *)
+       bank = interpreter oracle = binary32 naive reference *)
     let m, n, k = (3 * mr + 2, 2 * nr + 3, 37) in
     let a = M.init m k (fun i j -> float_of_int (((i + (2 * j)) mod 7) - 3)) in
     let b = M.init k n (fun i j -> float_of_int ((((3 * i) + j) mod 5) - 2)) in
@@ -176,15 +176,15 @@ let test_differential kit () =
       (native_calls > 0);
     Alcotest.(check int) (kit.K.name ^ ": no fallbacks") 0 fallback;
     let c_ba = run (R.exo_bank_ba ~kit ~mr ~nr ()) in
-    let c_closure = M.create m n in
-    G.blis_ba ~blocking ~mr ~nr ~kernels:(R.oracle_bank ~kit R.Closure ~mr ~nr ())
-      a b c_closure;
+    let c_interp = M.create m n in
+    G.blis_ba ~blocking ~mr ~nr ~kernels:(R.oracle_bank ~kit ~mr ~nr ())
+      a b c_interp;
     let c_naive = M.create m n in
     G.naive_f32 a b c_naive;
     Alcotest.(check bool) (kit.K.name ^ ": native = bigarray") true
       (M.equal c_native c_ba);
-    Alcotest.(check bool) (kit.K.name ^ ": native = closures") true
-      (M.equal c_native c_closure);
+    Alcotest.(check bool) (kit.K.name ^ ": native = interpreter") true
+      (M.equal c_native c_interp);
     Alcotest.(check bool) (kit.K.name ^ ": native = naive f32") true
       (M.equal c_native c_naive)
   end
@@ -580,7 +580,7 @@ let () =
         List.map
           (fun kit ->
             Alcotest.test_case
-              (kit.K.name ^ ": native = bigarray = closures = naive")
+              (kit.K.name ^ ": native = bigarray = interp = naive")
               `Quick (test_differential kit))
           f32_kits );
       ( "counters",

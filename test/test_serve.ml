@@ -213,7 +213,7 @@ let test_run_checksums () =
      one after it must not read any of it *)
   check_run ~m:256 ~n:256 ~k:256 4 60179.0;
   check_run ~m:33 ~n:20 ~k:17 3 53.0;
-  Alcotest.(check (float 0.0)) "no closure fallback" 0.0
+  Alcotest.(check (float 0.0)) "no interpreter fallback" 0.0
     (run_field "fallback_calls" "RUN 33 20 17 3")
 
 (* Words allocated on this domain (minor + major) while [line] is served. *)
