@@ -16,7 +16,9 @@
                                               # warm daemon request latency
                                               # (writes BENCH_serve.json)
      dune exec bench/main.exe -- nest-ab      # portable nest: paired vector
-                                              # form vs loop nest, per entry
+                                              # form vs loop nest, per entry,
+                                              # and the two-tile entry vs
+                                              # two single calls
      dune exec bench/main.exe -- -j 4 all     # pool width for parallel sweeps
      dune exec bench/main.exe -- -profile lint # obs tracing + profile report
      dune exec bench/main.exe -- -ledger runs.jsonl perf-gemm
@@ -368,10 +370,13 @@ let run_perf_gemm ?(smoke = false) () =
         serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
   in
   Fmt.pr
-    "native tier        : %s (target %s, %d lanes, cc %s, %d/%d entries, %s)@."
+    "native tier        : %s (target %s, %d lanes, cc %s, %d/%d entries, \
+     two-tile entry %s, %s)@."
     (if nat_info.R.ni_enabled then "enabled" else "DEGRADED")
     nat_info.R.ni_target nat_info.R.ni_lanes nat_info.R.ni_cc
-    nat_info.R.ni_entries (mr * nr) nat_info.R.ni_reason;
+    nat_info.R.ni_entries (mr * nr)
+    (if nat_info.R.ni_pair then "served" else "none")
+    nat_info.R.ni_reason;
   Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
   Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
   Fmt.pr "speedup (native)   : %12.1fx vs bigarray (per ukr call)@."
@@ -697,6 +702,7 @@ let run_perf_gemm ?(smoke = false) () =
         ("native_cc", nat_info.R.ni_cc);
         ("native_reason", nat_info.R.ni_reason);
         ("native_lanes", string_of_int nat_info.R.ni_lanes);
+        ("native_pair", string_of_bool nat_info.R.ni_pair);
         ("serving_tier", serving_tier);
         ("small_n_layer", "resnet50/2");
         ("batch_model", "resnet50");
@@ -1047,7 +1053,9 @@ let run_perf_serve ?(smoke = false) () =
 (* neon-f32 8×12 bank twice as the portable target — at the host's f32  *)
 (* lane count and at one lane (the loop nest everywhere) — and times    *)
 (* each entry's two kernels interleaved in this process at kc = 512,    *)
-(* best of [rounds]. Prints one row per entry; writes no file.          *)
+(* best of [rounds]. Prints one row per entry; where the full tile is   *)
+(* paired, one more row: the two-tile entry against two single calls of *)
+(* the paired full tile, per tile. Writes no file.                      *)
 
 let run_nest_ab () =
   let module C_emit = Exo_codegen.C_emit in
@@ -1056,25 +1064,34 @@ let run_nest_ab () =
   let mr = 8 and nr = 12 and kc = 512 and rounds = 7 and calls = 2000 in
   let lanes = Host.f32_lanes () in
   let shapes = List.init (mr * nr) (fun idx -> ((idx / nr) + 1, (idx mod nr) + 1)) in
-  let bank lanes =
+  let pair = C_emit.paired_form ~lanes ~mr ~nr in
+  (* slots: the entries in shape order, then the pair where [pair] *)
+  let bank ?pair lanes =
     let src =
-      C_emit.native_unit ~target:C_emit.Nat_portable ~lanes
+      C_emit.native_unit ?pair ~target:C_emit.Nat_portable ~lanes
         ~kernels:(List.map (fun (r, c) -> (r, c, None)) shapes)
         ()
     in
-    let syms = List.map (fun (r, c) -> C_emit.native_sym ~mr:r ~nr:c) shapes in
+    let syms =
+      List.map (fun (r, c) -> C_emit.native_sym ~mr:r ~nr:c) shapes
+      @ Option.to_list (Option.map (fun (r, c) -> C_emit.pair_sym ~mr:r ~nr:c) pair)
+    in
     match Result.bind (Jit.compile_c ~src) (fun so -> Jit.load_bytes ~so ~syms) with
     | Ok slots -> slots
     | Error e -> failwith ("nest-ab: " ^ e)
   in
-  let at_lanes = bank lanes and loop = bank 1 in
+  let at_lanes = bank ?pair:(if pair then Some (mr, nr) else None) lanes
+  and loop = bank 1 in
   let st = Random.State.make [| 0x4e57 |] in
-  let ac = random_ba st (kc * mr) and bc = random_ba st (kc * nr) in
-  let c = random_ba st (mr * nr) in
-  let time slot =
+  (* two tiles' A panels and C tiles: the single legs use the first *)
+  let ac = random_ba st (2 * kc * mr) and bc = random_ba st (kc * nr) in
+  let c = random_ba st (2 * mr * nr) in
+  (* µs per call of [slot] on tile [t] *)
+  let time ?(t = 0) slot =
+    let ao = t * kc * mr and co = t * mr * nr in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to calls do
-      Jit.call ~slot ~kc ~a:ac ~ao:0 ~b:bc ~bo:0 ~c ~co:0
+      Jit.call ~slot ~kc ~a:ac ~ao ~b:bc ~bo:0 ~c ~co
     done;
     (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int calls
   in
@@ -1099,7 +1116,20 @@ let run_nest_ab () =
   Fmt.pr "median lanes/1 ratio: all %.3f, paired entries %.3f@."
     (Ledger.Stats.median (List.map snd ratios))
     (Ledger.Stats.median
-       (List.filter_map (fun (v, x) -> if v then Some x else None) ratios))
+       (List.filter_map (fun (v, x) -> if v then Some x else None) ratios));
+  if pair then begin
+    (* per tile: the pair computes two, the single leg calls the paired
+       full tile on each of the same two tiles *)
+    let full = (mr * nr) - 1 and pair_slot = mr * nr in
+    let t_single = ref infinity and t_pair = ref infinity in
+    for _ = 1 to rounds do
+      t_single := Float.min !t_single ((time full +. time ~t:1 full) /. 2.0);
+      t_pair := Float.min !t_pair (time pair_slot /. 2.0)
+    done;
+    Fmt.pr "%-6s %-7s %10s %10s %7s@." "entry" "form" "single_us" "pair_us" "ratio";
+    Fmt.pr "%-6s %-7s %10.3f %10.3f %7.3f  (us per tile; ratio pair/single)@."
+      (Fmt.str "%dx%d" mr nr) "x2" !t_single !t_pair (!t_pair /. !t_single)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* lint: the static Fig. 12 gate — every generated kernel must carry    *)

@@ -722,8 +722,9 @@ let explain_cmd =
       List.iter
         (fun (k, v) -> Fmt.pr "  host %-11s: %s@." k v)
         (Exo_native.Host.describe ());
+      let target = Exo_blis.Registry.native_target_for kit in
       Fmt.pr "  native target   : %s@."
-        (match Exo_blis.Registry.native_target_for kit with
+        (match target with
         | Some t -> Exo_codegen.C_emit.native_target_name t
         | None -> "none (native tier is f32-only)");
       let lanes = Exo_native.Host.f32_lanes () in
@@ -731,6 +732,12 @@ let explain_cmd =
         (if Exo_codegen.C_emit.paired_form ~lanes ~mr ~nr then
            "paired: two C columns per vector"
          else "loop");
+      Fmt.pr "  two-tile entry  : %s@."
+        (match target with
+        | Some target when Exo_blis.Registry.serves_pair ~target ~lanes ~mr ~nr ->
+            Exo_codegen.C_emit.pair_sym ~mr ~nr
+            ^ ": two vertically adjacent tiles per call"
+        | _ -> "none");
       `Ok ()
     with Exo_sched.Sched.Sched_error msg | Invalid_argument msg -> `Error (false, msg)
   in
@@ -910,8 +917,12 @@ let native_cmd =
               write_out (Some (base ^ ".c")) src;
               Fmt.pr "target: %s@."
                 (Exo_codegen.C_emit.native_target_name target);
-              Fmt.pr "portable nests emitted for %d f32 lanes@."
-                (Exo_native.Host.f32_lanes ());
+              let lanes = Exo_native.Host.f32_lanes () in
+              Fmt.pr "portable nests emitted for %d f32 lanes@." lanes;
+              Fmt.pr "two-tile entry: %s@."
+                (if Exo_blis.Registry.serves_pair ~target ~lanes ~mr ~nr then
+                   Exo_codegen.C_emit.pair_sym ~mr ~nr
+                 else "none");
               (match Exo_native.Host.cc () with
               | None ->
                   Fmt.pr "no C compiler on this host: skipping the .so@.";

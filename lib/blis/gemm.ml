@@ -156,8 +156,9 @@ let block_span name ~jc ~pc key v ~row =
     The accumulator holds tile (P, q) — row panel P, column panel q of the
     jc block — at (q·m_panels + P)·mr·nr, transposed nr'×mr' as the kernels
     take it, so the ir loop walks it contiguously; with one pc block no
-    tile outlives its kernel call, so each slice reuses one slot at
-    s·mr·nr. *)
+    tile outlives its kernel call, so each slice reuses one slot of one
+    tile at s·mr·nr, or of two tiles at 2·s·mr·nr when the table has the
+    two-tile entry. *)
 let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
     ~(blocking : Analytical.blocking) ~(mr : int) ~(nr : int)
     ~(kernels : unit -> ukr_ba array) (a : Matrix.t) (b : Matrix.t)
@@ -177,6 +178,10 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   let tbl = kernels () in
   if Array.length tbl < mr * nr then
     invalid_arg "Gemm.blis_ba: kernel table shorter than mr*nr";
+  (* a trailing slot is the two-tile entry: two vertically adjacent full
+     tiles per call *)
+  let pair = Array.length tbl > mr * nr in
+  let slot_tiles = if pair then 2 else 1 in
   let mc = mc / mr * mr in
   let ldc = c.Matrix.cols and cdata = c.Matrix.data in
   let n_jc = (n + nc - 1) / nc and n_pc = (k + kc - 1) / kc in
@@ -196,7 +201,8 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
   in
   let b_size = Packing.b_arena_size ~ncb:(min nc n) ~kcb:(min kc k) ~nr in
   let c_size =
-    (if n_pc > 1 then m_panels * b_panels 0 else n_slices) * mr * nr
+    (if n_pc > 1 then m_panels * b_panels 0 else n_slices * slot_tiles)
+    * mr * nr
   in
   let sp_blis =
     if Obs.enabled () then begin
@@ -269,28 +275,59 @@ let blis_ba ?(alpha = 1.0) ?(beta = 1.0) ?pool ?(ws = default_workspace)
             in
             for jr = 0 to num_panels - 1 do
               let nrb = min nr (ncb - (jr * nr)) and bo = jr * pitch in
-              for ir = 0 to ((mcb + mr - 1) / mr) - 1 do
-                let mrb = min mr (mcb - (ir * mr)) and ao = ir * kcb * mr in
+              let n_ir = (mcb + mr - 1) / mr in
+              let ir = ref 0 in
+              while !ir < n_ir do
+                let ir0 = !ir in
+                let mrb = min mr (mcb - (ir0 * mr)) in
+                (* two consecutive full tiles per call where the table has
+                   the two-tile entry (both then have mrb = mr); an odd
+                   last or fringe tile alone *)
+                let tiles =
+                  if pair && nrb = nr && (ir0 + 2) * mr <= mcb then 2 else 1
+                in
+                let ao = ir0 * kcb * mr in
+                (* the tiles' accumulator slots, contiguous: with one pc
+                   block the slice's own slot, else their tile-major
+                   place *)
+                let co =
+                  if n_pc = 1 then s * slot_tiles * mr * nr
+                  else ((jr * m_panels) + (ic0 / mr) + ir0) * mr * nr
+                in
                 (* C's gather/scatter: unchecked, behind the storage check
                    at entry (every index is <= (m-1)*ldc + n-1 < m*n) and
                    the accumulator's size (row panel < m_panels, column
                    panel < b_panels 0) *)
-                let cbase = ((ic0 + (ir * mr)) * ldc) + jc0 + (jr * nr) in
-                let co =
-                  if n_pc = 1 then s * mr * nr
-                  else ((jr * m_panels) + (ic0 / mr) + ir) * mr * nr
-                in
-                if pc = 0 then gather cdata cbase ldc cw co mrb nrb beta;
+                let cbase = ((ic0 + (ir0 * mr)) * ldc) + jc0 + (jr * nr) in
+                if pc = 0 then
+                  for t = 0 to tiles - 1 do
+                    gather cdata
+                      (cbase + (t * mr * ldc))
+                      ldc cw
+                      (co + (t * mr * nr))
+                      mrb nrb beta
+                  done;
                 (* O(1) dispatch: plain array indexing, in range because
                    1 <= mrb <= mr, 1 <= nrb <= nr and the table length was
                    checked at entry *)
                 let sp_ukr =
                   if Obs.enabled () then Obs.begin_span "gemm.ukr" else Obs.none
                 in
-                (Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1))
-                  ~kc:kcb ~ac:aw ~ao ~bc:bw ~bo ~c:cw ~co;
+                let u =
+                  if tiles = 2 then Array.unsafe_get tbl (mr * nr)
+                  else Array.unsafe_get tbl (((mrb - 1) * nr) + nrb - 1)
+                in
+                u ~kc:kcb ~ac:aw ~ao ~bc:bw ~bo ~c:cw ~co;
                 Obs.end_span sp_ukr;
-                if pc = n_pc - 1 then scatter cdata cbase ldc cw co mrb nrb
+                if pc = n_pc - 1 then
+                  for t = 0 to tiles - 1 do
+                    scatter cdata
+                      (cbase + (t * mr * ldc))
+                      ldc cw
+                      (co + (t * mr * nr))
+                      mrb nrb
+                  done;
+                ir := ir0 + tiles
               done
             done;
             Obs.end_span sp_macro

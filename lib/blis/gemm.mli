@@ -46,6 +46,15 @@ val arenas : workspace -> ba32 * ba32 * ba32
     the table [kernels ()] returns (entry [(mr'-1)·nr + nr'-1] computes an
     mr'×nr' tile; at least mr·nr entries).
 
+    An optional trailing entry at index mr·nr computes two vertically
+    adjacent full mr×nr tiles in one call: A panels at [ao] and
+    [ao + kc·mr], C tiles at [co] and [co + mr·nr], each exactly as the
+    full tile's entry would compute it. When the table has it, the ir
+    loop takes consecutive full tiles of one mc block two at a time; an
+    odd last tile and fringe tiles take their single entries. The
+    registry publishes such an entry only where its native two-tile body
+    certified ({!Registry.native_info}'s [ni_pair]).
+
     Decomposition: jc and pc run sequentially. For each (jc, pc) the kc×nc
     B block is packed once, into the calling domain's arena, with
     contiguous panel ranges split across the pool. The m range is split
@@ -62,7 +71,8 @@ val arenas : workspace -> ba32 * ba32 * ba32
     own tiles at the first pc block and scatters them after the last, so
     every element crosses between f64 and f32 twice per jc block. The
     accumulator costs m·min(nc, n) floats (rounded up to whole tiles); a
-    GEMM with a single pc block (k <= kc) needs only one tile per slice.
+    GEMM with a single pc block (k <= kc) needs only one tile per slice,
+    two with the two-tile entry.
     At k = 0, C is scaled by beta directly.
 
     As in BLAS, C is not read when beta = 0: the gather zero-fills the

@@ -146,10 +146,12 @@ let reset_dispatch_counts () =
       List.iter (fun cell -> Array.fill cell pad 3 0) !cells)
 
 (* The one counting wrapper, applied when a table publishes its bank: one
-   closure hop and one increment of the calling domain's own cell per tile
-   call. A process-wide atomic here, which every domain writes, cost a
-   median 0.6-0.7 ms of a 15 ms 1008³ GEMM on two domains (21k calls). *)
-let counted (tier : tier) (u : C.ukr_ba) : C.ukr_ba =
+   closure hop and one increment of the calling domain's own cell per
+   call, by [tiles] — the tiles one call computes (2 for the two-tile
+   entry), so the counts stay one per tile. A process-wide atomic here,
+   which every domain writes, cost a median 0.6-0.7 ms of a 15 ms 1008³
+   GEMM on two domains (21k calls). *)
+let counted ?(tiles = 1) (tier : tier) (u : C.ukr_ba) : C.ukr_ba =
   let i = pad + tier_index tier
   and obs =
     match tier with
@@ -159,8 +161,8 @@ let counted (tier : tier) (u : C.ukr_ba) : C.ukr_ba =
   in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
     let cell = Domain.DLS.get cell_key in
-    Array.unsafe_set cell i (Array.unsafe_get cell i + 1);
-    if Obs.enabled () then Obs.incr obs;
+    Array.unsafe_set cell i (Array.unsafe_get cell i + tiles);
+    if Obs.enabled () then Obs.add obs tiles;
     u ~kc ~ac ~ao ~bc ~bo ~c ~co
 
 (* Static translation-validation verdicts, counted at table-build time:
@@ -194,6 +196,7 @@ type native_info = {
   ni_lanes : int;
       (** f32 lanes the bank's portable nests were emitted for (1: the
           loop nest everywhere), 0 without a native bank *)
+  ni_pair : bool;  (** the full tile's two-tile entry certified and serves *)
 }
 
 (* Both executors are bare (uncounted): [e_base] is the pre-upgrade one,
@@ -208,7 +211,9 @@ type entry = {
 }
 
 (* Entries flat at index [(mr'-1)·nr + nr'-1]; [t_bank] holds the same
-   slots' [e_exec] wrapped by {!counted} — what {!Gemm.blis_ba} indexes. *)
+   slots' [e_exec] wrapped by {!counted} — what {!Gemm.blis_ba} indexes —
+   plus, when the native upgrade certified one, the two-tile entry at
+   index mr·nr. *)
 type table = {
   t_kit : Kits.t;
   t_mr : int;
@@ -390,17 +395,26 @@ let native_target_for (kit : Kits.t) : C_emit.native_target option =
 
 (* Digest of the portable nests a (mr, nr) bank emits at [lanes] — every
    entry's, since any intrinsics entry whose proc the emitter rejects gets
-   the nest as its body. It is the part of the source an emitter change
-   moves without touching any other key part; rendering it is cheap and
-   needs no kernel build. The lane count is rendered too, so the digest
-   moves with it even for a bank where no shape takes the vector form. *)
+   the nest as its body, and the full tile's two-tile body where that tile
+   is paired. It is the part of the source an emitter change moves without
+   touching any other key part; rendering it is cheap and needs no kernel
+   build. The lane count is rendered too, so the digest moves with it even
+   for a bank where no shape takes the vector form. *)
 let portable_digest ~(lanes : int) ~(mr : int) ~(nr : int) : string =
   let b = Buffer.create 65536 in
   Buffer.add_string b (Fmt.str "lanes=%d\n" lanes);
   for idx = 0 to (mr * nr) - 1 do
     C_emit.portable_body b ~lanes ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
   done;
+  if C_emit.paired_form ~lanes ~mr ~nr then C_emit.pair_body b ~lanes ~mr ~nr;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Whether a bank exports its full tile's two-tile entry: only where the
+   portable paired body serves that tile. An intrinsics full tile keeps
+   its one entry. *)
+let serves_pair ~(target : C_emit.native_target) ~(lanes : int) ~(mr : int)
+    ~(nr : int) : bool =
+  target = C_emit.Nat_portable && C_emit.paired_form ~lanes ~mr ~nr
 
 (* The shared object's content address. Every input that determines the
    source (kit content, shape, pipeline variant, target) is a key part, and
@@ -428,7 +442,8 @@ let native_key (kit : Kits.t) ~(mr : int) ~(nr : int)
     ]
 
 (** The native-ABI C source for a whole kernel bank — one exported
-    [exo_ukr_<mr'>x<nr'>] per table entry. Intrinsics emission pulls each
+    [exo_ukr_<mr'>x<nr'>] per table entry, plus the full tile's
+    [exo_ukr_<mr>x<nr>_x2] where {!serves_pair}. Intrinsics emission pulls each
     scheduled proc from the kernel memo (already populated by the table
     build); the portable lowering needs only the shapes. *)
 let native_source ~(kit : Kits.t) ~(mr : int) ~(nr : int)
@@ -451,21 +466,23 @@ let native_source ~(kit : Kits.t) ~(mr : int) ~(nr : int)
       (C_emit.native_target_name target)
       native_abi (Host.cc_identity ()) lanes
   in
-  C_emit.native_unit ~header_comment ~target ~lanes ~kernels ()
+  let pair = if serves_pair ~target ~lanes ~mr ~nr then Some (mr, nr) else None in
+  C_emit.native_unit ~header_comment ?pair ~target ~lanes ~kernels ()
 
 (* A bound native kernel as a ukr_ba: the same operand contract as the
    Bigarray tier (ranges checked up front, Invalid_argument on violation)
    in front of the raw no-alloc call. The C tile is the contiguous
    transposed nr×mr layout every blis_ba dispatch site uses — the only one
-   the native ABI takes. *)
-let native_raw ~(mr : int) ~(nr : int) ~(slot : int) : C.ukr_ba =
+   the native ABI takes. A two-tile entry ([tiles = 2]) reads two A panels
+   and writes two C tiles, each pair contiguous. *)
+let native_raw ?(tiles = 1) ~(mr : int) ~(nr : int) ~(slot : int) () : C.ukr_ba =
   let module BA1 = Bigarray.Array1 in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
     if
       kc < 0 || ao < 0 || bo < 0 || co < 0
-      || ao + (kc * mr) > BA1.dim ac
+      || ao + (tiles * kc * mr) > BA1.dim ac
       || bo + (kc * nr) > BA1.dim bc
-      || co + (nr * mr) > BA1.dim c
+      || co + (tiles * nr * mr) > BA1.dim c
     then invalid_arg "Registry.native: operands out of range";
     Native.call ~slot ~kc ~a:ac ~ao ~b:bc ~bo ~c ~co
 
@@ -473,9 +490,11 @@ let native_raw ~(mr : int) ~(nr : int) ~(slot : int) : C.ukr_ba =
    trusted-on-load. Bit-comparison against the serving Bigarray-tier entry
    on the integer probe domain (values in [-3, 3] — exact in f32 and f64
    alike, so accumulation order and FMA contraction cannot blur a real
-   mismatch), over kc spanning 0, the vector widths and an odd tail. *)
-let certify_native ~(mr : int) ~(nr : int) ~(base : C.ukr_ba)
-    ~(native : C.ukr_ba) : bool =
+   mismatch), over kc spanning 0, the vector widths and an odd tail. A
+   two-tile entry ([tiles = 2]) is compared against [base] called on each
+   of its tiles. *)
+let certify_native ?(tiles = 1) ~(mr : int) ~(nr : int) ~(base : C.ukr_ba)
+    ~(native : C.ukr_ba) () : bool =
   let module BA1 = Bigarray.Array1 in
   try
     List.for_all
@@ -488,14 +507,16 @@ let certify_native ~(mr : int) ~(nr : int) ~(base : C.ukr_ba)
           done;
           ba
         in
-        let a = mk (kc * mr) and b = mk (kc * nr) in
-        let c1 = mk (nr * mr) in
-        let c2 = BA1.create Bigarray.float32 Bigarray.c_layout (nr * mr) in
+        let a = mk (tiles * kc * mr) and b = mk (kc * nr) in
+        let c1 = mk (tiles * nr * mr) in
+        let c2 = BA1.create Bigarray.float32 Bigarray.c_layout (BA1.dim c1) in
         BA1.blit c1 c2;
-        base ~kc ~ac:a ~ao:0 ~bc:b ~bo:0 ~c:c1 ~co:0;
+        for t = 0 to tiles - 1 do
+          base ~kc ~ac:a ~ao:(t * kc * mr) ~bc:b ~bo:0 ~c:c1 ~co:(t * nr * mr)
+        done;
         native ~kc ~ac:a ~ao:0 ~bc:b ~bo:0 ~c:c2 ~co:0;
         let ok = ref true in
-        for i = 0 to (nr * mr) - 1 do
+        for i = 0 to (tiles * nr * mr) - 1 do
           if not (Float.equal (BA1.get c1 i) (BA1.get c2 i)) then ok := false
         done;
         !ok)
@@ -511,19 +532,23 @@ let no_native reason =
     ni_rejected = 0;
     ni_reason = reason;
     ni_lanes = 0;
+    ni_pair = false;
   }
 
 (* Upgrade a freshly built table's eligible entries to JIT'd machine code:
    one compilation unit for the whole bank (one cc run, one dlopen, one
    dlsym per kernel), cache-first through the ambient store, then each
    bound kernel certified against the bare Bigarray executor it would
-   replace before it may serve. Any failure — no compiler, compile error on
-   both targets, a certification mismatch — degrades that scope gracefully
-   to the Bigarray tier and says why in the returned info. *)
+   replace before it may serve. Where {!serves_pair}, the full tile's
+   two-tile entry is certified against two calls of that tile's bare
+   executor and returned beside the entries; a rejected pair is not
+   served and the bank serves singles. Any failure — no compiler, compile
+   error on both targets, a certification mismatch — degrades that scope
+   gracefully to the Bigarray tier and says why in the returned info. *)
 let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
     ~(store : Store.t option) (entries : entry array) :
-    entry array * native_info =
-  let degraded reason = (entries, no_native reason) in
+    entry array * C.ukr_ba option * native_info =
+  let degraded reason = (entries, None, no_native reason) in
   match native_target_for kit with
   | None -> degraded (Fmt.str "kit %s is not f32" kit.Kits.name)
   | Some primary -> (
@@ -539,6 +564,7 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
                nest for the shape *)
             let eligible i = entries.(i).e_tier = Bigarray && entries.(i).e_proved in
             let idxs = List.filter eligible (List.init (mr * nr) Fun.id) in
+            let full = (mr * nr) - 1 in
             if idxs = [] then degraded "no eligible entries"
             else
               let syms =
@@ -548,13 +574,16 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
                   idxs
               in
               let try_target (target, lanes) =
+                let pair =
+                  serves_pair ~target ~lanes ~mr ~nr && eligible full
+                in
                 match
                   Native.get_or_compile ~store
                     ~key:(native_key kit ~mr ~nr ~target ~lanes)
                     ~src:(fun () -> native_source ~kit ~mr ~nr ~target ~lanes ())
-                    ~syms
+                    ~syms:(if pair then syms @ [ C_emit.pair_sym ~mr ~nr ] else syms)
                 with
-                | Ok (slots, _from_cache) -> Some (target, lanes, slots)
+                | Ok (slots, _from_cache) -> Some (target, lanes, pair, slots)
                 | Error _ -> None
               in
               (* each target at the host's lane count, then at one lane: a
@@ -569,23 +598,42 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
               in
               match List.find_map try_target targets with
               | None -> degraded "native compilation failed"
-              | Some (target, lanes, slots) ->
+              | Some (target, lanes, pair, slots) ->
                   let upgraded = Array.copy entries in
                   let certified = ref 0 and rejected = ref 0 in
                   List.iteri
                     (fun si idx ->
                       let e = entries.(idx) in
-                      let cand = native_raw ~mr:e.e_mr ~nr:e.e_nr ~slot:slots.(si) in
+                      let cand =
+                        native_raw ~mr:e.e_mr ~nr:e.e_nr ~slot:slots.(si) ()
+                      in
                       if
                         certify_native ~mr:e.e_mr ~nr:e.e_nr ~base:e.e_base
-                          ~native:cand
+                          ~native:cand ()
                       then begin
                         upgraded.(idx) <- { e with e_tier = Native; e_exec = cand };
                         incr certified
                       end
                       else incr rejected)
                     idxs;
+                  let pair_exec =
+                    if not pair then None
+                    else
+                      let cand =
+                        native_raw ~tiles:2 ~mr ~nr
+                          ~slot:slots.(List.length idxs) ()
+                      in
+                      if
+                        certify_native ~tiles:2 ~mr ~nr
+                          ~base:entries.(full).e_base ~native:cand ()
+                      then Some cand
+                      else begin
+                        incr rejected;
+                        None
+                      end
+                  in
                   ( upgraded,
+                    pair_exec,
                     {
                       ni_enabled = !certified > 0;
                       ni_target = C_emit.native_target_name target;
@@ -596,6 +644,7 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
                         (if !certified > 0 then "ok"
                          else "all entries failed certification");
                       ni_lanes = lanes;
+                      ni_pair = Option.is_some pair_exec;
                     } )))
 
 (** The native-ABI artifacts for a bank without building a table: the
@@ -634,13 +683,19 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
                 count_verdict e.e_proved;
                 e)
           in
-          let entries, native_info = native_upgrade ~kit ~mr ~nr ~store built in
+          let entries, pair, native_info =
+            native_upgrade ~kit ~mr ~nr ~store built
+          in
+          let bank = Array.map (fun e -> counted e.e_tier e.e_exec) entries in
           {
             t_kit = kit;
             t_mr = mr;
             t_nr = nr;
             t_entries = entries;
-            t_bank = Array.map (fun e -> counted e.e_tier e.e_exec) entries;
+            t_bank =
+              (match pair with
+              | Some u -> Array.append bank [| counted ~tiles:2 Native u |]
+              | None -> bank);
             t_native_info = native_info;
           }))
 

@@ -73,13 +73,21 @@ type native_info = {
   ni_target : string;  (** ["intrinsics"] | ["portable"] | ["none"] *)
   ni_cc : string;  (** compiler path, or ["none"] *)
   ni_entries : int;  (** entries serving native code (certified) *)
-  ni_rejected : int;  (** eligible entries that failed certification *)
+  ni_rejected : int;
+      (** eligible entries (and the two-tile entry) that failed
+          certification *)
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
   ni_lanes : int;
       (** f32 lanes the bank's portable nests were emitted for
           ({!Exo_codegen.C_emit.portable_body}): the host's
           {!Exo_native.Host.f32_lanes}, or 1 when the host [cc] rejected
           the vector form; 0 without a native bank *)
+  ni_pair : bool;
+      (** the bank serves its full tile's two-tile entry
+          ({!Exo_codegen.C_emit.pair_body}): the portable paired body
+          serves that tile and the pair certified against two calls of its
+          [e_base]. A pair that fails certification is not served and
+          counts in [ni_rejected]. *)
 }
 
 type tier =
@@ -113,7 +121,9 @@ type table = {
   t_entries : entry array;
   t_bank : Exo_interp.Compile.ukr_ba array;
       (** each entry's [e_exec] wrapped by its tier's dispatch counter —
-          the array {!exo_bank} hands {!Gemm.blis_ba} *)
+          the array {!exo_bank} hands {!Gemm.blis_ba} — and, when
+          [ni_pair], the two-tile entry as a trailing slot at index
+          mr·nr, counted as two native dispatches per call *)
   t_native_info : native_info;
 }
 
@@ -151,6 +161,15 @@ val exo_bank_ba :
 val native_target_for :
   Exo_ukr_gen.Kits.t -> Exo_codegen.C_emit.native_target option
 
+(** Whether a bank emitted for [target] at [lanes] exports its full
+    (mr, nr) tile's two-tile entry {!Exo_codegen.C_emit.pair_sym}: only
+    where the portable paired body serves that tile
+    ({!Exo_codegen.C_emit.paired_form} under [Nat_portable]); a full tile
+    served by the kit's intrinsics keeps its one entry. *)
+val serves_pair :
+  target:Exo_codegen.C_emit.native_target -> lanes:int -> mr:int -> nr:int ->
+  bool
+
 (** The native ABI's version tag, the first part of every {!native_key}.
     Bumped whenever the exported signature, the eligibility rule or symbol
     naming changes meaning. *)
@@ -159,9 +178,10 @@ val native_abi : string
 (** The store key a bank's shared object is filed under: the ABI tag
     {!native_abi}, kit content, table shape, target, compiler identity and
     tuning flags, plus a digest of the portable nests the emitter renders
-    for the bank at [lanes] (the lane count included) — so a .so built by
-    an older emitter, for an older ABI or for another lane count is never
-    loaded as this one's. *)
+    for the bank at [lanes] (the lane count included, and the full tile's
+    two-tile body where that tile is paired) — so a .so built by an older
+    emitter, for an older ABI or for another lane count is never loaded as
+    this one's. *)
 val native_key :
   Exo_ukr_gen.Kits.t -> mr:int -> nr:int ->
   target:Exo_codegen.C_emit.native_target -> lanes:int -> string
@@ -169,8 +189,9 @@ val native_key :
 (** The native-ABI C source for a whole bank, with the target this host
     would pick, its portable nests at the host's
     {!Exo_native.Host.f32_lanes} (a [// lanes=] line in the header
-    comment says so) — [ukrgen native]'s artifact, [None] for non-f32
-    kits. *)
+    comment says so) and, where the portable paired body serves the full
+    tile, its two-tile [exo_ukr_<mr>x<nr>_x2] entry — [ukrgen native]'s
+    artifact, [None] for non-f32 kits. *)
 val native_emit :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   (Exo_codegen.C_emit.native_target * string) option

@@ -520,14 +520,58 @@ let portable_body (b : Buffer.t) ~(lanes : int) ~(mr : int) ~(nr : int) : unit
   if paired_form ~lanes ~mr ~nr then paired_body b ~lanes ~mr ~nr
   else loop_body b ~mr ~nr
 
+let pair_sym ~(mr : int) ~(nr : int) : string = native_sym ~mr ~nr ^ "_x2"
+
+(* Two vertically adjacent tiles of a {!paired_form} shape in one call:
+   A panels at A and A + kc·mr (the packer's layout), C tiles at C and
+   C + mr·nr (the accumulator's). Accumulator j holds column j of both
+   tiles, lanes 0..mr-1 the first tile's and mr..2·mr-1 the second's, so
+   there are nr independent FMA chains instead of nr/2. Per k, the two
+   A loads are joined by one shuffle and each B value is a scalar the
+   compiler broadcasts into the multiply-add (gcc 12 at -march=native on
+   AVX-512: 2 ymm loads, 1 vshuff32x4 and 12 vfmadd231ps with {1to16} for
+   8×12). Every element still gets one FMA per k, in k order, from +0,
+   and is added to C once: bit for bit two {!paired_body} calls. *)
+let pair_body (b : Buffer.t) ~(lanes : int) ~(mr : int) ~(nr : int) : unit =
+  let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let list n f = String.concat ", " (List.init n f) in
+  bf "  typedef float vacc __attribute__((vector_size(%d)));\n" (4 * lanes);
+  bf "  typedef float va __attribute__((vector_size(%d)));\n" (4 * mr);
+  bf "  vacc acc[%d];\n" nr;
+  for j = 0 to nr - 1 do
+    bf "  acc[%d] = (vacc){0};\n" j
+  done;
+  bf "  for (int k = 0; k < kc; k++) {\n";
+  bf "    va a0, a1;\n";
+  bf "    __builtin_memcpy(&a0, A + (ptrdiff_t)k * %d, sizeof a0);\n" mr;
+  bf "    __builtin_memcpy(&a1, A + ((ptrdiff_t)kc + k) * %d, sizeof a1);\n" mr;
+  bf "    const vacc a = __builtin_shufflevector(a0, a1, %s);\n"
+    (list lanes string_of_int);
+  bf "    const float *restrict bp = B + (ptrdiff_t)k * %d;\n" nr;
+  for j = 0 to nr - 1 do
+    bf "    acc[%d] += a * bp[%d];\n" j j
+  done;
+  bf "  }\n";
+  for t = 0 to 1 do
+    for j = 0 to nr - 1 do
+      let c = (t * mr * nr) + (j * mr) in
+      bf "  {\n    va c;\n";
+      bf "    __builtin_memcpy(&c, C + %d, sizeof c);\n" c;
+      bf "    c += __builtin_shufflevector(acc[%d], acc[%d], %s);\n" j j
+        (list mr (fun i -> string_of_int ((t * mr) + i)));
+      bf "    __builtin_memcpy(C + %d, &c, sizeof c);\n  }\n" c
+    done
+  done
+
 (** One native-ABI compilation unit for a whole kernel bank: an exported
     [exo_ukr_<mr>x<nr>] per kernel, each with exactly one body. Under
     [Nat_intrinsics] each scheduled proc is emitted [static] (its
     intrinsics body, as {!proc_to_c} renders it) behind a wrapper that
     only calls it; a proc the emitter rejects (not fully vectorized —
     fringe shapes) gets the portable nest instead. Under [Nat_portable]
-    every kernel is the portable nest. *)
-let native_unit ?(header_comment = "") ~(target : native_target)
+    every kernel is the portable nest. [pair] adds the two-tile
+    [exo_ukr_<mr>x<nr>_x2] entry of that shape, which must be paired. *)
+let native_unit ?(header_comment = "") ?pair ~(target : native_target)
     ~(lanes : int) ~(kernels : (int * int * proc option) list) () : string =
   let b = Buffer.create 8192 in
   if header_comment <> "" then
@@ -567,6 +611,15 @@ let native_unit ?(header_comment = "") ~(target : native_target)
       | None -> portable_body b ~lanes ~mr ~nr);
       Buffer.add_string b "}\n\n")
     kernels;
+  Option.iter
+    (fun (mr, nr) ->
+      if not (paired_form ~lanes ~mr ~nr) then
+        invalid_arg "C_emit.native_unit: pair of a shape that is not paired";
+      Buffer.add_string b (native_abi_signature (pair_sym ~mr ~nr));
+      Buffer.add_string b "\n{\n";
+      pair_body b ~lanes ~mr ~nr;
+      Buffer.add_string b "}\n\n")
+    pair;
   Buffer.contents b
 
 (** Render the matching header file. *)

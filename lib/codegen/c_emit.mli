@@ -54,14 +54,30 @@ val paired_form : lanes:int -> mr:int -> nr:int -> bool
     fused where the host compiler chooses to. *)
 val portable_body : Buffer.t -> lanes:int -> mr:int -> nr:int -> unit
 
+(** Exported symbol of the two-tile entry of an (mr, nr) kernel:
+    [exo_ukr_<mr>x<nr>_x2]. *)
+val pair_sym : mr:int -> nr:int -> string
+
+(** Append the two-tile body of a {!paired_form} shape under the native
+    ABI: one call computes the tile whose A panel is at [A] and C tile at
+    [C], and the vertically adjacent one at [A + kc·mr] and [C + mr·nr].
+    Accumulator vector j holds column j of both tiles (lanes [0..mr-1]
+    the first, [mr..2·mr-1] the second): nr FMA chains where the paired
+    body has nr/2. One FMA per element per k, in k order from +0, added
+    to C once — bit for bit two calls of the {!portable_body}. *)
+val pair_body : Buffer.t -> lanes:int -> mr:int -> nr:int -> unit
+
 (** One native-ABI compilation unit for a whole kernel bank — one exported
     [exo_ukr_<mr>x<nr>] per [(mr, nr, proc)] triple, each with exactly one
     body. Under [Nat_intrinsics], each scheduled proc is emitted [static]
     behind a wrapper that only calls it; procs the emitter rejects (or
     [None]) get the portable nest instead. Under [Nat_portable] the procs
-    are ignored. [lanes] is passed to {!portable_body}. *)
+    are ignored. [lanes] is passed to {!portable_body}. [pair] also
+    exports {!pair_sym} of that shape with the {!pair_body};
+    [Invalid_argument] unless the shape is {!paired_form} at [lanes]. *)
 val native_unit :
   ?header_comment:string ->
+  ?pair:int * int ->
   target:native_target ->
   lanes:int ->
   kernels:(int * int * Exo_ir.Ir.proc option) list ->

@@ -872,6 +872,81 @@ let prop_blis_exo_random_blocking =
       G.blis_ba ~blocking ~mr:8 ~nr:12 ~kernels:interp_bank a b c2;
       M.equal c1 c2)
 
+(* --- the two-tile entry ------------------------------------------------- *)
+
+(* A pair over the Bigarray executors, in the slot the registry publishes
+   a native one: two calls of the full tile's executor, on A's panels at
+   [ao] and [ao + kc·mr] and C's tiles at [co] and [co + mr·nr]. It drives
+   the driver's two-tile path on any host, with or without a native
+   pair. *)
+let bigarray_pair_bank =
+  let single = R.exo_bank_ba ~mr:8 ~nr:12 () () in
+  let full = single.(95) in
+  Array.append single
+    [|
+      (fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
+        full ~kc ~ac ~ao ~bc ~bo ~c ~co;
+        full ~kc ~ac ~ao:(ao + (kc * 8)) ~bc ~bo ~c ~co:(co + 96));
+    |]
+
+let pair_pools = List.map (fun jobs -> Exo_par.Pool.create ~jobs ()) [ 1; 2; 3; 4 ]
+
+(* One case of the two-tile property: at β ∈ {0, 0.5, 1} the Interp
+   oracle bank at width 1 is the reference, and at widths 1-4 the serving
+   bank (with its trailing slot where this host serves a pair), the same
+   bank without that slot and [bigarray_pair_bank] must give it bit for
+   bit *)
+let pair_case_ok ~blocking (m, n, k) =
+  let st = Random.State.make [| m; n; k; blocking.A.mc; blocking.A.kc; 43 |] in
+  let a = M.random_int m k st and b = M.random_int k n st in
+  let c0 = M.random_int m n st in
+  let serving = serving () () in
+  let banks = [ serving; Array.sub serving 0 96; bigarray_pair_bank ] in
+  List.for_all
+    (fun beta ->
+      let run ?pool kernels =
+        let c = M.copy c0 in
+        G.blis_ba ~beta ?pool ~ws:(G.workspace ()) ~blocking ~mr:8 ~nr:12
+          ~kernels a b c;
+        c
+      in
+      let c_ref = run ~pool:(List.hd pair_pools) interp_bank in
+      List.for_all
+        (fun pool ->
+          List.for_all
+            (fun bank -> bits_equal (run ~pool (fun () -> bank)) c_ref)
+            banks)
+        pair_pools)
+    [ 0.0; 0.5; 1.0 ]
+
+let test_pair_driver_cases () =
+  (* the shapes the two-tile path is easiest to get wrong, each named *)
+  List.iter
+    (fun (name, blocking, shape) ->
+      Alcotest.(check bool) name true (pair_case_ok ~blocking shape))
+    [
+      ("mc = 3 mr: an odd last tile per block, n_pc = 1",
+       { A.mc = 24; kc = 16; nc = 24 }, (61, 30, 9));
+      ("mc = 5 mr + 3, n_pc = 3, n_jc = 2",
+       { A.mc = 43; kc = 8; nc = 24 }, (77, 37, 21));
+      ("an even tile count, every tile paired", { A.mc = 32; kc = 8; nc = 36 },
+       (64, 36, 8));
+      ("m < 2 mr: no pair fits", { A.mc = 32; kc = 8; nc = 24 }, (13, 25, 17));
+      ("fringe columns only", { A.mc = 64; kc = 8; nc = 24 }, (48, 7, 11));
+      ("k = 0", small_blocking, (40, 25, 0));
+    ]
+
+let prop_blis_ba_pair =
+  QCheck2.Test.make
+    ~name:"two-tile slot ≡ singles ≡ interp oracle (random blockings, widths 1-4)"
+    ~count:30
+    QCheck2.Gen.(
+      pair
+        (triple (int_range 1 70) (int_range 1 40) (int_range 0 30))
+        (quad (int_range 1 6) (int_range 0 7) (int_range 2 16) (int_range 1 3)))
+    (fun (shape, (f, r, kc, g)) ->
+      pair_case_ok ~blocking:{ A.mc = (8 * f) + r; kc; nc = 12 * g } shape)
+
 (* --- driver (performance model) ----------------------------------------- *)
 
 let machine = Mach.carmel
@@ -1086,6 +1161,7 @@ let () =
       [
         prop_blis_equals_naive; prop_blis_exo_random_blocking;
         prop_blis_exo_fringe_random; prop_blis_ba_cross_tier_all_kits;
+        prop_blis_ba_pair;
       ]
   in
   Alcotest.run "blis"
@@ -1152,6 +1228,8 @@ let () =
             test_reset_zeroes_helper_cells;
           Alcotest.test_case "driver allocation fixed per GEMM" `Quick
             test_driver_allocation_per_gemm;
+          Alcotest.test_case "two-tile slot: named edge cases, widths 1-4"
+            `Quick test_pair_driver_cases;
         ]
         @ props );
       ( "driver",

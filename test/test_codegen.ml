@@ -331,6 +331,29 @@ let test_ineligible_shapes_keep_loop_nest () =
   check_contains "8x12 at 16 lanes" paired
     "__builtin_shufflevector(a, a, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7)"
 
+(* The two-tile entry: exported only when asked for, with 12 accumulators
+   holding one column of both tiles each, the second A panel at kc·mr,
+   and only for a paired shape *)
+let test_native_unit_pair () =
+  let unit_ ?pair ~lanes () =
+    C.native_unit ?pair ~target:C.Nat_portable ~lanes ~kernels:[ (8, 12, None) ] ()
+  in
+  Alcotest.(check bool) "no pair unless asked for" false
+    (contains (unit_ ~lanes:16 ()) "_x2");
+  let u = unit_ ~pair:(8, 12) ~lanes:16 () in
+  Alcotest.(check string) "pair symbol" "exo_ukr_8x12_x2" (C.pair_sym ~mr:8 ~nr:12);
+  check_contains "pair" u "void exo_ukr_8x12_x2(int kc, const float *restrict A";
+  check_contains "pair" u "vacc acc[12];";
+  check_contains "pair" u "A + ((ptrdiff_t)kc + k) * 8";
+  check_contains "pair" u
+    "__builtin_shufflevector(a0, a1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)";
+  check_contains "pair" u "acc[11] += a * bp[11];";
+  check_contains "pair: second C tile" u "C + 184";
+  Alcotest.(check bool) "pair: no ldc" false (contains u "ldc");
+  Alcotest.check_raises "a shape that is not paired"
+    (Invalid_argument "C_emit.native_unit: pair of a shape that is not paired")
+    (fun () -> ignore (unit_ ~pair:(8, 12) ~lanes:8 ()))
+
 let () =
   Alcotest.run "codegen"
     [
@@ -347,6 +370,8 @@ let () =
             test_native_unit_one_body;
           Alcotest.test_case "ineligible shapes keep the loop nest" `Quick
             test_ineligible_shapes_keep_loop_nest;
+          Alcotest.test_case "native unit: the two-tile entry" `Quick
+            test_native_unit_pair;
         ] );
       ( "host-compiler",
         [

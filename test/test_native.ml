@@ -16,7 +16,9 @@
    3. Cache robustness — a corrupted cached [.so] reads as a miss and is
       recompiled; the rebuilt table serves native code again and computes
       the same tiles. A [.so] filed under the key formula that predates the
-      emitter digest, or under an older native ABI tag, is never loaded.
+      emitter digest, under an older native ABI tag, or under a digest
+      without the two-tile body, is never loaded; a two-tile entry that
+      fails certification is not served.
 
    4. Graceful degradation — with the tier disabled or the compiler
       masked, the table still builds complete, serves the Bigarray tier
@@ -285,14 +287,18 @@ let pre_digest_key kit ~mr ~nr ~target =
   Store.key (key_parts "native-v1" kit ~mr ~nr ~target)
 
 (* The full store key under ABI tag [abi] for portable nests emitted at
-   [lanes], every other part current. *)
-let abi_key abi kit ~mr ~nr ~target ~lanes =
+   [lanes], every other part current. The digest renders the full tile's
+   two-tile body where that tile is paired; [~pair:false] leaves it out,
+   as the emitter did before the two-tile entry existed. *)
+let abi_key ?(pair = true) abi kit ~mr ~nr ~target ~lanes =
+  let module C_emit = Exo_codegen.C_emit in
   let b = Buffer.create 65536 in
   Buffer.add_string b (Printf.sprintf "lanes=%d\n" lanes);
   for idx = 0 to (mr * nr) - 1 do
-    Exo_codegen.C_emit.portable_body b ~lanes ~mr:((idx / nr) + 1)
-      ~nr:((idx mod nr) + 1)
+    C_emit.portable_body b ~lanes ~mr:((idx / nr) + 1) ~nr:((idx mod nr) + 1)
   done;
+  if pair && C_emit.paired_form ~lanes ~mr ~nr then
+    C_emit.pair_body b ~lanes ~mr ~nr;
   Store.key
     (key_parts abi kit ~mr ~nr ~target
     @ [ Digest.to_hex (Digest.string (Buffer.contents b)) ])
@@ -320,10 +326,11 @@ let test_stale_emitter_so_not_loaded () =
       | Ok decoy ->
           let st = Store.of_dir dir in
           let lanes = Host.f32_lanes () in
-          let current = R.native_key kit ~mr ~nr ~target ~lanes in
-          (* a decoy under [stale] is never loaded: the bank compiles
-             afresh under the current key and every entry certifies *)
-          let not_loaded name stale =
+          (* a decoy under [stale] is never loaded: the (mr, nr) bank
+             compiles afresh under the current key and every entry — the
+             two-tile one included, where it is served — certifies *)
+          let not_loaded ?(mr = mr) ?(nr = nr) name stale =
+            let current = R.native_key kit ~mr ~nr ~target ~lanes in
             Alcotest.(check bool) (name ^ ": key differs from the current key")
               true (current <> stale);
             R.clear_memos_for_bench ();
@@ -338,8 +345,13 @@ let test_stale_emitter_so_not_loaded () =
               compiles;
             Alcotest.(check int) (name ^ ": no entry rejected") 0 ni.R.ni_rejected;
             Alcotest.(check int) (name ^ ": every entry native") (mr * nr)
-              ni.R.ni_entries
+              ni.R.ni_entries;
+            Alcotest.(check bool) (name ^ ": the pair serves where it exists")
+              (target = Exo_codegen.C_emit.Nat_portable
+              && Exo_codegen.C_emit.paired_form ~lanes ~mr ~nr)
+              ni.R.ni_pair
           in
+          let current = R.native_key kit ~mr ~nr ~target ~lanes in
           not_loaded "pre-digest key" (pre_digest_key kit ~mr ~nr ~target);
           (* a .so built for the 5-argument ABI, with every other key part
              current: called through today's stub it would read a garbage
@@ -358,6 +370,20 @@ let test_stale_emitter_so_not_loaded () =
                   (Printf.sprintf "lanes=%d key" other)
                   (abi_key R.native_abi kit ~mr ~nr ~target ~lanes:other))
             [ 1; 4; 8; 16 ];
+          (* a .so emitted before the two-tile entry existed, for a bank
+             whose full tile is paired at this lane count (lanes/2 × 2):
+             its digest lacks the pair body, so its key is not today's *)
+          let pmr = lanes / 2 in
+          if
+            target = Exo_codegen.C_emit.Nat_portable
+            && Exo_codegen.C_emit.paired_form ~lanes ~mr:pmr ~nr:2
+          then begin
+            Alcotest.(check string) "pair bank: the key formula is the registry's"
+              (R.native_key kit ~mr:pmr ~nr:2 ~target ~lanes)
+              (abi_key R.native_abi kit ~mr:pmr ~nr:2 ~target ~lanes);
+            not_loaded ~mr:pmr ~nr:2 "pre-pair key"
+              (abi_key ~pair:false R.native_abi kit ~mr:pmr ~nr:2 ~target ~lanes)
+          end;
           (* control: the same decoy under the current key IS loaded, and
              certification catches it — so a zero hit count above means
              the key moved, not that the decoy was unloadable *)
@@ -396,61 +422,72 @@ let fma_reference ~mr ~nr =
      }\n"
     mr nr nr mr mr nr mr
 
+(* A portable bank of [shapes] at [lanes], with the two-tile entry of
+   [pair] when given, the references of [shapes] and a probe of whether
+   the host fuses [a * b + c]. Slots: the kernels in shape order, the
+   pair when given, the references in shape order, then the probe. *)
+let reference_bank ?pair ~lanes shapes =
+  let module C_emit = Exo_codegen.C_emit in
+  let src =
+    C_emit.native_unit ?pair ~target:C_emit.Nat_portable ~lanes
+      ~kernels:(List.map (fun (m, n) -> (m, n, None)) shapes)
+      ()
+    ^ String.concat "" (List.map (fun (m, n) -> fma_reference ~mr:m ~nr:n) shapes)
+    ^ "void fuses(int kc, const float *A, const float *B, float *C) {\n\
+      \  (void)kc; C[0] = A[0] * B[0] + C[0];\n\
+       }\n"
+  in
+  let syms =
+    List.map (fun (m, n) -> C_emit.native_sym ~mr:m ~nr:n) shapes
+    @ Option.to_list (Option.map (fun (m, n) -> C_emit.pair_sym ~mr:m ~nr:n) pair)
+    @ List.map (fun (m, n) -> Printf.sprintf "ref_%dx%d" m n) shapes
+    @ [ "fuses" ]
+  in
+  match Result.bind (Jit.compile_c ~src) (fun so -> Jit.load_bytes ~so ~syms) with
+  | Ok slots -> slots
+  | Error e -> Alcotest.fail ("bank did not compile: " ^ e)
+
+(* value kinds: real in [-1, 1), wide exponent (2^±100), denormal,
+   signed zero, and — with [specials] — NaN and ±Inf *)
+let any_value st ~specials =
+  let r = Random.State.float st 2.0 -. 1.0 in
+  match Random.State.int st 40 with
+  | 0 when specials -> Float.nan
+  | 1 when specials -> Float.infinity
+  | 2 when specials -> Float.neg_infinity
+  | 3 -> -0.0
+  | n when n < 16 -> Float.ldexp r (Random.State.int st 201 - 100)
+  | n when n < 24 -> Float.ldexp r (-140)
+  | _ -> r
+
+let fill_any st ~specials n =
+  let ba = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout (max 1 n) in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.set ba i (any_value st ~specials)
+  done;
+  ba
+
+let bits ba =
+  Array.init (Bigarray.Array1.dim ba) (fun i ->
+      Int64.bits_of_float (Bigarray.Array1.get ba i))
+
+(* (1 + 2^-12)² − (1 + 2^-11) is 2^-24 when fused, 0 when the product is
+   rounded first *)
+let host_fuses slot =
+  let one x = Bigarray.Array1.of_array Bigarray.float32 Bigarray.c_layout [| x |] in
+  let x = one (Float.ldexp 1.0 (-12) +. 1.0) in
+  let c = one (-.(Float.ldexp 1.0 (-11) +. 1.0)) in
+  Jit.call ~slot ~kc:1 ~a:x ~ao:0 ~b:x ~bo:0 ~c ~co:0;
+  Bigarray.Array1.get c 0 <> 0.0
+
+let fma_kcs = [ 0; 1; 2; 3; 8; 17; 512 ]
+
 let test_paired_nest_bit_identical () =
   match Host.cc () with
   | None -> skip "no C compiler on host"
   | Some _ ->
       let module C_emit = Exo_codegen.C_emit in
       let module BA1 = Bigarray.Array1 in
-      (* slots: the paired kernels, then the references, in shape order *)
-      let bank ~lanes shapes =
-        let src =
-          C_emit.native_unit ~target:C_emit.Nat_portable ~lanes
-            ~kernels:(List.map (fun (m, n) -> (m, n, None)) shapes)
-            ()
-          ^ String.concat "" (List.map (fun (m, n) -> fma_reference ~mr:m ~nr:n) shapes)
-          ^ "void fuses(int kc, const float *A, const float *B, float *C) {\n\
-            \  (void)kc; C[0] = A[0] * B[0] + C[0];\n\
-             }\n"
-        in
-        let syms =
-          List.map (fun (m, n) -> C_emit.native_sym ~mr:m ~nr:n) shapes
-          @ List.map (fun (m, n) -> Printf.sprintf "ref_%dx%d" m n) shapes
-          @ [ "fuses" ]
-        in
-        match Result.bind (Jit.compile_c ~src) (fun so -> Jit.load_bytes ~so ~syms) with
-        | Ok slots -> slots
-        | Error e -> Alcotest.fail ("bank did not compile: " ^ e)
-      in
-      (* value kinds: real in [-1, 1), wide exponent (2^±100), denormal,
-         signed zero, and — with [specials] — NaN and ±Inf *)
-      let value st ~specials =
-        let r = Random.State.float st 2.0 -. 1.0 in
-        match Random.State.int st 40 with
-        | 0 when specials -> Float.nan
-        | 1 when specials -> Float.infinity
-        | 2 when specials -> Float.neg_infinity
-        | 3 -> -0.0
-        | n when n < 16 -> Float.ldexp r (Random.State.int st 201 - 100)
-        | n when n < 24 -> Float.ldexp r (-140)
-        | _ -> r
-      in
-      let fill st ~specials n =
-        let ba = BA1.create Bigarray.float32 Bigarray.c_layout (max 1 n) in
-        for i = 0 to n - 1 do
-          BA1.set ba i (value st ~specials)
-        done;
-        ba
-      in
-      let bits ba = Array.init (BA1.dim ba) (fun i -> Int64.bits_of_float (BA1.get ba i)) in
-      (* (1 + 2^-12)² − (1 + 2^-11) is 2^-24 when fused, 0 when the
-         product is rounded first *)
-      let host_fuses slot =
-        let x = BA1.of_array Bigarray.float32 Bigarray.c_layout [| Float.ldexp 1.0 (-12) +. 1.0 |] in
-        let c = BA1.of_array Bigarray.float32 Bigarray.c_layout [| -.(Float.ldexp 1.0 (-11) +. 1.0) |] in
-        Jit.call ~slot ~kc:1 ~a:x ~ao:0 ~b:x ~bo:0 ~c ~co:0;
-        BA1.get c 0 <> 0.0
-      in
       let checked = ref 0 in
       List.iter
         (fun lanes ->
@@ -459,7 +496,7 @@ let test_paired_nest_bit_identical () =
               (fun (m, n) -> C_emit.paired_form ~lanes ~mr:m ~nr:n)
               (List.init 96 (fun idx -> ((idx / 12) + 1, (idx mod 12) + 1)))
           in
-          let slots = bank ~lanes shapes and n = List.length shapes in
+          let slots = reference_bank ~lanes shapes and n = List.length shapes in
           if host_fuses slots.(2 * n) then
             List.iteri
               (fun si (mr, nr) ->
@@ -470,9 +507,9 @@ let test_paired_nest_bit_identical () =
                         let st =
                           Random.State.make [| lanes; mr; nr; kc; Bool.to_int specials |]
                         in
-                        let a = fill st ~specials (kc * mr)
-                        and b = fill st ~specials (kc * nr)
-                        and c1 = fill st ~specials:false (nr * mr) in
+                        let a = fill_any st ~specials (kc * mr)
+                        and b = fill_any st ~specials (kc * nr)
+                        and c1 = fill_any st ~specials:false (nr * mr) in
                         let c2 = BA1.create Bigarray.float32 Bigarray.c_layout (nr * mr) in
                         BA1.blit c1 c2;
                         Jit.call ~slot:slots.(n + si) ~kc ~a ~ao:0 ~b ~bo:0 ~c:c1 ~co:0;
@@ -484,10 +521,133 @@ let test_paired_nest_bit_identical () =
                              (if specials then ", NaN/Inf" else ""))
                           (bits c1) (bits c2))
                       [ false; true ])
-                  [ 0; 1; 2; 3; 8; 17; 512 ])
+                  fma_kcs)
               shapes)
         (List.sort_uniq compare [ 16; Host.f32_lanes () ]);
       if !checked = 0 then skip "the host compiler does not fuse multiply-add"
+
+(* The two-tile entry on the same data: one call of [exo_ukr_<mr>x<nr>_x2]
+   is bit for bit two calls of the single paired entry — on A's panels at
+   0 and kc·mr and C's tiles at 0 and mr·nr — and two calls of the
+   [__builtin_fmaf] reference, at 16 lanes and at the host's lane count,
+   for the (lanes/2)×nr shapes with nr ∈ {2, 12}. *)
+let test_pair_bit_identical () =
+  match Host.cc () with
+  | None -> skip "no C compiler on host"
+  | Some _ ->
+      let module BA1 = Bigarray.Array1 in
+      let checked = ref 0 in
+      List.iter
+        (fun lanes ->
+          List.iter
+            (fun nr ->
+              let mr = lanes / 2 in
+              (* slots: single, pair, reference, probe *)
+              let slots = reference_bank ~pair:(mr, nr) ~lanes [ (mr, nr) ] in
+              if host_fuses slots.(3) then
+                List.iter
+                  (fun kc ->
+                    List.iter
+                      (fun specials ->
+                        let st =
+                          Random.State.make
+                            [| 0x9a1; lanes; nr; kc; Bool.to_int specials |]
+                        in
+                        let a = fill_any st ~specials (2 * kc * mr)
+                        and b = fill_any st ~specials (kc * nr)
+                        and c_pair = fill_any st ~specials:false (2 * nr * mr) in
+                        let copy () =
+                          let c = BA1.create Bigarray.float32 Bigarray.c_layout (2 * nr * mr) in
+                          BA1.blit c_pair c;
+                          c
+                        in
+                        let c_single = copy () and c_ref = copy () in
+                        Jit.call ~slot:slots.(1) ~kc ~a ~ao:0 ~b ~bo:0 ~c:c_pair ~co:0;
+                        for t = 0 to 1 do
+                          List.iter
+                            (fun (slot, c) ->
+                              Jit.call ~slot ~kc ~a ~ao:(t * kc * mr) ~b ~bo:0 ~c
+                                ~co:(t * nr * mr))
+                            [ (slots.(0), c_single); (slots.(2), c_ref) ]
+                        done;
+                        incr checked;
+                        let name what =
+                          Printf.sprintf "%dx%d pair at %d lanes, kc=%d%s: %s" mr nr
+                            lanes kc
+                            (if specials then ", NaN/Inf" else "")
+                            what
+                        in
+                        Alcotest.(check (array int64))
+                          (name "≡ two paired calls") (bits c_single) (bits c_pair);
+                        Alcotest.(check (array int64))
+                          (name "≡ two fmaf references") (bits c_ref) (bits c_pair))
+                      [ false; true ])
+                  fma_kcs)
+            [ 2; 12 ])
+        (List.sort_uniq compare [ 16; Host.f32_lanes () ]);
+      if !checked = 0 then skip "the host compiler does not fuse multiply-add"
+
+(* A two-tile entry that fails certification is not served: planted under
+   the current key, a bank whose singles are the real nests and whose pair
+   is a no-op serves every single natively, records the rejected pair,
+   publishes no trailing slot, and its GEMM stays exact at one count per
+   tile. The same bank compiled from the emitter serves the pair. *)
+let test_rejected_pair_not_served () =
+  with_fresh_tables @@ fun dir ->
+  let module C_emit = Exo_codegen.C_emit in
+  let kit = K.neon_f32 and lanes = Host.f32_lanes () in
+  let mr = lanes / 2 and nr = 2 in
+  match (R.native_target_for kit, Host.cc ()) with
+  | _, None -> skip "no C compiler on host"
+  | Some (C_emit.Nat_portable as target), Some _
+    when C_emit.paired_form ~lanes ~mr ~nr -> (
+      let gemm t =
+        let m, n, k = ((5 * mr) + 3, (3 * nr) + 1, 23) in
+        let a = M.init m k (fun i j -> float_of_int (((i + (2 * j)) mod 7) - 3)) in
+        let b = M.init k n (fun i j -> float_of_int ((((3 * i) + j) mod 5) - 2)) in
+        let c = M.create m n and c_ref = M.create m n in
+        let blocking = { Exo_blis.Analytical.mc = 8 * mr; kc = 64; nc = 4 * nr } in
+        R.reset_dispatch_counts ();
+        G.blis_ba ~blocking ~mr ~nr ~kernels:(fun () -> t.R.t_bank) a b c;
+        G.naive_f32 a b c_ref;
+        Alcotest.(check bool) "GEMM exact" true (M.equal c c_ref);
+        Alcotest.(check (triple int int int)) "one native count per tile"
+          (((m + mr - 1) / mr) * ((n + nr - 1) / nr), 0, 0)
+          (R.ukr_tier_counts ())
+      in
+      let served = R.exo_table ~kit ~mr ~nr () in
+      Alcotest.(check bool) "control: the emitted pair serves" true
+        served.R.t_native_info.R.ni_pair;
+      Alcotest.(check int) "control: a trailing slot" ((mr * nr) + 1)
+        (Array.length served.R.t_bank);
+      gemm served;
+      let shapes = List.init (mr * nr) (fun i -> ((i / nr) + 1, (i mod nr) + 1)) in
+      let src =
+        C_emit.native_unit ~target ~lanes
+          ~kernels:(List.map (fun (m, n) -> (m, n, None)) shapes)
+          ()
+        ^ C_emit.native_abi_signature (C_emit.pair_sym ~mr ~nr)
+        ^ " { (void)kc; }\n"
+      in
+      match Jit.compile_c ~src with
+      | Error e -> Alcotest.fail ("decoy did not compile: " ^ e)
+      | Ok so ->
+          let st = Store.of_dir dir and key = R.native_key kit ~mr ~nr ~target ~lanes in
+          Store.remove st ~kind:Jit.so_kind ~key;
+          ignore (Store.put st ~kind:Jit.so_kind ~key so);
+          R.clear_memos_for_bench ();
+          Jit.reset_counts ();
+          let t = R.exo_table ~kit ~mr ~nr () in
+          let _, hits, _, _ = Jit.counts () in
+          let ni = t.R.t_native_info in
+          Alcotest.(check int) "the planted .so was loaded" 1 hits;
+          Alcotest.(check bool) "the pair is not served" false ni.R.ni_pair;
+          Alcotest.(check int) "the pair's rejection counted" 1 ni.R.ni_rejected;
+          Alcotest.(check int) "every single native" (mr * nr) ni.R.ni_entries;
+          Alcotest.(check int) "no trailing slot" (mr * nr)
+            (Array.length t.R.t_bank);
+          gemm t)
+  | _ -> skip "the host's neon-f32 banks serve no two-tile entry"
 
 (* A host cc that rejects [__builtin_shufflevector] (gcc before 12) still
    gets a native bank: the registry falls back to the loop nest at one
@@ -596,6 +756,10 @@ let () =
             test_stale_emitter_so_not_loaded;
           Alcotest.test_case "paired nest: one FMA per k, on any data" `Quick
             test_paired_nest_bit_identical;
+          Alcotest.test_case "pair ≡ two paired calls, on any data" `Quick
+            test_pair_bit_identical;
+          Alcotest.test_case "a rejected pair is not served" `Quick
+            test_rejected_pair_not_served;
           Alcotest.test_case "cc without shufflevector: loop-nest bank" `Quick
             test_cc_without_shufflevector;
         ] );
