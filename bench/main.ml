@@ -821,21 +821,30 @@ let run_perf_serve ?(smoke = false) () =
   let cold_writes, _ = Store.write_counts () in
   Fmt.pr "cold table build    : %8.3f s  (%d misses, %d artifacts written)@."
     t_cold_build cold_misses cold_writes;
-  (* 2. hydrated rebuild: wipe every in-memory memo, rebuild from disk *)
-  R.clear_memos_for_bench ();
-  Store.reset_counts ();
-  let t0 = Unix.gettimeofday () in
-  let table_warm = R.exo_table ~mr ~nr () in
-  let t_warm_build = Unix.gettimeofday () -. t0 in
-  let warm_hits, warm_misses = Store.hit_miss_counts () in
-  let warm_writes, _ = Store.write_counts () in
+  (* 2. hydrated rebuilds: wipe every in-memory memo, rebuild from disk;
+     best of [hydrated_reps], every one read entirely from the store *)
+  let hydrated_reps = 5 in
+  let hydrated () =
+    R.clear_memos_for_bench ();
+    Store.reset_counts ();
+    let t0 = Unix.gettimeofday () in
+    let table = R.exo_table ~mr ~nr () in
+    let dt = Unix.gettimeofday () -. t0 in
+    let hits, misses = Store.hit_miss_counts () in
+    let writes, _ = Store.write_counts () in
+    if hits = 0 || misses > 0 then
+      failwith "perf-serve: hydrated rebuild missed the persistent cache";
+    if writes > 0 then
+      failwith "perf-serve: hydrated rebuild re-published artifacts";
+    (table, dt, hits, misses)
+  in
+  let runs = List.init hydrated_reps (fun _ -> hydrated ()) in
+  let table_warm, _, warm_hits, warm_misses = List.hd (List.rev runs) in
+  let build_samples = List.map (fun (_, dt, _, _) -> dt) runs in
+  let t_warm_build = List.fold_left Float.min infinity build_samples in
   let build_speedup = t_cold_build /. t_warm_build in
-  Fmt.pr "hydrated table build: %8.3f s  (%d hits, %d misses; %.1fx)@."
-    t_warm_build warm_hits warm_misses build_speedup;
-  if warm_hits = 0 || warm_misses > 0 then
-    failwith "perf-serve: hydrated rebuild missed the persistent cache";
-  if warm_writes > 0 then
-    failwith "perf-serve: hydrated rebuild re-published artifacts";
+  Fmt.pr "hydrated table build: %8.3f s  best of %d (%d hits, %d misses; %.1fx)@."
+    t_warm_build hydrated_reps warm_hits warm_misses build_speedup;
   (* correctness gate A: every hydrated executor bit-identical to the
      freshly compiled one, on every (mr' x nr') entry *)
   let mk_ba st n =
@@ -1022,7 +1031,8 @@ let run_perf_serve ?(smoke = false) () =
         (List.map (fun t -> t *. 1e6) warm_samples);
       Ledger.metric ~unit_:"x" Ledger.Higher "serve.warm_vs_cold_speedup"
         warm_vs_cold;
-      info ~unit_:"s" "cache.hydrated_build_seconds" t_warm_build;
+      Ledger.metric_of_samples ~unit_:"s" Ledger.Lower
+        "cache.hydrated_build_seconds" build_samples;
       info ~unit_:"x" "cache.build_speedup" build_speedup;
       info_int ~unit_:"count" "cache.entries.kernel" kernel_entries;
       info_int ~unit_:"count" "cache.entries.family" family_entries;

@@ -674,6 +674,14 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
         "registry.build_table"
         (fun () ->
           let store = Store.ambient () in
+          (* a kit with a native tier keys its .so with the compiler's
+             banner: its subprocess runs while the entries hydrate *)
+          let prefetch f =
+            if Option.is_some (native_target_for kit) then
+              Host.with_identity_prefetch f
+            else f ()
+          in
+          prefetch @@ fun () ->
           let built =
             Array.init (mr * nr) (fun idx ->
                 let e =

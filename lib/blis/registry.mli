@@ -186,6 +186,12 @@ val native_key :
   Exo_ukr_gen.Kits.t -> mr:int -> nr:int ->
   target:Exo_codegen.C_emit.native_target -> lanes:int -> string
 
+(** The store key a table entry's lowered artifact is filed under: the
+    entry ABI tag, the OCaml version, the kit's name and
+    {!Exo_ukr_gen.Kits.digest}, its declared step count, the shape and the
+    pipeline variant. *)
+val entry_key : Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> string
+
 (** The native-ABI C source for a whole bank, with the target this host
     would pick, its portable nests at the host's
     {!Exo_native.Host.f32_lanes} (a [// lanes=] line in the header

@@ -435,7 +435,7 @@ let native_abi_signature (sym : string) : string =
    8×1 to 8×4) differ from one FMA per k on real-valued data — in 8×2,
    gcc vectorizes along k and rounds each product before the add. *)
 let loop_body (b : Buffer.t) ~(mr : int) ~(nr : int) : unit =
-  let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let bf fmt = Printf.bprintf b fmt in
   let unroll n = if mr mod 4 = 0 then bf "#pragma GCC unroll %d\n" n in
   bf "  float acc[%d][%d];\n" nr mr;
   unroll nr;
@@ -481,7 +481,7 @@ let paired_form ~(lanes : int) ~(mr : int) ~(nr : int) : bool =
    through a stack round-trip per k and ran 1.9–14× slower than the
    loop nest. *)
 let paired_body (b : Buffer.t) ~(lanes : int) ~(mr : int) ~(nr : int) : unit =
-  let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let bf fmt = Printf.bprintf b fmt in
   let list n f = String.concat ", " (List.init n f) in
   let pairs = nr / 2 in
   bf "  typedef float vacc __attribute__((vector_size(%d)));\n" (4 * lanes);
@@ -533,7 +533,7 @@ let pair_sym ~(mr : int) ~(nr : int) : string = native_sym ~mr ~nr ^ "_x2"
    8×12). Every element still gets one FMA per k, in k order, from +0,
    and is added to C once: bit for bit two {!paired_body} calls. *)
 let pair_body (b : Buffer.t) ~(lanes : int) ~(mr : int) ~(nr : int) : unit =
-  let bf fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let bf fmt = Printf.bprintf b fmt in
   let list n f = String.concat ", " (List.init n f) in
   bf "  typedef float vacc __attribute__((vector_size(%d)));\n" (4 * lanes);
   bf "  typedef float va __attribute__((vector_size(%d)));\n" (4 * mr);

@@ -10,7 +10,9 @@
     domain, so no [Lazy] races later); the compiler resolution re-reads the
     environment on every call so tests can mask [cc] from one process
     ([UKRGEN_CC=/nonexistent]) or disable the tier ([UKRGEN_NATIVE=0])
-    without rebuilding, and only the [--version] banner is memoized. *)
+    without rebuilding, and only the [--version] banner is memoized. A
+    caller about to need the banner can start its subprocess early
+    ({!with_identity_prefetch}) and do other work while it runs. *)
 
 type isa = Neon | Avx2 | Avx512 | Rvv
 
@@ -120,32 +122,88 @@ let cc () =
 
 (* The --version banner identifies the binary that produced a cached .so
    (a cache-key part): memoized per compiler path — one subprocess per
-   distinct compiler per process. *)
-let identity_memo : (string, string) Hashtbl.t = Hashtbl.create 4
+   distinct compiler per process. A banner is [Pending] between
+   {!with_identity_prefetch} starting that subprocess and the first reader
+   reaping it. *)
+type banner = Known of string | Pending of int * Unix.file_descr
+
+let identity_memo : (string, banner) Hashtbl.t = Hashtbl.create 4
 let identity_mutex = Mutex.create ()
 
-let version_banner path =
-  try
-    let ic =
-      Unix.open_process_in (Filename.quote path ^ " --version 2>/dev/null")
-    in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> Filename.basename path
-  with _ -> Filename.basename path
+(* Start [path --version] (through the shell, stderr discarded) without
+   waiting for it: its pid and the read end of its stdout. *)
+let spawn_banner path =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match
+    Fun.protect
+      ~finally:(fun () -> Unix.close wr)
+      (fun () ->
+        Unix.create_process "/bin/sh"
+          [| "/bin/sh"; "-c"; Filename.quote path ^ " --version 2>/dev/null" |]
+          Unix.stdin wr Unix.stderr)
+  with
+  | pid -> (pid, rd)
+  | exception e ->
+      Unix.close rd;
+      raise e
+
+(* Drain and reap a started [--version]: the first line of its output, or
+   the compiler's basename when it prints nothing or fails. *)
+let finish_banner path ~pid ~rd =
+  let ic = Unix.in_channel_of_descr rd in
+  let out = try In_channel.input_all ic with Sys_error _ -> "" in
+  close_in_noerr ic;
+  let rec reap () =
+    try snd (Unix.waitpid [] pid)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+  in
+  let line = List.hd (String.split_on_char '\n' out) in
+  match reap () with
+  | Unix.WEXITED 0 when line <> "" -> line
+  | _ -> Filename.basename path
+
+(* Under [identity_mutex]: the memoized banner of [path], finishing a
+   pending subprocess or running one now. *)
+let resolve path =
+  match Hashtbl.find_opt identity_memo path with
+  | Some (Known id) -> id
+  | memo ->
+      let id =
+        try
+          let pid, rd =
+            match memo with
+            | Some (Pending (pid, rd)) -> (pid, rd)
+            | _ -> spawn_banner path
+          in
+          finish_banner path ~pid ~rd
+        with _ -> Filename.basename path
+      in
+      Hashtbl.replace identity_memo path (Known id);
+      id
 
 let cc_identity () =
   match cc () with
   | None -> "none"
+  | Some path -> Mutex.protect identity_mutex (fun () -> resolve path)
+
+let with_identity_prefetch f =
+  (match cc () with
   | Some path ->
       Mutex.protect identity_mutex (fun () ->
-          match Hashtbl.find_opt identity_memo path with
-          | Some id -> id
-          | None ->
-              let id = version_banner path in
-              Hashtbl.replace identity_memo path id;
-              id)
+          if not (Hashtbl.mem identity_memo path) then
+            match spawn_banner path with
+            | pid, rd -> Hashtbl.replace identity_memo path (Pending (pid, rd))
+            | exception _ -> ())
+  | None -> ());
+  let settle () =
+    Mutex.protect identity_mutex (fun () ->
+        Hashtbl.fold
+          (fun path b acc ->
+            match b with Pending _ -> path :: acc | Known _ -> acc)
+          identity_memo []
+        |> List.iter (fun path -> ignore (resolve path)))
+  in
+  Fun.protect ~finally:settle f
 
 let describe () =
   [

@@ -30,6 +30,13 @@ val cc : unit -> string option
     content-address key part for cached shared objects. *)
 val cc_identity : unit -> string
 
+(** [with_identity_prefetch f] starts {!cc}'s [--version] subprocess in
+    the background when a compiler is found and its banner is not memoized
+    yet, then runs [f]. A {!cc_identity} call inside [f] reads that
+    subprocess's output instead of starting its own. The subprocess is
+    reaped before this returns, even when [f] raises or never asks. *)
+val with_identity_prefetch : (unit -> 'a) -> 'a
+
 (** Vector ISAs this machine executes (from [/proc/cpuinfo], read once). *)
 val isas : unit -> isa list
 

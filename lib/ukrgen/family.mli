@@ -53,6 +53,11 @@ val generate : ?kit:Kits.t -> mr:int -> nr:int -> unit -> kernel
     process. Identical to {!generate} when no store is ambient. *)
 val generate_cached : ?kit:Kits.t -> mr:int -> nr:int -> unit -> kernel
 
+(** The store key {!generate_cached} files a kernel under: the artifact
+    ABI tag, the OCaml version, the kit's name and {!Kits.digest}, its
+    declared step count, the shape and the pipeline variant. *)
+val artifact_key : Kits.t -> mr:int -> nr:int -> string
+
 (** Demand the static bounds certificate of {!Exo_check.Bounds.check_proc}:
     every access [Proved] in range, zero [Unknown]s. Raises
     [Exo_sched.Sched.Sched_error] naming the failures otherwise; returns the

@@ -146,12 +146,12 @@ let all = [ neon_f32; neon_f16; neon_i32; avx512_f32; avx2_f32; rvv_f32 ]
 
 let by_name n = List.find_opt (fun k -> String.equal k.name n) all
 
-(** Content digest of a kit — the cache-key ingredient that invalidates
-    every persisted artifact when the kit changes. Covers the descriptor
-    scalars and the printed form of every instruction proc (names, preds,
-    bodies; [Pp.proc_to_string] prints names rather than internal ids, so
-    the digest is stable across processes). *)
-let digest (k : t) : string =
+(* Content digest of a kit — the cache-key ingredient that invalidates
+   every persisted artifact when the kit changes. Covers the descriptor
+   scalars and the printed form of every instruction proc (names, preds,
+   bodies; [Pp.proc_to_string] prints names rather than internal ids, so
+   the digest is stable across processes). *)
+let compute_digest (k : t) : string =
   let b = Buffer.create 1024 in
   let part s =
     Buffer.add_string b (string_of_int (String.length s));
@@ -180,3 +180,20 @@ let digest (k : t) : string =
   opt "fma_scalar_r" k.fma_scalar_r;
   proc k.bcast;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digests already computed, by physical identity of the kit value. A kit
+   is immutable, so its digest is fixed for the value's lifetime; a
+   [{ k with ... }] copy is another value and gets its own entry. A domain
+   that loses the CAS to a racing one starts over, so each value gets one
+   entry. The list holds the kits this process keys with: the six of
+   {!all}, plus any copies tests make. *)
+let digests : (t * string) list Atomic.t = Atomic.make []
+
+let rec digest (k : t) : string =
+  let seen = Atomic.get digests in
+  match List.assq_opt k seen with
+  | Some d -> d
+  | None ->
+      let d = compute_digest k in
+      if Atomic.compare_and_set digests seen ((k, d) :: seen) then d
+      else digest k

@@ -47,5 +47,7 @@ val by_name : string -> t option
 (** Content digest over the descriptor scalars and the printed form of every
     instruction proc — the cache-key ingredient ({!Exo_cache.Store}) that
     invalidates persisted kernel/tuner artifacts when a kit changes. Stable
-    across processes (keyed on printed names, not symbol ids). *)
+    across processes (keyed on printed names, not symbol ids). Computed
+    once per kit value and process, memoized by physical identity: a
+    [{ k with ... }] copy is a new value with its own digest. *)
 val digest : t -> string

@@ -238,6 +238,56 @@ let test_kit_digest_stable_and_sensitive () =
     "table-artifact keys move with the digest" false
     (entry_key moved = entry_key K.neon_f32)
 
+(* The digest is memoized per kit value (physical identity): a fresh copy
+   of a kit is a new key that digests to the same content, a changed copy
+   made after the original was memoized gets its own digest, and domains
+   racing on one unmemoized value all read the same one. *)
+let test_kit_digest_memo () =
+  List.iter
+    (fun k ->
+      let d = K.digest k in
+      Alcotest.(check string)
+        (Fmt.str "%s: a fresh copy digests the same" k.K.name)
+        d
+        (K.digest { k with K.name = k.K.name });
+      let moved = { k with K.sched_steps = k.K.sched_steps + 1 } in
+      Alcotest.(check bool)
+        (Fmt.str "%s: a changed copy digests differently" k.K.name)
+        false
+        (K.digest moved = d);
+      Alcotest.(check string)
+        (Fmt.str "%s: the original keeps its digest" k.K.name)
+        d (K.digest k))
+    K.all;
+  let pool = Exo_par.Pool.create ~jobs:4 () in
+  List.iter
+    (fun k ->
+      let fresh = { k with K.name = k.K.name } in
+      let got = Exo_par.Pool.map pool K.digest [ fresh; fresh; fresh; fresh ] in
+      List.iter
+        (Alcotest.(check string)
+           (Fmt.str "%s: four racing domains agree" k.K.name)
+           (K.digest k))
+        got)
+    K.all
+
+(* The keys a fixed kit and shape file artifacts under are byte-identical
+   to the ones stores were primed with before the digest was memoized:
+   the neon-f32 digest as it was computed then, in the key formulas. *)
+let test_keys_unchanged () =
+  let kit = K.neon_f32 and mr = 8 and nr = 12 in
+  let digest = "bb17611a7cca5d070eb64268cc2d6776" in
+  Alcotest.(check string) "neon-f32 digest" digest (K.digest kit);
+  let parts abi =
+    [ abi; Sys.ocaml_version; "neon-f32"; digest; "6"; "8"; "12"; "simple" ]
+  in
+  Alcotest.(check string) "Registry.entry_key"
+    (Store.key (parts "regtable-v2"))
+    (R.entry_key kit ~mr ~nr);
+  Alcotest.(check string) "Family.artifact_key"
+    (Store.key (parts "family-v1"))
+    (F.artifact_key kit ~mr ~nr)
+
 (* --- the consumers ------------------------------------------------------- *)
 
 let test_family_generate_cached_hydrates () =
@@ -368,6 +418,10 @@ let () =
         [
           Alcotest.test_case "kit digest stable and schedule-sensitive" `Quick
             test_kit_digest_stable_and_sensitive;
+          Alcotest.test_case "kit digest memoized per kit value" `Quick
+            test_kit_digest_memo;
+          Alcotest.test_case "entry and artifact keys unchanged" `Quick
+            test_keys_unchanged;
         ] );
       ( "consumers",
         [

@@ -354,6 +354,43 @@ let test_native_unit_pair () =
     (Invalid_argument "C_emit.native_unit: pair of a shape that is not paired")
     (fun () -> ignore (unit_ ~pair:(8, 12) ~lanes:8 ()))
 
+(* The emitted bytes, pinned. Every .so key digests the portable nests
+   (Registry.native_key), so any change to these bytes moves every key and
+   strands every cached bank: an emitter edit must move these values on
+   purpose. The neon-f32 8×12 bank's portable unit at one lane (the loop
+   nest everywhere), at 8 lanes, and at 16 lanes with its two-tile entry;
+   and three fringe bodies (rolled loop nest, paired at 8 and 16 lanes). *)
+let test_emitted_bytes_pinned () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  let bank ?pair ~lanes () =
+    C.native_unit ?pair ~target:C.Nat_portable ~lanes
+      ~kernels:(List.init 96 (fun i -> ((i / 12) + 1, (i mod 12) + 1, None)))
+      ()
+  in
+  List.iter
+    (fun (name, expected, unit_) ->
+      Alcotest.(check string) ("8x12 bank, " ^ name) expected (hex unit_))
+    [
+      ("1 lane", "6dac146595c6dc4a89082192435fab3d", bank ~lanes:1 ());
+      ("8 lanes", "6dca360a488c0ca91b8b4a8d97357107", bank ~lanes:8 ());
+      ( "16 lanes with the pair",
+        "534391023ab2f40a4f6b068ab7f0ec10",
+        bank ~pair:(8, 12) ~lanes:16 () );
+    ];
+  List.iter
+    (fun (lanes, mr, nr, expected) ->
+      let b = Buffer.create 1024 in
+      C.portable_body b ~lanes ~mr ~nr;
+      Alcotest.(check string)
+        (Printf.sprintf "%dx%d body at %d lanes" mr nr lanes)
+        expected
+        (hex (Buffer.contents b)))
+    [
+      (16, 7, 11, "1778b50f5a9babbd799749499dcf1ca4");
+      (8, 4, 12, "aa25a4319085be7df4693331a6f82167");
+      (16, 8, 6, "481443874443fe757ef6321552e0535e");
+    ]
+
 let () =
   Alcotest.run "codegen"
     [
@@ -372,6 +409,8 @@ let () =
             test_ineligible_shapes_keep_loop_nest;
           Alcotest.test_case "native unit: the two-tile entry" `Quick
             test_native_unit_pair;
+          Alcotest.test_case "native unit: emitted bytes pinned" `Quick
+            test_emitted_bytes_pinned;
         ] );
       ( "host-compiler",
         [

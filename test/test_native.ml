@@ -675,6 +675,96 @@ let test_cc_without_shufflevector () =
       Alcotest.(check int) "no entry rejected" 0 ni.R.ni_rejected;
       Alcotest.(check int) "emitted at one lane" 1 ni.R.ni_lanes
 
+(* --- compiler identity ---------------------------------------------------- *)
+
+(* A fresh [UKRGEN_CC] wrapper at [dir/name] that logs each [--version] it
+   runs, then execs [cc]. A new path is a new memo key, so no banner of an
+   earlier case is reused. Returns the wrapper and a count of its logged
+   [--version] runs. *)
+let logging_cc dir cc name =
+  let wrapper = Filename.concat dir name in
+  let log = wrapper ^ ".versions" in
+  Out_channel.with_open_text wrapper (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         case \"$1\" in --version) echo version >> %s;; esac\n\
+         exec %s \"$@\"\n"
+        (Filename.quote log) (Filename.quote cc));
+  Unix.chmod wrapper 0o755;
+  let versions () =
+    if Sys.file_exists log then
+      List.length (In_channel.with_open_text log In_channel.input_lines)
+    else 0
+  in
+  (wrapper, versions)
+
+(* No child process of this one is left, running or unreaped. *)
+let no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
+
+(* The table build starts the compiler's [--version] while its entries
+   hydrate; the .so key then reads that banner: one [--version] per build,
+   the same banner a synchronous call returns, no child left behind. *)
+let test_identity_prefetched_once () =
+  match Host.cc () with
+  | None -> skip "no C compiler on host"
+  | Some cc ->
+      with_fresh_tables @@ fun dir ->
+      let wrapper, versions = logging_cc dir cc "cc-table" in
+      let banner =
+        with_env Host.env_cc wrapper @@ fun () ->
+        let t = R.exo_table ~kit:K.neon_f32 ~mr:4 ~nr:4 () in
+        Alcotest.(check bool) "the bank serves native code" true
+          (t.R.t_native_info.R.ni_entries > 0);
+        Alcotest.(check int) "one --version for the table build" 1 (versions ());
+        let banner = Host.cc_identity () in
+        Alcotest.(check int) "cc_identity reads the memoized banner" 1
+          (versions ());
+        banner
+      in
+      let sync_wrapper, sync_versions = logging_cc dir cc "cc-sync" in
+      let sync = with_env Host.env_cc sync_wrapper Host.cc_identity in
+      Alcotest.(check int) "a synchronous call runs its own --version" 1
+        (sync_versions ());
+      Alcotest.(check string) "prefetched banner = synchronous banner" sync
+        banner;
+      Alcotest.(check bool) "no child process left" true (no_children ())
+
+(* The registry's stored table entry, as its artifact is laid out. *)
+type planted_artifact = {
+  ta_mr : int;
+  ta_nr : int;
+  ta_fast : bool;
+  ta_proved : bool;
+  ta_summary : Exo_interp.Compile.Summary.t option;
+}
+[@@warning "-69"]
+
+(* A build that degrades before it computes the .so key still reaps the
+   prefetched [--version] before [exo_table] returns: a stored 1×1 entry
+   that only the interpreter serves leaves no entry eligible. *)
+let test_identity_reaped_on_early_degrade () =
+  match Host.cc () with
+  | None -> skip "no C compiler on host"
+  | Some cc ->
+      with_fresh_tables @@ fun dir ->
+      let kit = K.neon_f32 in
+      ignore
+        (Store.put (Store.of_dir dir) ~kind:"kernel"
+           ~key:(R.entry_key kit ~mr:1 ~nr:1)
+           { ta_mr = 1; ta_nr = 1; ta_fast = false; ta_proved = false;
+             ta_summary = None });
+      let wrapper, versions = logging_cc dir cc "cc-degrade" in
+      with_env Host.env_cc wrapper @@ fun () ->
+      let t = R.exo_table ~kit ~mr:1 ~nr:1 () in
+      Alcotest.(check string) "degraded before the .so key"
+        "no eligible entries" t.R.t_native_info.R.ni_reason;
+      Alcotest.(check int) "the prefetch ran once" 1 (versions ());
+      Alcotest.(check bool) "and was reaped before exo_table returned" true
+        (no_children ())
+
 (* --- graceful degradation ------------------------------------------------- *)
 
 (* the table must still build, serve the Bigarray tier for every call, and
@@ -762,6 +852,13 @@ let () =
             test_rejected_pair_not_served;
           Alcotest.test_case "cc without shufflevector: loop-nest bank" `Quick
             test_cc_without_shufflevector;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "table build: one --version, prefetched" `Quick
+            test_identity_prefetched_once;
+          Alcotest.test_case "early degrade still reaps the prefetch" `Quick
+            test_identity_reaped_on_early_degrade;
         ] );
       ( "degradation",
         [
