@@ -13,7 +13,8 @@
                                               # pool invariance, batched layers
                                               # (writes BENCH_gemm.json)
      dune exec bench/main.exe -- perf-serve   # cold vs cache-hydrated builds,
-                                              # warm daemon request latency
+                                              # warm daemon request latency,
+                                              # RUN input synthesis
                                               # (writes BENCH_serve.json)
      dune exec bench/main.exe -- nest-ab      # portable nest: paired vector
                                               # form vs loop nest, per entry,
@@ -780,7 +781,8 @@ let run_perf_gemm ?(smoke = false) () =
 (* tuner-sweep ranking surviving an in-memory-memo wipe from disk;      *)
 (* (b) warm kernel-request latency against a live ukrgen-serve daemon   *)
 (* (concurrent clients, per-request Obs spans) vs a cold one-shot       *)
-(* ukrgen subprocess, gated at >= 50x. Writes BENCH_serve.json.         *)
+(* ukrgen subprocess, gated at >= 50x; (c) the daemon's RUN input      *)
+(* synthesis per element. Writes BENCH_serve.json.                      *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -975,6 +977,29 @@ let run_perf_serve ?(smoke = false) () =
   in
   if not span_observed then
     failwith "perf-serve: no serve.request span recorded for a traced request";
+  (* RUN input synthesis per element, from the reply's synth_seconds:
+     best of [synth_reps] on serve_open's largest-input shape *)
+  let synth_req = "RUN 49 512 2048" and synth_elements = (49 * 2048) + (2048 * 512) in
+  let synth_reps = 5 in
+  let synth_samples =
+    List.init synth_reps (fun _ ->
+        let status, payload = Serve.Client.request ~socket synth_req in
+        if not (Serve.Client.ok status) then
+          failwith (Printf.sprintf "perf-serve: daemon rejected %S: %s" synth_req status);
+        match
+          List.find_map
+            (fun l ->
+              match String.split_on_char ' ' l with
+              | [ "synth_seconds"; v ] -> float_of_string_opt v
+              | _ -> None)
+            payload
+        with
+        | Some t -> t *. 1e9 /. float_of_int synth_elements
+        | None -> failwith "perf-serve: RUN reply without synth_seconds")
+  in
+  Fmt.pr "%s input synthesis: %.2f ns per element, best of %d@." synth_req
+    (List.fold_left Float.min infinity synth_samples)
+    synth_reps;
   let req_total, req_errors, _ = Serve.request_counts () in
   (* 5. the cold baseline: a one-shot ukrgen subprocess generating the
      same kernel with no daemon and no cache *)
@@ -1033,6 +1058,8 @@ let run_perf_serve ?(smoke = false) () =
         warm_vs_cold;
       Ledger.metric_of_samples ~unit_:"s" Ledger.Lower
         "cache.hydrated_build_seconds" build_samples;
+      Ledger.metric_of_samples ~unit_:"ns" Ledger.Lower
+        "serve.synth_ns_per_element" synth_samples;
       info ~unit_:"x" "cache.build_speedup" build_speedup;
       info_int ~unit_:"count" "cache.entries.kernel" kernel_entries;
       info_int ~unit_:"count" "cache.entries.family" family_entries;

@@ -1,6 +1,7 @@
 /* The GEMM driver's data movement: packing A and B from the f64
  * row-major Matrix.t storage into the f32 panel arenas, and copying one C
  * tile between Matrix.t and its transposed slot of the f32 accumulator.
+ * Also Matrix.fill_random_int's draw loop, which synthesizes GEMM inputs.
  *
  * Matrix.data is a flat float array (OCaml is configured with
  * flat_float_array), so its elements are consecutive doubles at the value
@@ -9,12 +10,14 @@
  * The expressions are written so that no multiply and add can be
  * contracted: each stored value is one product or one copy.
  *
- * All four are [@@noalloc] and raise nothing. Ranges are the OCaml
+ * All five are [@@noalloc] and raise nothing. Ranges are the OCaml
  * caller's contract: Exo_blis.Packing checks the block and the arena
- * before it calls a packer, and Exo_blis.Gemm checks the matrix storage and
- * sizes the accumulator before any tile is copied. No loop body runs on an
- * empty block, so an empty array is never dereferenced. */
+ * before it calls a packer, Exo_blis.Gemm checks the matrix storage and
+ * sizes the accumulator before any tile is copied, and Exo_blis.Matrix
+ * checks the storage and the bound before it fills. No loop body runs on
+ * an empty block, so an empty array is never dereferenced. */
 
+#include <stdint.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
 
@@ -131,4 +134,50 @@ CAMLprim value exo_blis_scatter_bytecode(value *argv, int argn)
   (void)argn;
   return exo_blis_scatter(argv[0], argv[1], argv[2], argv[3], argv[4],
                           argv[5], argv[6]);
+}
+
+/* Matrix.fill_random_int: d[0 .. n-1] <- Random.State.int st (2*bound+1)
+ * - bound, drawn in index order, and the advanced state stored back.
+ *
+ * Random.State.t is OCaml 5's LXM generator (L64X128, serialized as
+ * "lxm1:"): an int64 Bigarray of four words {a; s; x0; x1}. One draw is the
+ * runtime's caml_lxm_next (mix of s + x0; the LCG step of s; the
+ * xoroshiro128 step of x0, x1), masked to 30 bits as Random.State.bits
+ * does, then reduced by Random.State.int's rule: r mod span, redrawn when
+ * r - v > 2^30 - span, which keeps every residue equally likely. So the
+ * values and the state afterwards are those of the OCaml loop it replaced
+ * (test_blis checks them against it). r < 2^30 and 1 <= span < 2^30, so
+ * the reduction is exact in 32 bits. */
+static inline uint64_t rotl64(uint64_t x, int k)
+{
+  return (x << k) | (x >> (64 - k));
+}
+
+CAMLprim value exo_blis_fill_random_int(value vst, value vd, value vn,
+                                        value vbound)
+{
+  uint64_t *st = (uint64_t *)Caml_ba_data_val(vst);
+  uint64_t a = st[0], s = st[1], x0 = st[2], x1 = st[3];
+  double *d = (double *)vd;
+  intnat n = Long_val(vn), bound = Long_val(vbound);
+  uint32_t span = (uint32_t)(2 * bound + 1);
+  uint32_t limit = 0x40000000u - span;
+  for (intnat i = 0; i < n;) {
+    uint64_t z = s + x0;
+    z = (z ^ (z >> 32)) * 0xdaba0b6eb09322e3ull;
+    z = (z ^ (z >> 32)) * 0xdaba0b6eb09322e3ull;
+    z ^= z >> 32;
+    s = s * 0xd1342543de82ef95ull + a;
+    x1 ^= x0;
+    x0 = rotl64(x0, 24) ^ x1 ^ (x1 << 16);
+    x1 = rotl64(x1, 37);
+    uint32_t r = (uint32_t)z & 0x3FFFFFFFu;
+    uint32_t v = r % span;
+    if (r - v <= limit)
+      d[i++] = (double)((intnat)v - bound);
+  }
+  st[1] = s;
+  st[2] = x0;
+  st[3] = x1;
+  return Val_unit;
 }

@@ -21,6 +21,19 @@ let init rows cols f =
 
 let copy m = { m with data = Array.copy m.data }
 
+(* The draw loop is build-time C (blis_stubs.c): OCaml 5's LXM step and
+   Random.State.int's rejection rule, reading and advancing the state in
+   place. It trusts its arguments: the storage and the bound are checked
+   below. The OCaml loop it replaced lives on in [test/test_blis.ml] as
+   the oracle it is checked against. *)
+external fill_random_int_stub :
+  Random.State.t -> float array -> int -> int -> unit
+  = "exo_blis_fill_random_int"
+[@@noalloc]
+
+(* the largest bound whose span 2·bound+1 is a legal Random.State.int bound *)
+let max_bound = 0x1FFF_FFFF
+
 (** Fill the first [rows·cols] entries of [t.data], in index order, with
     small integers in [\[-bound, bound\]]: one [Random.State.int] draw per
     element, row-major. Entries past [rows·cols] are left as they are, so
@@ -29,10 +42,9 @@ let fill_random_int ?(bound = 3) t (st : Random.State.t) =
   let n = t.rows * t.cols in
   if Array.length t.data < n then
     invalid_arg "Matrix.fill_random_int: storage shorter than rows*cols";
-  let span = (2 * bound) + 1 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set t.data i (float_of_int (Random.State.int st span - bound))
-  done
+  if bound < 0 || bound > max_bound then
+    invalid_arg "Matrix.fill_random_int: bound out of range";
+  fill_random_int_stub st t.data n bound
 
 (** Random matrix of small integer values: sums of products stay exactly
     representable in binary32, so differently-blocked GEMMs compare for

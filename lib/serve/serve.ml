@@ -24,8 +24,10 @@
     - [TUNE <m> <n> <k>] — the {!Exo_blis.Tuner} ranking for one problem
       (persisted across restarts via the ambient store).
     - [RUN <m> <n> <k> [count]] — execute [count] GEMMs, one after the
-      other, through the monomorphized table; replies with a checksum and
-      the GEMMs' summed wall seconds.
+      other, through the monomorphized table; replies with a checksum, the
+      GEMMs' summed wall seconds ([seconds]) and the inputs' summed
+      synthesis wall seconds ([synth_seconds]), which the access log
+      records too.
     - [STATS] — request/cache counters, per-verb latency quantiles, uptime.
     - [METRICS] — Prometheus-style text exposition (counters + per-verb
       request-latency histograms).
@@ -238,14 +240,16 @@ let handle_run m n k count =
      its inputs from its own state, B before A, and its C adds to the
      checksum over exactly its m·n entries: the buffers' tails may still
      hold a larger earlier request. *)
-  let dt = ref 0.0 and checksum = ref 0.0 in
+  let dt = ref 0.0 and synth = ref 0.0 and checksum = ref 0.0 in
   for i = 0 to count - 1 do
+    let t0 = Unix.gettimeofday () in
     let st = Random.State.make [| 0x5e12e; m; n; k; i |] in
     Matrix.fill_random_int b st;
     Matrix.fill_random_int a st;
-    let t0 = Unix.gettimeofday () in
+    let t1 = Unix.gettimeofday () in
+    synth := !synth +. (t1 -. t0);
     Gemm.blis_ba ~beta:0.0 ~blocking ~mr ~nr ~kernels a b c;
-    dt := !dt +. (Unix.gettimeofday () -. t0);
+    dt := !dt +. (Unix.gettimeofday () -. t1);
     for j = 0 to (m * n) - 1 do
       checksum := !checksum +. Array.unsafe_get c.Matrix.data j
     done
@@ -255,6 +259,7 @@ let handle_run m n k count =
     [
       Fmt.str "checksum %.17g" !checksum;
       Fmt.str "seconds %.6f" !dt;
+      Fmt.str "synth_seconds %.6f" !synth;
       Fmt.str "fast_calls %d" (native + ba);
       Fmt.str "fallback_calls %d" fallback;
       Fmt.str "native_calls %d" native;
@@ -355,6 +360,18 @@ let handle_metrics () =
     verb_latency;
   ("metrics", List.rev !lines)
 
+(* A RUN reply's time split — GEMM [seconds] and input [synth_seconds] —
+   as access-log fields; empty for an ERR reply, which carries neither. *)
+let run_split (response : string list) : string =
+  String.concat ""
+    (List.filter_map
+       (fun l ->
+         match String.split_on_char ' ' l with
+         | [ (("seconds" | "synth_seconds") as key); v ] ->
+             Some (Printf.sprintf ",\"%s\":%s" key v)
+         | _ -> None)
+       response)
+
 (** Dispatch one request line. Returns the full response: status line
     followed by payload lines (the ["."] terminator is the writer's job).
     Never raises — protocol errors become [ERR ...] responses. *)
@@ -423,8 +440,9 @@ let handle_request (stop : bool Atomic.t) (line : string) : string list =
   | Some sink ->
       Ledger.Sink.write sink
         (Printf.sprintf
-           "{\"ts\":%.6f,\"verb\":\"%s\",\"ok\":%b,\"us\":%d,\"lines\":%d}" t0
-           (Ledger.Json.escape verb) (not failed) us (List.length response)));
+           "{\"ts\":%.6f,\"verb\":\"%s\",\"ok\":%b,\"us\":%d,\"lines\":%d%s}"
+           t0 (Ledger.Json.escape verb) (not failed) us (List.length response)
+           (if verb = "RUN" then run_split response else "")));
   response
 
 (* ------------------------------------------------------------------ *)

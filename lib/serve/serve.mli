@@ -62,7 +62,8 @@ val request_counts : unit -> int * int * (string * int) list
 val reset_request_counts : unit -> unit
 
 (** [set_access_log (Some path)] makes every request append one JSONL
-    line ([ts], [verb], [ok], [us], response [lines]) through a
+    line ([ts], [verb], [ok], [us], response [lines]; a successful RUN
+    adds its GEMM [seconds] and input [synth_seconds]) through a
     size-rotated {!Exo_ledger.Ledger.Sink} (default cap 1 MiB, rotated to
     [path ^ ".1"]); [None] turns it off. Log-write failures are swallowed
     — the access log must never take a request down. *)

@@ -87,6 +87,86 @@ let test_fill_random_int_in_place () =
       M.fill_random_int { M.rows = 2; cols = 3; data = Array.make 5 0.0 }
         (Random.State.make [| 1 |]))
 
+(* The OCaml draw loop, the oracle of the build-time C fill: one
+   Random.State.int per element, in index order, over the first rows·cols
+   slots. *)
+let oracle_fill_random_int ~bound (t : M.t) st =
+  let span = (2 * bound) + 1 in
+  for i = 0 to (t.M.rows * t.M.cols) - 1 do
+    t.M.data.(i) <- float_of_int (Random.State.int st span - bound)
+  done
+
+(* [bound]s: zero and one, the default, a wide one, 2^28 (span 2^29 + 1, so
+   about half of all draws are rejected and redrawn) and the largest legal
+   bound (span 2^30 - 1) *)
+let fill_bounds = [ 0; 1; 3; 1000; 1 lsl 28; 0x1FFF_FFFF ]
+
+(* C fill and oracle on twin states over sentinel-tailed buffers: the same
+   values, the tail untouched, and the same state afterwards (serialized,
+   and the next draws) *)
+let fill_matches_oracle ~bound ~seed rows cols =
+  let n = rows * cols and tail = 3 in
+  let c = Array.make (n + tail) 42.0 and o = Array.make (n + tail) 42.0 in
+  let sc = Random.State.make seed and so = Random.State.make seed in
+  M.fill_random_int ~bound { M.rows; cols; data = c } sc;
+  oracle_fill_random_int ~bound { M.rows; cols; data = o } so;
+  let next st = List.init 4 (fun _ -> Random.State.bits st) in
+  Array.for_all2 Float.equal c o
+  && Array.for_all (Float.equal 42.0) (Array.sub c n tail)
+  && Random.State.to_binary_string sc = Random.State.to_binary_string so
+  && next sc = next so
+
+let prop_fill_matches_oracle =
+  QCheck2.Test.make ~name:"C fill_random_int ≡ OCaml oracle loop" ~count:300
+    QCheck2.Gen.(
+      quad (int_range 0 70) (int_range 0 70) (oneofl fill_bounds)
+        (int_bound 1_000_000))
+    (fun (rows, cols, bound, seed) ->
+      fill_matches_oracle ~bound ~seed:[| seed |] rows cols)
+
+let test_fill_large_buffer () =
+  (* about 1M draws per bound: runs of rejections, far past a test size *)
+  List.iter
+    (fun bound ->
+      Alcotest.(check bool)
+        (Fmt.str "1024x1024 bound %d" bound)
+        true
+        (fill_matches_oracle ~bound ~seed:[| 0x5e12e; bound |] 1024 1024))
+    [ 3; 1 lsl 28 ]
+
+let test_fill_bound_range () =
+  (* spans outside 1..2^30-1 are rejected, as Random.State.int rejects them *)
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun bound ->
+      let t () = { M.rows = 2; cols = 2; data = Array.make 4 0.0 } in
+      let st () = Random.State.make [| bound |] in
+      Alcotest.(check bool)
+        (Fmt.str "bound %d raises" bound)
+        true
+        (raises (fun () -> M.fill_random_int ~bound (t ()) (st ())));
+      Alcotest.(check bool)
+        (Fmt.str "the oracle agrees at bound %d" bound)
+        true
+        (raises (fun () -> oracle_fill_random_int ~bound (t ()) (st ()))))
+    [ -1; -2; 0x2000_0000; 0x3FFF_FFFF ];
+  Alcotest.(check bool) "empty matrix, bound out of range" true
+    (raises (fun () ->
+         M.fill_random_int ~bound:(-1)
+           { M.rows = 0; cols = 0; data = [||] }
+           (Random.State.make [| 0 |])))
+
+let test_random_state_is_lxm () =
+  (* the C fill reads Random.State.t as OCaml 5's four-word LXM state; a
+     stdlib whose generator or layout changes fails here first *)
+  let s = Random.State.to_binary_string (Random.State.make [| 1 |]) in
+  Alcotest.(check string) "serialization prefix" "lxm1:" (String.sub s 0 5);
+  Alcotest.(check int) "four 64-bit words" (5 + 32) (String.length s)
+
 (* --- packing ------------------------------------------------------------ *)
 
 let arena n =
@@ -1179,6 +1259,12 @@ let () =
             test_random_int_draw_order;
           Alcotest.test_case "fill_random_int in place" `Quick
             test_fill_random_int_in_place;
+          QCheck_alcotest.to_alcotest prop_fill_matches_oracle;
+          Alcotest.test_case "fill ≡ oracle on a 1M buffer" `Quick
+            test_fill_large_buffer;
+          Alcotest.test_case "fill bound range" `Quick test_fill_bound_range;
+          Alcotest.test_case "Random.State is LXM" `Quick
+            test_random_state_is_lxm;
         ] );
       ( "packing",
         [

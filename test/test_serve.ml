@@ -216,8 +216,40 @@ let test_run_checksums () =
   Alcotest.(check (float 0.0)) "no interpreter fallback" 0.0
     (run_field "fallback_calls" "RUN 33 20 17 3")
 
-(* Words allocated on this domain (minor + major) while [line] is served. *)
+let test_run_open_loop_shapes () =
+  (* the RUN shapes of perfbench's serve_open mix, pinned: the inputs the
+     daemon synthesizes for them do not change *)
+  List.iter
+    (fun (m, n, k, literal) -> check_run ~m ~n ~k 1 literal)
+    [
+      (784, 128, 512, -53450.0);
+      (196, 256, 1024, -18718.0);
+      (49, 512, 2048, -1541.0);
+      (784, 512, 128, 3171.0);
+      (196, 1024, 256, 32191.0);
+      (49, 2048, 512, 47465.0);
+    ];
+  (* the same-work ResNet50 layers with m = 3136 exceed the dimension cap,
+     so the mix leaves them out and the daemon refuses them; their inputs
+     are pinned through the identity alone *)
+  List.iter
+    (fun (m, n, k, literal) ->
+      Alcotest.(check (float 0.0))
+        (Fmt.str "%dx%dx%d inputs pinned" m n k)
+        literal
+        (expected_checksum ~m ~n ~k 1);
+      Alcotest.(check bool)
+        (Fmt.str "RUN %d %d %d refused" m n k)
+        true
+        (starts_with ~prefix:"ERR" (status (Fmt.str "RUN %d %d %d" m n k))))
+    [ (3136, 64, 256, -14528.0); (3136, 256, 64, 2446.0) ]
+
+(* Words allocated (minor + major) while [line] is served. The counters
+   take in the pool's other domains only at a minor collection, so one
+   landing inside the window would add every word they allocated since
+   the last one. A collection first leaves nothing earlier to fold in. *)
 let run_words line =
+  Gc.minor ();
   let minor0, _, major0 = Gc.counters () in
   ignore (req line);
   let minor1, _, major1 = Gc.counters () in
@@ -273,8 +305,9 @@ let test_access_log_lines () =
     (Serve.access_log_path ());
   ignore (req "PING");
   ignore (req "NOPE");
+  ignore (req "RUN 9 8 7");
   let lines = read_lines path in
-  Alcotest.(check int) "one line per request" 2 (List.length lines);
+  Alcotest.(check int) "one line per request" 3 (List.length lines);
   List.iter
     (fun l ->
       match Ledger.Json.parse l with
@@ -293,13 +326,28 @@ let test_access_log_lines () =
             Option.bind (member "ok" j) bool_ )
       | Error _ -> (None, None))
   in
+  let has_field name l =
+    Ledger.Json.(
+      match parse l with
+      | Ok j -> Option.is_some (Option.bind (member name j) num)
+      | Error _ -> false)
+  in
   (match lines with
-  | [ a; b ] ->
+  | [ a; b; c ] ->
       Alcotest.(check (pair (option string) (option bool)))
         "ping succeeds" (Some "PING", Some true) (verb_ok a);
       Alcotest.(check (pair (option string) (option bool)))
-        "unknown verb logged as failed" (Some "NOPE", Some false) (verb_ok b)
-  | _ -> Alcotest.fail "expected exactly two lines")
+        "unknown verb logged as failed" (Some "NOPE", Some false) (verb_ok b);
+      Alcotest.(check (pair (option string) (option bool)))
+        "run succeeds" (Some "RUN", Some true) (verb_ok c);
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("RUN line carries " ^ name) true
+            (has_field name c);
+          Alcotest.(check bool) ("PING line has no " ^ name) false
+            (has_field name a))
+        [ "seconds"; "synth_seconds" ]
+  | _ -> Alcotest.fail "expected exactly three lines")
 
 let test_access_log_rotation () =
   with_access_log ~max_bytes:256 @@ fun path ->
@@ -393,6 +441,8 @@ let () =
         [
           Alcotest.test_case "checksums and stale buffer tails" `Quick
             test_run_checksums;
+          Alcotest.test_case "serve_open RUN shapes pinned" `Quick
+            test_run_open_loop_shapes;
           Alcotest.test_case "a warm RUN allocates almost nothing" `Quick
             test_run_allocation_free;
           Alcotest.test_case "RUN memory does not grow with count" `Quick
