@@ -13,7 +13,8 @@
                                               # pool invariance, batched layers
                                               # (writes BENCH_gemm.json)
      dune exec bench/main.exe -- perf-serve   # cold vs cache-hydrated builds,
-                                              # warm daemon request latency,
+                                              # Tierlint re-proof, warm
+                                              # daemon request latency,
                                               # RUN input synthesis
                                               # (writes BENCH_serve.json)
      dune exec bench/main.exe -- nest-ab      # portable nest: paired vector
@@ -777,8 +778,9 @@ let run_perf_gemm ?(smoke = false) () =
 (* perf-serve: cold-start elimination. Measures (a) the cold kernel-    *)
 (* table build against a rebuild hydrated from the content-addressed    *)
 (* persistent store — every hydrated executor must be bit-identical to  *)
-(* the freshly compiled one and re-prove under tierlint — and the       *)
-(* tuner-sweep ranking surviving an in-memory-memo wipe from disk;      *)
+(* the freshly compiled one and re-prove under tierlint, whose re-proof *)
+(* of the 96 stored summaries is timed on its own — and the tuner-sweep *)
+(* ranking surviving an in-memory-memo wipe from disk;                  *)
 (* (b) warm kernel-request latency against a live ukrgen-serve daemon   *)
 (* (concurrent clients, per-request Obs spans) vs a cold one-shot       *)
 (* ukrgen subprocess, gated at >= 50x; (c) the daemon's RUN input      *)
@@ -894,6 +896,32 @@ let run_perf_serve ?(smoke = false) () =
     failwith "perf-serve: hydrated table entry without a static certificate";
   Fmt.pr "tierlint on the hydrated build: proved %d/%d@." tk.L.tk_proved
     tk.L.tk_total;
+  (* the warm-start re-proof alone: best of [reprove_reps] Tierlint sweeps
+     over the 96 summaries as the store holds them *)
+  let summaries =
+    List.concat_map
+      (fun i ->
+        List.init nr (fun j ->
+            match R.stored_summary Exo_ukr_gen.Kits.neon_f32 ~mr:i ~nr:(j + 1) with
+            | Some s -> s
+            | None ->
+                failwith
+                  (Printf.sprintf "perf-serve: no stored summary for %dx%d" i (j + 1))))
+      (List.init mr (fun i -> i + 1))
+  in
+  let reprove_reps = 5 in
+  let reprove_samples =
+    List.init reprove_reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let all = List.for_all (fun s -> Exo_check.Tierlint.(proved (check s))) summaries in
+        let dt = Unix.gettimeofday () -. t0 in
+        if not all then failwith "perf-serve: a stored summary no longer proves";
+        dt *. 1e3)
+  in
+  Fmt.pr "tierlint re-proof of %d stored summaries: %.3f ms, best of %d@."
+    (List.length summaries)
+    (List.fold_left Float.min infinity reprove_samples)
+    reprove_reps;
   (* 3. tuner-sweep persistence: wipe the in-memory memo, re-rank from disk *)
   let tm, tn, tkk = if smoke then (96, 96, 96) else (784, 512, 256) in
   Exo_blis.Tuner.clear_cache ();
@@ -1060,6 +1088,8 @@ let run_perf_serve ?(smoke = false) () =
         "cache.hydrated_build_seconds" build_samples;
       Ledger.metric_of_samples ~unit_:"ns" Ledger.Lower
         "serve.synth_ns_per_element" synth_samples;
+      Ledger.metric_of_samples ~unit_:"ms" Ledger.Lower "tierlint.reprove_ms"
+        reprove_samples;
       info ~unit_:"x" "cache.build_speedup" build_speedup;
       info_int ~unit_:"count" "cache.entries.kernel" kernel_entries;
       info_int ~unit_:"count" "cache.entries.family" family_entries;

@@ -361,6 +361,12 @@ let load_entry ~(store : Store.t option) ~(kit : Kits.t) ~(mr : int)
   | Some e -> e
   | None -> build_entry ~store ~key ~kit ~mr ~nr
 
+let stored_summary (kit : Kits.t) ~(mr : int) ~(nr : int) : C.Summary.t option =
+  Option.bind (Store.ambient ()) (fun st ->
+      Option.bind
+        (Store.get st ~kind:entry_kind ~key:(entry_key kit ~mr ~nr))
+        (fun (a : table_artifact) -> a.ta_summary))
+
 (* ------------------------------------------------------------------ *)
 (* The native JIT tier                                                 *)
 

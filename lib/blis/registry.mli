@@ -192,6 +192,13 @@ val native_key :
     pipeline variant. *)
 val entry_key : Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> string
 
+(** The access summary the ambient store's artifact for a table entry
+    carries — the one a warm {!exo_table} re-proves with
+    {!Exo_check.Tierlint} before the entry may serve. [None] without a
+    store, on a miss, or for an entry the tape lowering refused. *)
+val stored_summary :
+  Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> Exo_interp.Compile.Summary.t option
+
 (** The native-ABI C source for a whole bank, with the target this host
     would pick, its portable nests at the host's
     {!Exo_native.Host.f32_lanes} (a [// lanes=] line in the header

@@ -26,25 +26,28 @@ let pp_report ppf (r : report) =
     pp_verdict r.r_bounds pp_verdict r.r_writes pp_verdict r.r_accshape
 
 (* ------------------------------------------------------------------ *)
-(* Shared traversal helpers *)
+(* Operand traversal *)
 
-let rec rhs_operands acc = function
-  | S.Const _ -> acc
-  | S.Read o -> o :: acc
-  | S.Bin (_, a, b) -> rhs_operands (rhs_operands acc a) b
-  | S.Neg a -> rhs_operands acc a
-
-(* Fold [f] over every operand of the tape (destinations and reads alike),
-   tagged with whether it sits in the k loop and whether it is a store. *)
+(* Apply [f] to every operand of the tape (destinations and reads alike),
+   tagged with whether it sits in the k loop. Each statement's destination
+   comes first, then its reads from right to left — the order that decides
+   which failure a pass reports. *)
 let iter_operands (s : S.t) f =
+  let rec reads in_loop = function
+    | S.Const _ -> ()
+    | S.Read o -> f ~in_loop o
+    | S.Bin (_, a, b) ->
+        reads in_loop b;
+        reads in_loop a
+    | S.Neg a -> reads in_loop a
+  in
   List.iter
     (fun (sg : S.seg) ->
+      let in_loop = sg.S.in_loop in
       List.iter
         (fun (op : S.op) ->
-          f ~in_loop:sg.S.in_loop ~is_store:true op.S.dst;
-          List.iter
-            (f ~in_loop:sg.S.in_loop ~is_store:false)
-            (rhs_operands [] op.S.rhs))
+          f ~in_loop op.S.dst;
+          reads in_loop op.S.rhs)
         sg.S.ops)
     s.S.segs
 
@@ -54,32 +57,38 @@ let iter_operands (s : S.t) f =
 (* The single up-front range check of the compiled tiers guarantees, for
    kc ≥ 0 and non-negative panel offsets: |A| ≥ kc·mr, |B| ≥ kc·nr,
    |C| ≥ nr·mr past the respective bases. The slab's extent is the
-   lowering's own [slab] length. Each access must be proved inside its
-   space's region for EVERY kc the guard admits — loop operands may assume
-   k ∈ [0, kc-1] (so kc ≥ 1 whenever they execute); straight-line operands
-   execute even at kc = 0, where the contract guarantees no A/B elements
-   at all, so panel accesses outside the loop are rejected outright. *)
+   lowering's own [slab] length. Each space's contract is thus the
+   interval [0, hc·kc + h0) — (hc, h0) = (mr, 0) for A, (nr, 0) for B,
+   (0, mr·nr) for C and (0, slab) for the slab. *)
+let hc (s : S.t) = function S.A -> s.S.mr | S.B -> s.S.nr | S.C | S.Slab -> 0
+
+let h0 (s : S.t) = function
+  | S.A | S.B -> 0
+  | S.C -> s.S.mr * s.S.nr
+  | S.Slab -> s.S.slab
+
+(* Operand [base + kstep·k] lies in [0, hc·kc + h0) for every kc ≥ 1 and
+   every k ∈ [0, kc-1] iff 0 ≤ kstep ≤ hc and 0 ≤ base < hc + h0: kc = 1,
+   k = 0 bounds the base, and letting kc grow with k = kc-1 bounds the
+   step (the address then advances by kstep per kc against hc). This is
+   exactly the verdict the affine-interval substitution of the {!Effects}
+   region algebra reaches on this fragment, decided in integer compares;
+   the oracle property in [test_tierlint] keeps the two in step. *)
+let inside (s : S.t) (o : S.operand) =
+  let hc = hc s o.S.sp in
+  0 <= o.S.kstep && o.S.kstep <= hc && 0 <= o.S.base
+  && o.S.base < hc + h0 s o.S.sp
+
+(* Each access must lie inside its space's contract for EVERY kc the guard
+   admits — loop operands may assume k ∈ [0, kc-1] (so kc ≥ 1 whenever
+   they execute); straight-line operands execute even at kc = 0, where the
+   contract guarantees no A/B elements at all, so panel accesses outside
+   the loop are rejected outright, and a C or slab access there must be a
+   constant inside [0, h0). *)
 let check_bounds (s : S.t) : verdict =
-  let kc = Sym.fresh "kc" and k = Sym.fresh "k" in
-  let kcv = Affine.var kc and kv = Affine.var k in
-  let ctx_loop =
-    {
-      Effects.sizes = Sym.Set.singleton kc;
-      ranges =
-        Sym.Map.singleton k
-          { Bounds.lo = Some Affine.zero;
-            hi = Some (Affine.sub kcv (Affine.const 1)) };
-    }
-  in
-  let hi_excl = function
-    | S.A -> Affine.scale s.S.mr kcv
-    | S.B -> Affine.scale s.S.nr kcv
-    | S.C -> Affine.const (s.S.mr * s.S.nr)
-    | S.Slab -> Affine.const s.S.slab
-  in
   let bad = ref None in
   let fail m = if !bad = None then bad := Some m in
-  iter_operands s (fun ~in_loop ~is_store:_ (o : S.operand) ->
+  iter_operands s (fun ~in_loop (o : S.operand) ->
       let name = S.space_name o.S.sp in
       match o.S.sp with
       | (S.A | S.B) when not in_loop ->
@@ -89,13 +98,8 @@ let check_bounds (s : S.t) : verdict =
                name o.S.base)
       | _ when (not in_loop) && o.S.kstep <> 0 ->
           fail (Fmt.str "%s operand has a k step outside the k loop" name)
-      | sp ->
-          let ctx = if in_loop then ctx_loop else Effects.ctx_empty in
-          let addr =
-            Affine.add (Affine.const o.S.base) (Affine.scale o.S.kstep kv)
-          in
-          if not (Effects.in_range ctx addr ~lo:Affine.zero ~hi_excl:(hi_excl sp))
-          then
+      | _ ->
+          if not (inside s o) then
             fail
               (Fmt.str "%s[%d%+d·k] not provably inside its contract" name
                  o.S.base o.S.kstep));
@@ -109,46 +113,31 @@ let check_bounds (s : S.t) : verdict =
    row-slice geometry of [Gemm.blis_ba] (each task owns disjoint C rows
    and its own A arena, tile and slabs; the shared B block is only read),
    this is a static race-freedom and width-invariance proof for the pool
-   fan-out: no two tasks can write one location, at any pool width. *)
+   fan-out: no two tasks can write one location, at any pool width.
+
+   A store address must not move with k. In the loop, any k step walks
+   out of the fixed tile or slab as kc grows; outside the loop the
+   summary promises kstep = 0, so a step there is a malformed summary and
+   is rejected by name rather than by any bound on a free k. *)
 let check_writes (s : S.t) : verdict =
-  let kc = Sym.fresh "kc" and k = Sym.fresh "k" in
-  let kcv = Affine.var kc and kv = Affine.var k in
-  let ctx_loop =
-    {
-      Effects.sizes = Sym.Set.singleton kc;
-      ranges =
-        Sym.Map.singleton k
-          { Bounds.lo = Some Affine.zero;
-            hi = Some (Affine.sub kcv (Affine.const 1)) };
-    }
-  in
   let bad = ref None in
   let fail m = if !bad = None then bad := Some m in
-  iter_operands s (fun ~in_loop ~is_store (o : S.operand) ->
-      if is_store then
-        match o.S.sp with
-        | S.A | S.B ->
-            fail
-              (Fmt.str "store into the shared %s panel" (S.space_name o.S.sp))
-        | (S.C | S.Slab) as sp ->
-            let hi =
-              match sp with
-              | S.C -> (s.S.mr * s.S.nr) - 1
-              | _ -> s.S.slab - 1
-            in
-            let ctx = if in_loop then ctx_loop else Effects.ctx_empty in
-            let addr =
-              Affine.add (Affine.const o.S.base) (Affine.scale o.S.kstep kv)
-            in
-            let tile = [ Effects.DIv (Affine.zero, Affine.const hi) ] in
-            if
-              not
-                (Effects.region_contains ctx ~outer:tile
-                   ~inner:[ Effects.DPt addr ])
-            then
+  List.iter
+    (fun (sg : S.seg) ->
+      List.iter
+        (fun (op : S.op) ->
+          let o = op.S.dst in
+          match o.S.sp with
+          | S.A | S.B ->
               fail
-                (Fmt.str "store %s[%d%+d·k] escapes the entry's tile"
-                   (S.space_name sp) o.S.base o.S.kstep));
+                (Fmt.str "store into the shared %s panel" (S.space_name o.S.sp))
+          | (S.C | S.Slab) as sp ->
+              if o.S.kstep <> 0 || o.S.base < 0 || o.S.base >= h0 s sp then
+                fail
+                  (Fmt.str "store %s[%d%+d·k] escapes the entry's tile"
+                     (S.space_name sp) o.S.base o.S.kstep))
+        sg.S.ops)
+    s.S.segs;
   match !bad with None -> Proved | Some m -> Unproved m
 
 (* ------------------------------------------------------------------ *)

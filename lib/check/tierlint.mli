@@ -4,10 +4,18 @@
     accesses behind one hoisted range check, and was first certified only
     *dynamically* (integer probes through the interpreter). This module
     is a static validator over the auditable
-    {!Exo_interp.Compile.Summary} of each kernel's lowered tape: the
-    summary's affine addresses are evaluated in the
-    affine-interval domain of the {!Effects} region algebra, with the
+    {!Exo_interp.Compile.Summary} of each kernel's lowered tape, with the
     k-loop counter ranging over [0, kc-1] and [kc] a symbolic size.
+
+    Every summary address has the form [base + kstep·k], and every
+    contract the form [[0, hc·kc + h0)], so bounds and the write set are
+    decided in closed form, by integer compares: a loop operand is inside
+    for every [kc ≥ 1] iff [0 ≤ kstep ≤ hc] and [0 ≤ base < hc + h0]; a
+    store needs [kstep = 0] and a base inside its tile or slab; an operand
+    outside the loop needs [kstep = 0] and a constant base in range. These
+    are the verdicts the affine-interval substitution of the {!Effects}
+    region algebra reaches on this fragment; [test_tierlint] keeps those
+    passes as the oracle and checks that the two report alike.
 
     Three properties, each [Proved] or [Unproved reason] (sound and
     incomplete — a verdict of [Proved] is a proof; [Unproved] keeps the

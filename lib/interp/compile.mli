@@ -13,8 +13,8 @@
     executed (constant loops unrolled, instruction calls inlined, register
     memory flattened into one scratch slab), so the summary describes
     exactly the computation the proc performs — {!Exo_check.Tierlint}
-    evaluates it in an affine-interval domain to prove bounds, write-set
-    containment and accumulation shape statically. *)
+    decides it at symbolic kc to prove bounds, write-set containment and
+    accumulation shape statically. *)
 module Summary : sig
   (** The address spaces a tape operand can touch: the packed A and B
       panels, the C tile, and the kernel's private scratch slab. *)

@@ -9,6 +9,7 @@
 
 module Serve = Exo_serve.Serve
 module Store = Exo_cache.Store
+module Pool = Exo_par.Pool
 
 let req line = Serve.handle_request (Atomic.make false) line
 
@@ -263,6 +264,25 @@ let test_run_allocation_free () =
     (Fmt.str "a warm %s allocates under 10k words (got %.0f)" line words)
     true (words < 10_000.0)
 
+(* The same RUN at width 1: the pool then runs every task on the calling
+   domain, so the counters see all a RUN allocates, the words the pool's
+   other domain would allocate at the default width included. Measured:
+   291 words on the native tier and 1506 on the Bigarray tier
+   (UKRGEN_NATIVE=0). *)
+let test_run_allocation_width_1 () =
+  let line = "RUN 196 256 1024" in
+  let before = Pool.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_jobs before)
+    (fun () ->
+      Pool.set_default_jobs 1;
+      ignore (req line);
+      let words = run_words line in
+      Alcotest.(check bool)
+        (Fmt.str "a warm %s at width 1 allocates under 4k words (got %.0f)"
+           line words)
+        true (words < 4096.0))
+
 let test_run_memory_flat_in_count () =
   ignore (req "RUN 128 128 128 16");
   let one = run_words "RUN 128 128 128 1" in
@@ -445,6 +465,8 @@ let () =
             test_run_open_loop_shapes;
           Alcotest.test_case "a warm RUN allocates almost nothing" `Quick
             test_run_allocation_free;
+          Alcotest.test_case "a warm RUN at width 1 allocates almost nothing"
+            `Quick test_run_allocation_width_1;
           Alcotest.test_case "RUN memory does not grow with count" `Quick
             test_run_memory_flat_in_count;
         ] );

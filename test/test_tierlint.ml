@@ -10,7 +10,10 @@
    - deliberately broken lowerings (corrupted access summaries) are
      rejected, per property
    - qcheck oracle: the statically enumerated C write-set equals the
-     dynamically observed changed-cell set of the interpreter *)
+     dynamically observed changed-cell set of the interpreter
+   - qcheck oracle: the closed-form bounds and write-set passes report
+     exactly what the Effects region-algebra passes they replaced report,
+     on random summaries and on every real table entry *)
 
 module C = Exo_interp.Compile
 module S = C.Summary
@@ -22,6 +25,10 @@ module R = Exo_blis.Registry
 module B = Exo_interp.Buffer
 module I = Exo_interp.Interp
 module Ir = Exo_ir.Ir
+module Affine = Exo_ir.Affine
+module Sym = Exo_ir.Sym
+module Effects = Exo_check.Effects
+module Bounds = Exo_check.Bounds
 
 let summary_of ~kit ~mr ~nr =
   let proc = (R.exo_kernel ~kit ~mr ~nr ()).Family.proc in
@@ -154,6 +161,34 @@ let test_reject_write_outside_c () =
   (* the original, uncorrupted summary still proves *)
   Alcotest.(check bool) "original proves" true (T.proved (T.check s))
 
+let test_reject_out_of_loop_k_step () =
+  (* a summary promises kstep = 0 outside the k loop; a straight-line C
+     store that moves with k breaks that promise, and the write-set pass
+     must name it rather than lean on an unbounded k *)
+  let s = summary_of ~kit:Kits.neon_f32 ~mr:8 ~nr:12 in
+  let stepped = ref None in
+  let s' =
+    map_ops
+      (fun ~in_loop (o : S.op) ->
+        if (not in_loop) && !stepped = None && o.S.dst.S.sp = S.C then begin
+          stepped := Some o.S.dst.S.base;
+          { o with S.dst = { o.S.dst with S.kstep = 1 } }
+        end
+        else o)
+      s
+  in
+  let base =
+    match !stepped with
+    | Some b -> b
+    | None -> Alcotest.fail "no straight-line C store to corrupt"
+  in
+  let r = T.check s' in
+  Alcotest.(check bool) "writes rejected" false (T.ok r.T.r_writes);
+  Alcotest.(check string) "named reason"
+    (Fmt.str "UNPROVED (store C[%d+1·k] escapes the entry's tile)" base)
+    (Fmt.to_to_string T.pp_verdict r.T.r_writes);
+  Alcotest.(check bool) "bounds rejected too" false (T.ok r.T.r_bounds)
+
 let test_reject_out_of_bounds_read () =
   (* shift every A read one row-block past the panel: base + mr + mr·k
      reaches kc·mr, outside the hoisted range check's contract *)
@@ -254,6 +289,255 @@ let prop_write_set_oracle =
         dynamic = []
       else static = dynamic)
 
+(* --- oracle: the Effects region-algebra passes ------------------------- *)
+
+(* The bounds and write-set passes as they were before Tierlint decided
+   its affine fragment in closed form: every operand's address
+   [base + kstep·k] is evaluated in the affine-interval domain of the
+   Effects region algebra, with k ∈ [0, kc-1] and kc a symbolic size.
+   Kept verbatim (reason strings included) as the oracle of the closed
+   form. *)
+
+let rec rhs_operands acc = function
+  | S.Const _ -> acc
+  | S.Read o -> o :: acc
+  | S.Bin (_, a, b) -> rhs_operands (rhs_operands acc a) b
+  | S.Neg a -> rhs_operands acc a
+
+let iter_operands (s : S.t) f =
+  List.iter
+    (fun (sg : S.seg) ->
+      List.iter
+        (fun (op : S.op) ->
+          f ~in_loop:sg.S.in_loop ~is_store:true op.S.dst;
+          List.iter
+            (f ~in_loop:sg.S.in_loop ~is_store:false)
+            (rhs_operands [] op.S.rhs))
+        sg.S.ops)
+    s.S.segs
+
+let loop_ctx () =
+  let kc = Sym.fresh "kc" and k = Sym.fresh "k" in
+  let kcv = Affine.var kc in
+  ( kcv,
+    Affine.var k,
+    {
+      Effects.sizes = Sym.Set.singleton kc;
+      ranges =
+        Sym.Map.singleton k
+          { Bounds.lo = Some Affine.zero;
+            hi = Some (Affine.sub kcv (Affine.const 1)) };
+    } )
+
+let oracle_bounds (s : S.t) : T.verdict =
+  let kcv, kv, ctx_loop = loop_ctx () in
+  let hi_excl = function
+    | S.A -> Affine.scale s.S.mr kcv
+    | S.B -> Affine.scale s.S.nr kcv
+    | S.C -> Affine.const (s.S.mr * s.S.nr)
+    | S.Slab -> Affine.const s.S.slab
+  in
+  let bad = ref None in
+  let fail m = if !bad = None then bad := Some m in
+  iter_operands s (fun ~in_loop ~is_store:_ (o : S.operand) ->
+      let name = S.space_name o.S.sp in
+      match o.S.sp with
+      | (S.A | S.B) when not in_loop ->
+          fail
+            (Fmt.str "%s[%d] accessed outside the k loop (contract empty at kc=0)"
+               name o.S.base)
+      | _ when (not in_loop) && o.S.kstep <> 0 ->
+          fail (Fmt.str "%s operand has a k step outside the k loop" name)
+      | sp ->
+          let ctx = if in_loop then ctx_loop else Effects.ctx_empty in
+          let addr =
+            Affine.add (Affine.const o.S.base) (Affine.scale o.S.kstep kv)
+          in
+          if not (Effects.in_range ctx addr ~lo:Affine.zero ~hi_excl:(hi_excl sp))
+          then
+            fail
+              (Fmt.str "%s[%d%+d·k] not provably inside its contract" name
+                 o.S.base o.S.kstep));
+  match !bad with None -> T.Proved | Some m -> T.Unproved m
+
+let oracle_writes (s : S.t) : T.verdict =
+  let _, kv, ctx_loop = loop_ctx () in
+  let bad = ref None in
+  let fail m = if !bad = None then bad := Some m in
+  iter_operands s (fun ~in_loop ~is_store (o : S.operand) ->
+      if is_store then
+        match o.S.sp with
+        | S.A | S.B ->
+            fail
+              (Fmt.str "store into the shared %s panel" (S.space_name o.S.sp))
+        | (S.C | S.Slab) as sp ->
+            let hi =
+              match sp with
+              | S.C -> (s.S.mr * s.S.nr) - 1
+              | _ -> s.S.slab - 1
+            in
+            let ctx = if in_loop then ctx_loop else Effects.ctx_empty in
+            let addr =
+              Affine.add (Affine.const o.S.base) (Affine.scale o.S.kstep kv)
+            in
+            let tile = [ Effects.DIv (Affine.zero, Affine.const hi) ] in
+            if
+              not
+                (Effects.region_contains ctx ~outer:tile
+                   ~inner:[ Effects.DPt addr ])
+            then
+              fail
+                (Fmt.str "store %s[%d%+d·k] escapes the entry's tile"
+                   (S.space_name sp) o.S.base o.S.kstep));
+  match !bad with None -> T.Proved | Some m -> T.Unproved m
+
+(* The report the oracle passes give; accumulation shape is not part of
+   the closed form, so it is taken from [T.check] itself. *)
+let oracle_report (s : S.t) : T.report =
+  { (T.check s) with T.r_bounds = oracle_bounds s; r_writes = oracle_writes s }
+
+let report_str = Fmt.to_to_string T.pp_report
+
+(* Random summaries: mr, nr ∈ 1..16, slab ∈ 0..64, straight-line and loop
+   segments, stores and reads of every space. A summary draws a fault
+   weight, and each operand is then either well formed for its place (a
+   store into C or the slab at kstep 0, a straight-line read of a constant
+   C or slab cell, a loop read inside its contract) or free: base over
+   [-2, 2·size] and step over [-2, mr+nr+2], where size = hc + h0 is its
+   space's contract at kc = 1, half of them on the edges (kstep = hc or
+   hc+1, base at the last element or one past it). So reports fail early,
+   late, on either pass, or not at all. *)
+let gen_summary : S.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* mr = int_range 1 16
+  and* nr = int_range 1 16
+  and* slab = int_range 0 64
+  and* faults = oneofl [ 0; 2; 8; 32 ] in
+  let hc_h0 = function
+    | S.A -> (mr, 0)
+    | S.B -> (nr, 0)
+    | S.C -> (0, mr * nr)
+    | S.Slab -> (0, slab)
+  in
+  let free =
+    let* sp = oneofl [ S.A; S.B; S.C; S.Slab ] in
+    let hc, h0 = hc_h0 sp in
+    let size = hc + h0 in
+    let* base, kstep =
+      frequency
+        [
+          (1, pair (int_range (-2) (2 * size)) (int_range (-2) (mr + nr + 2)));
+          ( 1,
+            pair (oneofl [ size - 1; size; 0; -1 ]) (oneofl [ hc; hc + 1; 0; -1 ])
+          );
+        ]
+    in
+    return { S.sp; base; kstep }
+  in
+  let constant_cell =
+    let* sp = if slab = 0 then return S.C else oneofl [ S.C; S.Slab ] in
+    let _, h0 = hc_h0 sp in
+    map (fun base -> { S.sp; base; kstep = 0 }) (int_range 0 (h0 - 1))
+  in
+  let loop_read =
+    let* sp = oneofl [ S.A; S.B; S.C; S.Slab ] in
+    let hc, h0 = hc_h0 sp in
+    if hc + h0 = 0 then constant_cell
+    else
+      map2
+        (fun base kstep -> { S.sp; base; kstep })
+        (int_range 0 (hc + h0 - 1))
+        (int_range 0 hc)
+  in
+  let operand ~in_loop ~store =
+    let sound =
+      if store || not in_loop then constant_cell else loop_read
+    in
+    frequency [ (64, sound); (faults, free) ]
+  in
+  let rhs ~in_loop =
+    let read = map (fun o -> S.Read o) (operand ~in_loop ~store:false) in
+    sized_size (int_range 0 3)
+    @@ fix (fun self n ->
+           if n = 0 then
+             frequency
+               [ (1, map (fun f -> S.Const f) (oneofl [ 0.0; 1.0 ])); (4, read) ]
+           else
+             frequency
+               [
+                 (1, read);
+                 ( 2,
+                   map3
+                     (fun b x y -> S.Bin (b, x, y))
+                     (oneofl [ Ir.Add; Ir.Mul ])
+                     (self (n - 1)) (self (n - 1)) );
+                 (1, map (fun x -> S.Neg x) (self (n - 1)));
+               ])
+  in
+  let seg =
+    let* in_loop = bool in
+    let op =
+      let* dst = operand ~in_loop ~store:true
+      and* reduce = bool
+      and* rhs = rhs ~in_loop in
+      return { S.dst; reduce; rhs }
+    in
+    map (fun ops -> { S.in_loop; ops }) (list_size (int_range 1 4) op)
+  in
+  let* segs = list_size (int_range 1 3) seg in
+  return
+    { S.mr; nr; dt = Exo_ir.Dtype.F32; slab; kc_pos = false; n_preds = 0; segs }
+
+let print_summary (s : S.t) =
+  let opnd (o : S.operand) =
+    Fmt.str "%s[%d%+d·k]" (S.space_name o.S.sp) o.S.base o.S.kstep
+  in
+  let rec rhs = function
+    | S.Const f -> Fmt.str "%g" f
+    | S.Read o -> opnd o
+    | S.Bin (Ir.Mul, x, y) -> Fmt.str "(%s * %s)" (rhs x) (rhs y)
+    | S.Bin (_, x, y) -> Fmt.str "(%s + %s)" (rhs x) (rhs y)
+    | S.Neg x -> Fmt.str "-%s" (rhs x)
+  in
+  Fmt.str "mr=%d nr=%d slab=%d\n%s" s.S.mr s.S.nr s.S.slab
+    (String.concat "\n"
+       (List.map
+          (fun (g : S.seg) ->
+            Fmt.str "%s: %s"
+              (if g.S.in_loop then "loop" else "flat")
+              (String.concat "; "
+                 (List.map
+                    (fun (o : S.op) ->
+                      Fmt.str "%s %s %s" (opnd o.S.dst)
+                        (if o.S.reduce then "+=" else "=")
+                        (rhs o.S.rhs))
+                    g.S.ops)))
+          s.S.segs))
+
+let prop_closed_form_oracle =
+  QCheck2.Test.make ~name:"closed form ≡ Effects passes on random summaries"
+    ~count:3000 ~print:print_summary gen_summary (fun s ->
+      let got = report_str (T.check s) and want = report_str (oracle_report s) in
+      if got = want then true
+      else QCheck2.Test.fail_reportf "closed form %s@.oracle      %s" got want)
+
+let test_closed_form_real_entries () =
+  let n = ref 0 in
+  List.iter
+    (fun kit ->
+      for mr = 1 to 8 do
+        for nr = 1 to 12 do
+          let s = summary_of ~kit ~mr ~nr in
+          incr n;
+          let got = T.check s and want = oracle_report s in
+          if got <> want then
+            Alcotest.failf "%s %dx%d: closed form %s, oracle %s" kit.Kits.name
+              mr nr (report_str got) (report_str want)
+        done
+      done)
+    Kits.all;
+  Alcotest.(check int) "every entry of every kit" 576 !n
+
 let () =
   Alcotest.run "tierlint"
     [
@@ -276,6 +560,8 @@ let () =
         [
           Alcotest.test_case "write outside C rejected" `Quick
             test_reject_write_outside_c;
+          Alcotest.test_case "out-of-loop k step on a C store rejected" `Quick
+            test_reject_out_of_loop_k_step;
           Alcotest.test_case "out-of-bounds read rejected" `Quick
             test_reject_out_of_bounds_read;
           Alcotest.test_case "wrong accumulation rejected" `Quick
@@ -284,5 +570,10 @@ let () =
             test_reject_kc_pos_contract;
         ] );
       ( "oracle",
-        [ QCheck_alcotest.to_alcotest prop_write_set_oracle ] );
+        [
+          QCheck_alcotest.to_alcotest prop_write_set_oracle;
+          QCheck_alcotest.to_alcotest prop_closed_form_oracle;
+          Alcotest.test_case "closed form ≡ Effects passes on all 576 entries"
+            `Quick test_closed_form_real_entries;
+        ] );
     ]
