@@ -323,41 +323,40 @@ let run_perf_gemm ?(smoke = false) () =
   let table = R.exo_table ~mr ~nr () in
   (* static translation validation, cross-checked against the dynamic
      integer certification: every table entry must prove bounds, write-set
-     containment and accumulation shape (tierlint), the registry's own
-     build-time verdicts must agree, and the independently re-run dynamic
-     probe must accept every statically proved entry. Any disagreement
-     between the two certification routes is a hard failure — it means one
-     of them is wrong. *)
+     containment and accumulation shape (tierlint) — the built table is
+     proved by construction — and the independently re-run dynamic probe
+     must accept every statically proved entry. Any disagreement between
+     the two certification routes is a hard failure — it means one of them
+     is wrong. *)
   let module L = Exo_ukr_gen.Lint in
   let tiers =
     L.run_tiers ~kits:[ Exo_ukr_gen.Kits.neon_f32 ] ~jobs:1 ~mr ~nr ()
   in
   let tk = List.hd tiers.L.tier_kits in
-  let reg_certified = Array.for_all (fun e -> e.R.e_proved) table.R.t_entries in
-  Fmt.pr
-    "static tier validation: proved %d/%d, probe disagreements %d; registry \
-     build: %s@."
-    tk.L.tk_proved tk.L.tk_total tk.L.tk_disagreements
-    (if reg_certified then "every entry statically certified"
-     else "UNPROVED entries");
+  Fmt.pr "static tier validation: proved %d/%d, probe disagreements %d@."
+    tk.L.tk_proved tk.L.tk_total tk.L.tk_disagreements;
   if not (L.tiers_ok tiers) then
     failwith
       "perf-gemm: static tier validation failed or disagreed with the \
        dynamic probe";
-  if not reg_certified then
-    failwith
-      "perf-gemm: registry served a table entry without a static certificate";
   (* the Bigarray-tier entry (pre-upgrade bank): the native tier's A side *)
   let ba_ukr = (R.entry table ~mr ~nr).R.e_base in
   let c3 = ba_copy c0 in
   ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c3 ~co:0;
   if c3 <> c1 then failwith "perf-gemm: Bigarray and interpreter kernels disagree";
   Fmt.pr "kernel tiers (interpreter, Bigarray) agree bit-exactly on the C tile@.";
-  let t_ba =
+  (* per-call times are [ukr_samples] adaptive runs each, sharing the
+     budget one run had, so the record keeps the best, median and MAD *)
+  let ukr_samples = 5 in
+  let sample_us u =
     let c = ba_copy c0 in
-    time_runs ~min_time (fun () ->
-        ba_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
+    List.init ukr_samples (fun _ ->
+        1e6
+        *. time_runs ~min_time:(min_time /. float_of_int ukr_samples) (fun () ->
+               u ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0))
   in
+  let best = List.fold_left Float.min infinity in
+  let ba_us = sample_us ba_ukr in
   (* the serving table entry: JIT'd machine code when the native upgrade
      certified this host, the Bigarray executor otherwise *)
   let nat_info = table.R.t_native_info in
@@ -366,11 +365,7 @@ let run_perf_gemm ?(smoke = false) () =
   serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c:c4 ~co:0;
   if c4 <> c1 then
     failwith "perf-gemm: serving (native) and interpreter kernels disagree";
-  let t_native_ukr =
-    let c = ba_copy c0 in
-    time_runs ~min_time (fun () ->
-        serving_ukr ~kc ~ac:ac_ba ~ao:0 ~bc:bc_ba ~bo:0 ~c ~co:0)
-  in
+  let native_us = sample_us serving_ukr in
   Fmt.pr
     "native tier        : %s (target %s, %d lanes, cc %s, %d/%d entries, \
      two-tile entry %s, %s)@."
@@ -379,10 +374,12 @@ let run_perf_gemm ?(smoke = false) () =
     nat_info.R.ni_entries (mr * nr)
     (if nat_info.R.ni_pair then "served" else "none")
     nat_info.R.ni_reason;
-  Fmt.pr "monomorphized ba   : %12.1f us/call@." (t_ba *. 1e6);
-  Fmt.pr "native jit         : %12.1f us/call@." (t_native_ukr *. 1e6);
+  Fmt.pr "monomorphized ba   : %12.1f us/call (best of %d)@." (best ba_us)
+    ukr_samples;
+  Fmt.pr "native jit         : %12.1f us/call (best of %d)@." (best native_us)
+    ukr_samples;
   Fmt.pr "speedup (native)   : %12.1fx vs bigarray (per ukr call)@."
-    (t_ba /. t_native_ukr);
+    (best ba_us /. best native_us);
   (* 2. a full paper-scale GEMM through the macro-kernel, validated exactly
      against the f32-rounded naive reference, then re-run at pool widths
      2 and 4 — C must be bit-identical at every width *)
@@ -719,8 +716,8 @@ let run_perf_gemm ?(smoke = false) () =
     ([
        Ledger.metric_of_samples ~unit_:"GFLOPS" Ledger.Higher "gemm.gflops_1job"
          (List.map gflops_of serial_samples);
-       Ledger.metric ~unit_:"us" Ledger.Lower "ukr.bigarray_us_per_call"
-         (t_ba *. 1e6);
+       Ledger.metric_of_samples ~unit_:"us" Ledger.Lower
+         "ukr.bigarray_us_per_call" ba_us;
        info ~unit_:"s" "gemm.bigarray_seconds_1job" t_ba_gemm;
        info ~unit_:"GFLOPS" "batch.gflops" batch_gflops;
        info ~unit_:"x" "gemm.speedup_w2_over_w1" speedup_w2;
@@ -768,8 +765,8 @@ let run_perf_gemm ?(smoke = false) () =
          [
            Ledger.metric ~unit_:"x" Ledger.Higher
              "gemm.native_speedup_vs_bigarray" native_speedup;
-           Ledger.metric ~unit_:"us" Ledger.Lower "ukr.native_us_per_call"
-             (t_native_ukr *. 1e6);
+           Ledger.metric_of_samples ~unit_:"us" Ledger.Lower
+             "ukr.native_us_per_call" native_us;
          ]
        else [])
     @ List.map (fun (n, s) -> info ~unit_:"s" ("attr.phase." ^ n) s) phases)
@@ -886,14 +883,13 @@ let run_perf_serve ?(smoke = false) () =
   done;
   Fmt.pr "hydrated executors bit-identical to freshly compiled, all %d entries@."
     (mr * nr);
-  (* correctness gate B: the hydrated table's static certification is
-     intact — tierlint re-proves all 96 entries and the table agrees *)
+  (* correctness gate B: the static certification is intact — tierlint
+     re-proves all 96 entries (the hydrated table re-proved each stored
+     summary before it served) *)
   let tiers = L.run_tiers ~kits:[ Exo_ukr_gen.Kits.neon_f32 ] ~jobs:1 ~mr ~nr () in
   let tk = List.hd tiers.L.tier_kits in
   if not (L.tiers_ok tiers) || tk.L.tk_proved <> tk.L.tk_total then
     failwith "perf-serve: tierlint failed on the hydrated build";
-  if not (Array.for_all (fun e -> e.R.e_proved) table_warm.R.t_entries) then
-    failwith "perf-serve: hydrated table entry without a static certificate";
   Fmt.pr "tierlint on the hydrated build: proved %d/%d@." tk.L.tk_proved
     tk.L.tk_total;
   (* the warm-start re-proof alone: best of [reprove_reps] Tierlint sweeps

@@ -18,17 +18,18 @@
     executors are re-entrant (per-call scratch), so one immutable table per
     (kit, mr, nr) is built once and shared by every domain.
 
-    The table holds one {!entry} record per (mr', nr'): shape, Tierlint
-    verdict, tier, and two bare executors (pre-upgrade and serving). Build-
-    time probes call them bare; the one counting wrapper, {!counted}, is
-    applied when the table publishes its bank, so the dispatch counters
-    count dispatches only.
+    The table holds one {!entry} record per (mr', nr'): shape, tier, and
+    two bare executors (Bigarray and serving). An entry enters the table
+    one way, {!admit}: its lowered access summary proves under
+    {!Exo_check.Tierlint} and names its executor. Build-time probes call
+    the executors bare; the one counting wrapper, {!counted}, is applied
+    when the table publishes its bank, so the dispatch counters count
+    dispatches only.
 
-    Persistence: when an {!Exo_cache.Store} is ambient, table entries are
-    hydrated from their serialized artifacts — skipping the
-    schedule → certify → lower pipeline — after re-proving the stored
-    access summary with {!Exo_check.Tierlint}; cold builds write the
-    artifacts back for the next process. *)
+    Persistence: when an {!Exo_cache.Store} is ambient, an entry's
+    artifact is its summary. A warm entry hydrates from it — skipping the
+    schedule → certify → lower pipeline — after it re-proves; cold builds
+    write the summaries back for the next process. *)
 
 open Exo_ukr_gen
 module KM = Exo_sim.Kernel_model
@@ -106,7 +107,7 @@ let oracle_bank ?kit ~(mr : int) ~(nr : int) () : unit -> C.ukr_ba array =
 
 module Obs = Exo_obs.Obs
 
-type tier = Native | Bigarray | Fallback
+type tier = Native | Bigarray
 
 (* Dispatch counters, one per tier. The bench's fallback gate must see every
    call even in plain (non-profile) runs, so the authoritative counts are
@@ -115,7 +116,7 @@ type tier = Native | Bigarray | Fallback
 
    Each domain counts into its own cell, held in [Domain.DLS], so a kernel
    call writes no memory another domain writes. A cell is an int array
-   whose three counts (indexed by [tier_index]) sit [pad] words in from
+   whose two counts (indexed by [tier_index]) sit [pad] words in from
    either end, so two cells never share a cache line. Every cell is
    registered once, under [cells_lock], and stays registered for the life
    of the process: reads sum all of them. A GEMM's helpers finish before
@@ -127,23 +128,25 @@ let cells_lock = Mutex.create ()
 
 let cell_key : int array Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let cell = Array.make ((2 * pad) + 3) 0 in
+      let cell = Array.make ((2 * pad) + 2) 0 in
       Mutex.protect cells_lock (fun () -> cells := cell :: !cells);
       cell)
 
-let tier_index = function Native -> 0 | Bigarray -> 1 | Fallback -> 2
+let tier_index = function Native -> 0 | Bigarray -> 1
 let obs_native = Obs.counter "gemm.ukr_native_calls"
 let obs_ba = Obs.counter "gemm.ukr_fast_calls"
-let obs_fallback = Obs.counter "gemm.ukr_fallback_calls"
 
+(* The third count is the interpreter tier's, which no table serves since
+   every entry enters service proved; it stays in the triple for the
+   clients that read it. *)
 let ukr_tier_counts () =
   Mutex.protect cells_lock (fun () ->
       let sum i = List.fold_left (fun acc cell -> acc + cell.(pad + i)) 0 !cells in
-      (sum 0, sum 1, sum 2))
+      (sum 0, sum 1, 0))
 
 let reset_dispatch_counts () =
   Mutex.protect cells_lock (fun () ->
-      List.iter (fun cell -> Array.fill cell pad 3 0) !cells)
+      List.iter (fun cell -> Array.fill cell pad 2 0) !cells)
 
 (* The one counting wrapper, applied when a table publishes its bank: one
    closure hop and one increment of the calling domain's own cell per
@@ -153,45 +156,19 @@ let reset_dispatch_counts () =
    GEMM on two domains (21k calls). *)
 let counted ?(tiles = 1) (tier : tier) (u : C.ukr_ba) : C.ukr_ba =
   let i = pad + tier_index tier
-  and obs =
-    match tier with
-    | Native -> obs_native
-    | Bigarray -> obs_ba
-    | Fallback -> obs_fallback
-  in
+  and obs = match tier with Native -> obs_native | Bigarray -> obs_ba in
   fun ~kc ~ac ~ao ~bc ~bo ~c ~co ->
     let cell = Domain.DLS.get cell_key in
     Array.unsafe_set cell i (Array.unsafe_get cell i + tiles);
     if Obs.enabled () then Obs.add obs tiles;
     u ~kc ~ac ~ao ~bc ~bo ~c ~co
 
-(* Static translation-validation verdicts, counted at table-build time:
-   entries Tierlint proves skip the dynamic integer probe; unproved ones
-   keep it. Process-wide (builds happen once per domain but verdicts are
-   per-build events the bench and CI gates want totals of). *)
-let static_proved = Atomic.make 0
-let static_unproved = Atomic.make 0
-let obs_proved = Obs.counter "registry.tier_proved"
-let obs_unproved = Obs.counter "registry.tier_unproved"
-
-let tier_verdict_counts () = (Atomic.get static_proved, Atomic.get static_unproved)
-
-let count_verdict certified =
-  if certified then begin
-    Atomic.incr static_proved;
-    if Obs.enabled () then Obs.incr obs_proved
-  end
-  else begin
-    Atomic.incr static_unproved;
-    if Obs.enabled () then Obs.incr obs_unproved
-  end
-
 type native_info = {
   ni_enabled : bool;  (** at least one entry serves JIT'd machine code *)
   ni_target : string;  (** ["intrinsics"] | ["portable"] | ["none"] *)
   ni_cc : string;  (** compiler path, or ["none"] *)
   ni_entries : int;  (** entries serving native code (certified) *)
-  ni_rejected : int;  (** eligible entries that failed certification *)
+  ni_rejected : int;  (** entries that failed certification *)
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
   ni_lanes : int;
       (** f32 lanes the bank's portable nests were emitted for (1: the
@@ -199,12 +176,11 @@ type native_info = {
   ni_pair : bool;  (** the full tile's two-tile entry certified and serves *)
 }
 
-(* Both executors are bare (uncounted): [e_base] is the pre-upgrade one,
+(* Both executors are bare (uncounted): [e_base] is the Bigarray one,
    [e_exec] the serving one — [e_base] unless the upgrade went native. *)
 type entry = {
   e_mr : int;
   e_nr : int;
-  e_proved : bool;
   e_tier : tier;
   e_base : C.ukr_ba;
   e_exec : C.ukr_ba;
@@ -223,20 +199,6 @@ type table = {
   t_native_info : native_info;
 }
 
-let bare ~mr ~nr ~proved tier u =
-  { e_mr = mr; e_nr = nr; e_proved = proved; e_tier = tier; e_base = u; e_exec = u }
-
-(* Hole filler for a proc the tape lowering refuses: the interpreter
-   oracle entry. Correct for every kit but slow — its call count is what
-   the bench's fallbacks-zero gate pins at 0. *)
-let fallback_entry ~(kit : Kits.t) ~mr ~nr ~proved =
-  bare ~mr ~nr ~proved Fallback (oracle_entry ~kit ~mr ~nr ())
-
-let table_holes (t : table) : int =
-  Array.fold_left (fun n e -> if e.e_tier = Fallback then n + 1 else n) 0 t.t_entries
-
-let table_complete (t : table) : bool = table_holes t = 0
-
 let slot who (t : table) ~mr ~nr =
   if mr < 1 || mr > t.t_mr || nr < 1 || nr > t.t_nr then
     invalid_arg ("Registry." ^ who ^ ": shape outside the table");
@@ -249,26 +211,32 @@ let table_entry (t : table) ~(mr : int) ~(nr : int) : C.ukr_ba =
   t.t_bank.(slot "table_entry" t ~mr ~nr)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent kernel artifacts (Exo_cache)                             *)
+(* Admission and persistent kernel artifacts (Exo_cache)               *)
 
 module Store = Exo_cache.Store
 
-(* One serialized table entry: everything a later process needs to re-enter
-   service without re-running schedule → certify → lower. [ta_summary] is
-   the lowered access summary (the descriptor the executor runs); the
-   hydration gate re-proves it with Tierlint before re-materializing the
-   executor, so a stale or tampered artifact can never serve silently.
-   Bump [entry_abi] whenever this type or executor selection changes
-   meaning — old entries then simply miss. *)
-type table_artifact = {
-  ta_mr : int;
-  ta_nr : int;
-  ta_fast : bool;  (** the Bigarray tier accepted this entry at build time *)
-  ta_proved : bool;  (** Tierlint verdict at build time (informational) *)
-  ta_summary : C.Summary.t option;
-}
+(* The one door into service, cold or warm: an entry's lowered access
+   summary must prove under Tierlint, and its executor is the one
+   {!C.ukr_ba_of_summary} selects from that summary. [Error] says why
+   not. *)
+let admit ~(mr : int) ~(nr : int) (s : C.Summary.t) : (C.ukr_ba, string) result =
+  if s.C.Summary.mr <> mr || s.C.Summary.nr <> nr then
+    Error (Fmt.str "summary is for %dx%d" s.C.Summary.mr s.C.Summary.nr)
+  else
+    let rep = Tierlint.check s in
+    if not (Tierlint.proved rep) then Error (Fmt.str "%a" Tierlint.pp_report rep)
+    else
+      match C.ukr_ba_of_summary s with
+      | Some u -> Ok u
+      | None -> Error "no Bigarray executor (runtime predicates or kc >= 1)"
 
-let entry_abi = "regtable-v2"
+(* An entry's stored artifact is its summary itself: everything a later
+   process needs to re-enter service without re-running schedule → certify
+   → lower, and what the warm path re-proves before the entry may serve,
+   so a stale or tampered artifact can never serve silently. Bump
+   [entry_abi] whenever the stored type or executor selection changes
+   meaning — old entries then simply miss. *)
+let entry_abi = "regtable-v3"
 let entry_kind = "kernel"
 
 (* The content address: kit name + kit content digest (invalidates on any
@@ -287,85 +255,44 @@ let entry_key (kit : Kits.t) ~(mr : int) ~(nr : int) : string =
       "simple";
     ]
 
-(* Cold path: generate + certify + lower one table entry, and persist its
-   artifact when a store is ambient. *)
-let build_entry ~(store : Store.t option) ~key ~(kit : Kits.t) ~(mr : int)
-    ~(nr : int) : entry =
-  let proc = (exo_kernel ~kit ~mr ~nr ()).Family.proc in
-  (* static translation validation of the lowered tape:
-     a proved entry skips the dynamic integer probe *)
-  let summary = C.summarize_ukr proc in
-  let proved =
-    match summary with
-    | Some s -> Tierlint.proved (Tierlint.check s)
-    | None -> false
-  in
-  let e =
-    match C.to_ukr_ba ~certified:proved proc with
-    | Some (u, _) -> bare ~mr ~nr ~proved Bigarray u
-    | None -> fallback_entry ~kit ~mr ~nr ~proved
-  in
-  Option.iter
-    (fun st ->
-      ignore
-        (Store.put st ~kind:entry_kind ~key
-           {
-             ta_mr = mr;
-             ta_nr = nr;
-             ta_fast = e.e_tier = Bigarray;
-             ta_proved = proved;
-             ta_summary = summary;
-           }))
-    store;
-  e
-
-(* Warm path: re-materialize an entry from its stored artifact. The hit
-   skips schedule+certify+lower but NOT the verification gate: the stored
-   summary is re-proved with Tierlint here, and only a proved summary may
-   hydrate a fast executor (the hydrated executor is selected by (mr, nr)
-   alone, so it is bit-identical to the cold one). [None] means the
-   artifact is inconsistent or no longer proves — the caller drops it and
-   rebuilds cold. *)
-let hydrate_entry (a : table_artifact) ~(kit : Kits.t) ~(mr : int) ~(nr : int)
-    : entry option =
-  if a.ta_mr <> mr || a.ta_nr <> nr then None
-  else
-    match a.ta_summary with
-    | Some s when s.C.Summary.mr = mr && s.C.Summary.nr = nr ->
-        let proved = Tierlint.proved (Tierlint.check s) in
-        (* a fast entry must have been statically proved when built AND
-           still prove now — probe-only entries carry no static proof we
-           could recheck without the proc, so they always rebuild cold *)
-        if a.ta_fast then
-          if not (a.ta_proved && proved) then None
-          else
-            Option.map (bare ~mr ~nr ~proved Bigarray) (C.ukr_ba_of_summary s)
-        else Some (fallback_entry ~kit ~mr ~nr ~proved)
-    | Some _ -> None
-    | None ->
-        if a.ta_fast then None
-        else Some (fallback_entry ~kit ~mr ~nr ~proved:false)
-
-(* One entry, warm when the ambient store holds a still-proving artifact
-   (an inconsistent or no-longer-proving one is dropped), cold otherwise. *)
+(* One Bigarray entry. Warm when the ambient store holds a summary that
+   still passes {!admit} (one that does not is dropped); cold otherwise:
+   generate + certify + lower once, admit that summary, and persist it.
+   A cold summary that fails admission fails the table build. *)
 let load_entry ~(store : Store.t option) ~(kit : Kits.t) ~(mr : int)
     ~(nr : int) : entry =
   let key = entry_key kit ~mr ~nr in
   let warm st =
-    Option.bind (Store.get st ~kind:entry_kind ~key) (fun a ->
-        let e = hydrate_entry a ~kit ~mr ~nr in
-        if Option.is_none e then Store.remove st ~kind:entry_kind ~key;
-        e)
+    Option.bind (Store.get st ~kind:entry_kind ~key) (fun s ->
+        match admit ~mr ~nr s with
+        | Ok u -> Some u
+        | Error _ ->
+            Store.remove st ~kind:entry_kind ~key;
+            None)
   in
-  match Option.bind store warm with
-  | Some e -> e
-  | None -> build_entry ~store ~key ~kit ~mr ~nr
+  let cold () =
+    let refuse reason =
+      invalid_arg
+        (Fmt.str "Registry.exo_table: kit %s entry %dx%d does not prove: %s"
+           kit.Kits.name mr nr reason)
+    in
+    match C.summarize_ukr (exo_kernel ~kit ~mr ~nr ()).Family.proc with
+    | None -> refuse "the tape lowering refused the proc"
+    | Some s -> (
+        match admit ~mr ~nr s with
+        | Error reason -> refuse reason
+        | Ok u ->
+            Option.iter
+              (fun st -> ignore (Store.put st ~kind:entry_kind ~key s))
+              store;
+            u)
+  in
+  let u = match Option.bind store warm with Some u -> u | None -> cold () in
+  { e_mr = mr; e_nr = nr; e_tier = Bigarray; e_base = u; e_exec = u }
 
 let stored_summary (kit : Kits.t) ~(mr : int) ~(nr : int) : C.Summary.t option =
   Option.bind (Store.ambient ()) (fun st ->
-      Option.bind
-        (Store.get st ~kind:entry_kind ~key:(entry_key kit ~mr ~nr))
-        (fun (a : table_artifact) -> a.ta_summary))
+      Store.get st ~kind:entry_kind ~key:(entry_key kit ~mr ~nr))
 
 (* ------------------------------------------------------------------ *)
 (* The native JIT tier                                                 *)
@@ -541,16 +468,19 @@ let no_native reason =
     ni_pair = false;
   }
 
-(* Upgrade a freshly built table's eligible entries to JIT'd machine code:
-   one compilation unit for the whole bank (one cc run, one dlopen, one
-   dlsym per kernel), cache-first through the ambient store, then each
-   bound kernel certified against the bare Bigarray executor it would
-   replace before it may serve. Where {!serves_pair}, the full tile's
-   two-tile entry is certified against two calls of that tile's bare
-   executor and returned beside the entries; a rejected pair is not
-   served and the bank serves singles. Any failure — no compiler, compile
-   error on both targets, a certification mismatch — degrades that scope
-   gracefully to the Bigarray tier and says why in the returned info. *)
+(* Upgrade a freshly built table's entries to JIT'd machine code: one
+   compilation unit for the whole bank (one cc run, one dlopen, one dlsym
+   per kernel), cache-first through the ambient store, then each bound
+   kernel certified against the bare Bigarray executor it would replace
+   before it may serve. Every entry is eligible: each entered the table
+   with a Tierlint proof (bounds, write-set, accumulation shape), which is
+   what justifies emitting the canonical nest for its shape. Where
+   {!serves_pair}, the full tile's two-tile entry is certified against two
+   calls of that tile's bare executor and returned beside the entries; a
+   rejected pair is not served and the bank serves singles. Any failure —
+   no compiler, compile error on both targets, a certification mismatch —
+   degrades that scope gracefully to the Bigarray tier and says why in the
+   returned info. *)
 let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
     ~(store : Store.t option) (entries : entry array) :
     entry array * C.ukr_ba option * native_info =
@@ -564,94 +494,83 @@ let native_upgrade ~(kit : Kits.t) ~(mr : int) ~(nr : int)
         match Host.cc () with
         | None -> degraded "no C compiler on host"
         | Some cc_path -> (
-            (* eligibility: entries the Bigarray tier certified AND whose
-               lowered tape Tierlint proved — the proof (bounds, write-set,
-               accumulation shape) is what justifies emitting the canonical
-               nest for the shape *)
-            let eligible i = entries.(i).e_tier = Bigarray && entries.(i).e_proved in
-            let idxs = List.filter eligible (List.init (mr * nr) Fun.id) in
-            let full = (mr * nr) - 1 in
-            if idxs = [] then degraded "no eligible entries"
-            else
-              let syms =
-                List.map
-                  (fun idx ->
-                    C_emit.native_sym ~mr:entries.(idx).e_mr ~nr:entries.(idx).e_nr)
-                  idxs
-              in
-              let try_target (target, lanes) =
-                let pair =
-                  serves_pair ~target ~lanes ~mr ~nr && eligible full
-                in
-                match
-                  Native.get_or_compile ~store
-                    ~key:(native_key kit ~mr ~nr ~target ~lanes)
-                    ~src:(fun () -> native_source ~kit ~mr ~nr ~target ~lanes ())
-                    ~syms:(if pair then syms @ [ C_emit.pair_sym ~mr ~nr ] else syms)
-                with
-                | Ok (slots, _from_cache) -> Some (target, lanes, pair, slots)
-                | Error _ -> None
-              in
-              (* each target at the host's lane count, then at one lane: a
-                 cc without [__builtin_shufflevector] still gets the loop
-                 nest rather than no native bank *)
-              let targets =
-                (match primary with
-                | C_emit.Nat_portable -> [ C_emit.Nat_portable ]
-                | C_emit.Nat_intrinsics ->
-                    [ C_emit.Nat_intrinsics; C_emit.Nat_portable ])
-                |> List.concat_map (fun t -> [ (t, Host.f32_lanes ()); (t, 1) ])
-              in
-              match List.find_map try_target targets with
-              | None -> degraded "native compilation failed"
-              | Some (target, lanes, pair, slots) ->
-                  let upgraded = Array.copy entries in
-                  let certified = ref 0 and rejected = ref 0 in
-                  List.iteri
-                    (fun si idx ->
-                      let e = entries.(idx) in
+            let syms =
+              Array.to_list
+                (Array.map (fun e -> C_emit.native_sym ~mr:e.e_mr ~nr:e.e_nr) entries)
+            in
+            let try_target (target, lanes) =
+              let pair = serves_pair ~target ~lanes ~mr ~nr in
+              match
+                Native.get_or_compile ~store
+                  ~key:(native_key kit ~mr ~nr ~target ~lanes)
+                  ~src:(fun () -> native_source ~kit ~mr ~nr ~target ~lanes ())
+                  ~syms:(if pair then syms @ [ C_emit.pair_sym ~mr ~nr ] else syms)
+              with
+              | Ok (slots, _from_cache) -> Some (target, lanes, pair, slots)
+              | Error _ -> None
+            in
+            (* each target at the host's lane count, then at one lane: a
+               cc without [__builtin_shufflevector] still gets the loop
+               nest rather than no native bank *)
+            let targets =
+              (match primary with
+              | C_emit.Nat_portable -> [ C_emit.Nat_portable ]
+              | C_emit.Nat_intrinsics ->
+                  [ C_emit.Nat_intrinsics; C_emit.Nat_portable ])
+              |> List.concat_map (fun t -> [ (t, Host.f32_lanes ()); (t, 1) ])
+            in
+            match List.find_map try_target targets with
+            | None -> degraded "native compilation failed"
+            | Some (target, lanes, pair, slots) ->
+                let certified = ref 0 and rejected = ref 0 in
+                let upgraded =
+                  Array.mapi
+                    (fun idx e ->
                       let cand =
-                        native_raw ~mr:e.e_mr ~nr:e.e_nr ~slot:slots.(si) ()
+                        native_raw ~mr:e.e_mr ~nr:e.e_nr ~slot:slots.(idx) ()
                       in
                       if
                         certify_native ~mr:e.e_mr ~nr:e.e_nr ~base:e.e_base
                           ~native:cand ()
                       then begin
-                        upgraded.(idx) <- { e with e_tier = Native; e_exec = cand };
-                        incr certified
+                        incr certified;
+                        { e with e_tier = Native; e_exec = cand }
                       end
-                      else incr rejected)
-                    idxs;
-                  let pair_exec =
-                    if not pair then None
-                    else
-                      let cand =
-                        native_raw ~tiles:2 ~mr ~nr
-                          ~slot:slots.(List.length idxs) ()
-                      in
-                      if
-                        certify_native ~tiles:2 ~mr ~nr
-                          ~base:entries.(full).e_base ~native:cand ()
-                      then Some cand
                       else begin
                         incr rejected;
-                        None
-                      end
-                  in
-                  ( upgraded,
-                    pair_exec,
-                    {
-                      ni_enabled = !certified > 0;
-                      ni_target = C_emit.native_target_name target;
-                      ni_cc = cc_path;
-                      ni_entries = !certified;
-                      ni_rejected = !rejected;
-                      ni_reason =
-                        (if !certified > 0 then "ok"
-                         else "all entries failed certification");
-                      ni_lanes = lanes;
-                      ni_pair = Option.is_some pair_exec;
-                    } )))
+                        e
+                      end)
+                    entries
+                in
+                let pair_exec =
+                  if not pair then None
+                  else
+                    let cand =
+                      native_raw ~tiles:2 ~mr ~nr ~slot:slots.(mr * nr) ()
+                    in
+                    if
+                      certify_native ~tiles:2 ~mr ~nr
+                        ~base:entries.((mr * nr) - 1).e_base ~native:cand ()
+                    then Some cand
+                    else begin
+                      incr rejected;
+                      None
+                    end
+                in
+                ( upgraded,
+                  pair_exec,
+                  {
+                    ni_enabled = !certified > 0;
+                    ni_target = C_emit.native_target_name target;
+                    ni_cc = cc_path;
+                    ni_entries = !certified;
+                    ni_rejected = !rejected;
+                    ni_reason =
+                      (if !certified > 0 then "ok"
+                       else "all entries failed certification");
+                    ni_lanes = lanes;
+                    ni_pair = Option.is_some pair_exec;
+                  } )))
 
 (** The native-ABI artifacts for a bank without building a table: the
     target this host would pick and the C source ([None] for non-f32
@@ -690,12 +609,8 @@ let exo_table ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () : table =
           prefetch @@ fun () ->
           let built =
             Array.init (mr * nr) (fun idx ->
-                let e =
-                  load_entry ~store ~kit ~mr:((idx / nr) + 1)
-                    ~nr:((idx mod nr) + 1)
-                in
-                count_verdict e.e_proved;
-                e)
+                load_entry ~store ~kit ~mr:((idx / nr) + 1)
+                  ~nr:((idx mod nr) + 1))
           in
           let entries, pair, native_info =
             native_upgrade ~kit ~mr ~nr ~store built
@@ -728,7 +643,7 @@ let exo_bank ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :
     unit -> C.ukr_ba array =
  fun () -> (exo_table ~kit ~mr ~nr ()).t_bank
 
-(** The same table's bare pre-upgrade executors: the baseline side of the
+(** The same table's bare Bigarray executors: the baseline side of the
     bench's native-vs-Bigarray A-B comparison. Uncounted, like the oracle
     banks. *)
 let exo_bank_ba ?(kit = Kits.neon_f32) ~(mr : int) ~(nr : int) () :

@@ -48,21 +48,24 @@ val oracle_bank :
 (** {1 The monomorphized (mr' × nr') kernel table}
 
     One {!entry} record per (mr', nr') with mr' ∈ 1..mr, nr' ∈ 1..nr,
-    flat at index [(mr'-1)·nr + nr'-1]. Each entry serves JIT'd native
-    code where the upgrade certified it and the Bigarray executor
-    elsewhere (the monomorphized nest for f32, the tape for other dtypes);
-    only a proc the tape lowering refuses would fall back to the
-    interpreter oracle — so fringe macro-kernel calls dispatch by plain
-    array indexing and never fall back. Built once per (kit, mr, nr) for
-    the whole process and shared by every domain — the executors are
-    re-entrant (per-call accumulators), so repeated {!exo_table} calls
-    return the physically same table from any domain.
+    flat at index [(mr'-1)·nr + nr'-1]. An entry enters service one way,
+    cold or warm: its lowered access summary
+    ({!Exo_interp.Compile.Summary.t}) must prove under
+    {!Exo_check.Tierlint}, and its Bigarray executor is the one
+    {!Exo_interp.Compile.ukr_ba_of_summary} selects from that summary (the
+    monomorphized nest for f32, the tape for other dtypes). Each entry
+    then serves JIT'd native code where the upgrade certified it and that
+    executor elsewhere, so fringe macro-kernel calls dispatch by plain
+    array indexing. Built once per (kit, mr, nr) for the whole process and
+    shared by every domain — the executors are re-entrant (per-call
+    accumulators), so repeated {!exo_table} calls return the physically
+    same table from any domain.
 
     When an {!Exo_cache.Store} is ambient ([UKRGEN_CACHE_DIR] or the CLI's
-    [--cache]), entries hydrate from persisted artifacts — skipping
-    schedule → certify → lower — after their stored access summary
-    re-proves under {!Exo_check.Tierlint}; cold builds persist their
-    artifacts for the next process. *)
+    [--cache]), an entry's artifact is its summary: a warm entry hydrates
+    from it — skipping schedule → certify → lower — after it re-proves,
+    and one that no longer proves is dropped and rebuilt cold; cold builds
+    persist their summaries for the next process. *)
 
 (** Provenance of a table's native-tier upgrade: whether JIT'd machine
     code is serving, through which lowering and compiler, and — on a
@@ -74,8 +77,7 @@ type native_info = {
   ni_cc : string;  (** compiler path, or ["none"] *)
   ni_entries : int;  (** entries serving native code (certified) *)
   ni_rejected : int;
-      (** eligible entries (and the two-tile entry) that failed
-          certification *)
+      (** entries (and the two-tile entry) that failed certification *)
   ni_reason : string;  (** ["ok"], or why the tier is degraded *)
   ni_lanes : int;
       (** f32 lanes the bank's portable nests were emitted for
@@ -93,23 +95,16 @@ type native_info = {
 type tier =
   | Native  (** JIT'd machine code, certified bit-exact against [e_base] *)
   | Bigarray
-      (** the certified Bigarray executor: the monomorphized nest for f32,
-          the tape executor for other dtypes *)
-  | Fallback
-      (** the {!oracle_entry} round-trip, for a proc the tape lowering
-          refuses; no generated entry of the six kits needs it *)
+      (** the proved summary's Bigarray executor: the monomorphized nest
+          for f32, the tape executor for other dtypes *)
 
 type entry = {
   e_mr : int;
   e_nr : int;
-  e_proved : bool;
-      (** the static {!Exo_check.Tierlint} verdict of the lowered tape
-          (bounds, write-set containment and accumulation shape). Proved
-          entries entered service without the dynamic integer probe. *)
   e_tier : tier;  (** the tier [e_exec] serves from *)
   e_base : Exo_interp.Compile.ukr_ba;
-      (** the pre-upgrade executor (Bigarray, or the interpreter for a
-          [Fallback] hole): the certification oracle. Uncounted. *)
+      (** the Bigarray executor: the native tier's certification oracle.
+          Uncounted. *)
   e_exec : Exo_interp.Compile.ukr_ba;
       (** the serving executor, uncounted; [e_base] unless [Native] *)
 }
@@ -127,14 +122,13 @@ type table = {
   t_native_info : native_info;
 }
 
-(** Build (or fetch) the process-wide table for a family. *)
+(** Build (or fetch) the process-wide table for a family. Raises
+    [Invalid_argument] naming the kit, the entry and the Tierlint reason
+    when an entry's freshly lowered summary does not prove or has no
+    Bigarray executor: a table serves every entry proved, or does not
+    build. *)
 val exo_table :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit -> table
-
-(** Entries served by the interpreter fallback; 0 for all six kits. *)
-val table_holes : table -> int
-
-val table_complete : table -> bool
 
 (** Bounds-checked entry lookup. *)
 val entry : table -> mr:int -> nr:int -> entry
@@ -149,7 +143,7 @@ val exo_bank :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
   unit -> Exo_interp.Compile.ukr_ba array
 
-(** The same table's [e_base] executors — the baseline side of the bench's
+(** The same table's [e_base] (Bigarray) executors — the baseline side of the bench's
     native-vs-Bigarray A-B comparison. Uncounted, like {!oracle_bank}. *)
 val exo_bank_ba :
   ?kit:Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> unit ->
@@ -192,10 +186,9 @@ val native_key :
     pipeline variant. *)
 val entry_key : Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> string
 
-(** The access summary the ambient store's artifact for a table entry
-    carries — the one a warm {!exo_table} re-proves with
-    {!Exo_check.Tierlint} before the entry may serve. [None] without a
-    store, on a miss, or for an entry the tape lowering refused. *)
+(** The access summary the ambient store holds for a table entry — the
+    one a warm {!exo_table} re-proves with {!Exo_check.Tierlint} before
+    the entry may serve. [None] without a store or on a miss. *)
 val stored_summary :
   Exo_ukr_gen.Kits.t -> mr:int -> nr:int -> Exo_interp.Compile.Summary.t option
 
@@ -225,17 +218,14 @@ val clear_memos_for_bench : unit -> unit
     since {!Gemm.blis_ba} joins its pool helpers before it returns. Always
     on (the bench's fallbacks-zero gate reads them
     in plain runs), mirrored into the Obs counters
-    [gemm.ukr_native_calls] / [gemm.ukr_fast_calls] (Bigarray) /
-    [gemm.ukr_fallback_calls] when tracing is enabled. *)
+    [gemm.ukr_native_calls] / [gemm.ukr_fast_calls] (Bigarray) when
+    tracing is enabled. *)
 
-(** [(native, bigarray, fallback)] totals since start or the last reset. *)
+(** [(native, bigarray, fallback)] totals since start or the last reset.
+    [fallback] is always 0 — no table entry is served by the interpreter —
+    and stays for the clients that print it. *)
 val ukr_tier_counts : unit -> int * int * int
 
 (** Zero the dispatch counters, so repeated in-process bench/test phases
     measure their own dispatches instead of accumulating across tiers. *)
 val reset_dispatch_counts : unit -> unit
-
-(** [(proved, unproved)] static {!Exo_check.Tierlint} verdict totals
-    counted at table-build time (mirrored to the Obs counters
-    [registry.tier_proved] / [registry.tier_unproved] when tracing). *)
-val tier_verdict_counts : unit -> int * int

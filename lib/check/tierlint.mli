@@ -1,9 +1,9 @@
 (** Translation validation for the lowered micro-kernel execution tiers.
 
-    The Bigarray tier ({!Exo_interp.Compile.to_ukr_ba}) runs [unsafe]
-    accesses behind one hoisted range check, and was first certified only
-    *dynamically* (integer probes through the interpreter). This module
-    is a static validator over the auditable
+    The Bigarray tier ({!Exo_interp.Compile.ukr_ba_of_summary}) runs
+    [unsafe] accesses behind one hoisted range check, and a registry table
+    admits an entry only when this module proves its summary. It is a
+    static validator over the auditable
     {!Exo_interp.Compile.Summary} of each kernel's lowered tape, with the
     k-loop counter ranging over [0, kc-1] and [kc] a symbolic size.
 
@@ -18,8 +18,8 @@
     passes as the oracle and checks that the two report alike.
 
     Three properties, each [Proved] or [Unproved reason] (sound and
-    incomplete — a verdict of [Proved] is a proof; [Unproved] keeps the
-    dynamic probe):
+    incomplete — a verdict of [Proved] is a proof; an [Unproved] entry
+    does not enter a registry table):
 
     - {b bounds}: every access lies inside the contract the one hoisted
       range check establishes (A within [kc·mr], B within [kc·nr], C within
@@ -35,7 +35,7 @@
       [C₀[j,i] + Σ_{k<kc} A[i+k·mr]·B[j+k·nr]] (factors may commute) — the
       canonical reduction the Bigarray tier's f64-accumulate/round-once
       executors implement, so a [Proved] verdict justifies substituting
-      them without the integer probe. *)
+      them for the tape. *)
 
 type verdict = Proved | Unproved of string
 

@@ -455,7 +455,8 @@ let ukr_ba_check ~mr ~nr ~kc ~(ac : ba32) ~ao ~(bc : ba32) ~bo ~(c : ba32) ~co =
    loaded once and stored once per column; the k loop runs 4-wide with the
    B operands hoisted; f32 rounding happens at the single Bigarray store.
    On integer-valued data (the repo's entire test and bench domain) the
-   deferred rounding is exact, which [to_ukr_ba]'s probe gate certifies.
+   deferred rounding is exact; the entry's Tierlint proof establishes that
+   its tape computes this reduction.
    It is kept beside [ukr_ba_generic] for hosts without the native tier
    (no [cc], or [UKRGEN_NATIVE=0]), where it serves every full tile: at
    kc=512 it measured 51.6 against 70.6 us/call (1.37x) in one run, and
@@ -749,15 +750,14 @@ let tape_ukr_ba (s : Summary.t) : ukr_ba option =
   if s.n_preds = 0 && (not s.kc_pos) && tape_in_contract s then Some (tape_exec s)
   else None
 
-(* Build-time semantic certificate for the Bigarray tier: run the proc
+(* The dynamic cross-check of Tierlint's static verdict: run the proc
    through the interpreter on integer-valued probes, over buffers of its
    own dtype, and demand the canonical C[j,i] += sum_k Ac[k,i]*Bc[k,j]
    answer, bit for bit. The probe values keep every partial sum an exact
    integer of the dtype (|v| <= 1000 and kc <= 8 within binary32's and
    int32's exact range, |v| <= 3 within binary16's), so each rounding step
    is the identity and a schedule that reassociates the k-sum still
-   matches; any proc computing a different function is rejected here and
-   keeps the interpreter fallback. *)
+   matches; a proc computing a different function is rejected. *)
 let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
   let dt =
     match p.p_args with
@@ -797,9 +797,11 @@ let probe_ukr_ba (p : proc) ~(mr : int) ~(nr : int) : bool =
   in
   probe 1 17 && probe 3 29 && probe 8 41
 
-(* Re-materialize the executor from a stored access summary alone — the
-   cache-hydration path, and the one place executors are selected: the
-   monomorphized f32 nests by (mr, nr), the tape for every other dtype. *)
+(* The executor of an access summary, cold or warm — the one place
+   executors are selected: the monomorphized f32 nests by (mr, nr), the
+   tape for every other dtype. No runtime predicates and no kc>0
+   requirement, so the executor's single up-front range check is the
+   complete guard. *)
 let ukr_ba_of_summary (s : Summary.t) : ukr_ba option =
   if s.n_preds <> 0 || s.kc_pos then None
   else if s.dt <> Dtype.F32 then tape_ukr_ba s
@@ -807,16 +809,3 @@ let ukr_ba_of_summary (s : Summary.t) : ukr_ba option =
     match (s.mr, s.nr) with
     | 8, 12 -> Some (ukr_ba_8x12 ())
     | mr, nr -> Some (ukr_ba_generic ~mr ~nr)
-
-(* No runtime predicates and no kc>0 requirement, so the executor's single
-   up-front range check is the complete guard. [certified] callers carry a
-   static Tierlint proof that the tape computes the canonical Σ A·B
-   reduction, which is exactly what the integer probe establishes
-   dynamically — the probe is skipped for them. *)
-let to_ukr_ba ?(certified = false) (p : proc) : (ukr_ba * Summary.t) option =
-  match summarize_ukr p with
-  | Some s
-    when s.n_preds = 0 && (not s.kc_pos)
-         && (certified || probe_ukr_ba p ~mr:s.mr ~nr:s.nr) ->
-      Option.map (fun u -> (u, s)) (ukr_ba_of_summary s)
-  | _ -> None

@@ -1,9 +1,11 @@
 (** The micro-kernel execution tiers built on the tape lowering: the
     lowered tape's auditable {!Summary}, which {!Exo_check.Tierlint}
-    proves over, and the executors that serve the GEMM driver wherever the
-    native tier does not — the monomorphized float32 Bigarray loop nests
-    for the f32 kits, and the tape executor for every other dtype. The
-    tree-walking {!Interp} is their definitional oracle. *)
+    proves over, and the executors {!ukr_ba_of_summary} selects from it to
+    serve the GEMM driver wherever the native tier does not — the
+    monomorphized float32 Bigarray loop nests for the f32 kits, and the
+    tape executor for every other dtype. The tree-walking {!Interp} is
+    their definitional oracle, and {!probe_ukr_ba} the dynamic cross-check
+    of the static proof. *)
 
 (** The auditable access summary of a lowered micro-kernel tape: the exact
     per-statement memory operands (affine addresses [base + kstep·k] over
@@ -53,7 +55,8 @@ end
 
 (** The access summary of a proc, [None] when the tape lowering refuses
     it (non-affine indices, reads of alpha/beta data, symbolic loop nests,
-    unsupported expression shapes) — such procs run on {!Interp}. *)
+    unsupported expression shapes) — such procs have no serving executor
+    and run only on {!Interp}. *)
 val summarize_ukr : Exo_ir.Ir.proc -> Summary.t option
 
 (** A float32 Bigarray: the storage type of the GEMM driver's packed
@@ -76,25 +79,6 @@ type ukr_ba =
   kc:int -> ac:ba32 -> ao:int -> bc:ba32 -> bo:int -> c:ba32 -> co:int ->
   unit
 
-(** [to_ukr_ba p] — the Bigarray execution tier, for procs the tape
-    lowering accepts with no runtime preconditions and no kc ≥ 1
-    requirement, once the proc is certified to compute the canonical GEMM
-    reduction. The executor is chosen by {!ukr_ba_of_summary}: for f32, a
-    straight-line OCaml loop nest specialized to (mr, nr) —
-    hand-monomorphized with literal constants for 8×12, shape-captured for
-    every other pair; for every other dtype, {!tape_ukr_ba}. [None] means
-    the proc is served by {!Interp}.
-
-    [~certified:true] records that the caller holds a static
-    {!Exo_check.Tierlint} proof that the tape computes the canonical
-    reduction — the dynamic integer probe ({!probe_ukr_ba}) is then
-    skipped (it would establish the same fact). Default [false]: probe.
-
-    The returned executor is re-entrant — its scratch is allocated per
-    call — so one executor can be shared by every domain of a pool. *)
-val to_ukr_ba :
-  ?certified:bool -> Exo_ir.Ir.proc -> (ukr_ba * Summary.t) option
-
 (** The tape executor: the lowered tape itself run over the Bigarray
     operands, for any dtype — the serving executor of the non-f32 kits.
     Built into closures once; a call copies A, B and the C tile out to
@@ -107,19 +91,23 @@ val to_ukr_ba :
     executor allocates for some kc ≥ 0. *)
 val tape_ukr_ba : Summary.t -> ukr_ba option
 
-(** Re-materialize the Bigarray executor from a stored access summary — the
-    cache-hydration path ({!Exo_blis.Registry}), and the one place the
-    executor is selected: the monomorphized nests for f32 by (mr, nr)
-    alone, {!tape_ukr_ba} for every other dtype. Returns [None] when the
-    summary fails the tier's eligibility gate (runtime preds, kc>0
-    requirement). The result is bit-identical to what {!to_ukr_ba}
-    returns for the proc the summary was derived from; callers must still
-    re-run the {!Exo_check.Tierlint} gate over the summary so a stale or
-    tampered artifact never enters service silently. *)
+(** The Bigarray executor of an access summary, freshly lowered or read
+    back from a store — the one place the executor is selected: for f32, a
+    straight-line OCaml loop nest specialized to (mr, nr) by (mr, nr)
+    alone (hand-monomorphized with literal constants for 8×12,
+    shape-captured for every other pair); {!tape_ukr_ba} for every other
+    dtype. Returns [None] when the summary has runtime predicates or needs
+    kc ≥ 1. The f32 nests implement the canonical reduction without
+    reading the summary's operands, so callers must prove the summary
+    with {!Exo_check.Tierlint} first ({!Exo_blis.Registry} admits an
+    entry only then). The executor is re-entrant — its scratch is
+    allocated per call — so one executor can be shared by every domain of
+    a pool. *)
 val ukr_ba_of_summary : Summary.t -> ukr_ba option
 
-(** The Bigarray tier's dynamic certificate, exposed so the bench and the
-    [--tiers] lint sweep can cross-check it against the static verdicts:
+(** The dynamic cross-check of the static {!Exo_check.Tierlint} verdict,
+    run by the [--tiers] lint sweep and the bench; no table entry depends
+    on it:
     runs the proc through {!Interp} on integer probes, over buffers of the
     proc's own dtype, and demands the canonical
     [C[j,i] += Σ_k Ac[k,i]·Bc[k,j]] answer bit for bit. *)

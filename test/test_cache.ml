@@ -7,7 +7,8 @@
    1. Robustness — a zero-length, truncated or bit-flipped entry reads as
       a miss (counted corrupt, unlinked) and is recomputed, never a crash
       or a wrong value; a store full of corrupted kernel artifacts still
-      rebuilds a complete, certified table.
+      rebuilds a complete table, and a decodable summary that no longer
+      proves is dropped and rebuilt cold, never served.
 
    2. First-writer-wins — concurrent writers (domains of pool widths
       1/2/4, and a second process) converge on one published value; a
@@ -18,8 +19,8 @@
       so stale artifacts are never served, just stranded.
 
    4. Hydration fidelity — a table rebuilt from disk is bit-identical to
-      the freshly compiled one: same fast/proved flags on every kit, and
-      the same C tile from every executor (qcheck, all 6 kits). *)
+      the freshly compiled one: the same tier on every entry of every kit,
+      and the same C tile from every executor (qcheck, all 6 kits). *)
 
 module Store = Exo_cache.Store
 module R = Exo_blis.Registry
@@ -231,7 +232,7 @@ let test_kit_digest_stable_and_sensitive () =
   Alcotest.(check bool) "digest moves with the schedule" false (K.digest moved = d1);
   let entry_key kit =
     Store.key
-      [ "regtable-v1"; Sys.ocaml_version; kit.K.name; K.digest kit;
+      [ "regtable-v3"; Sys.ocaml_version; kit.K.name; K.digest kit;
         string_of_int kit.K.sched_steps; "8"; "12"; "simple" ]
   in
   Alcotest.(check bool)
@@ -282,7 +283,7 @@ let test_keys_unchanged () =
     [ abi; Sys.ocaml_version; "neon-f32"; digest; "6"; "8"; "12"; "simple" ]
   in
   Alcotest.(check string) "Registry.entry_key"
-    (Store.key (parts "regtable-v2"))
+    (Store.key (parts "regtable-v3"))
     (R.entry_key kit ~mr ~nr);
   Alcotest.(check string) "Family.artifact_key"
     (Store.key (parts "family-v1"))
@@ -311,11 +312,14 @@ let test_family_generate_cached_hydrates () =
   Alcotest.(check bool) "fresh kernel after hydration certifies" true
     (r.Exo_check.Bounds.violations = [] && r.Exo_check.Bounds.unknowns = [])
 
-(* per entry: served by a certified executor (not the interpreter fallback) *)
-let fast_flags (t : R.table) =
-  Array.map (fun e -> e.R.e_tier <> R.Fallback) t.R.t_entries
+(* per entry: the tier serving it, and whether that is native code or the
+   proved summary's Bigarray executor *)
+let native_flags (t : R.table) = Array.map (fun e -> e.R.e_tier = R.Native) t.R.t_entries
 
-let proved_flags (t : R.table) = Array.map (fun e -> e.R.e_proved) t.R.t_entries
+let all_served (t : R.table) =
+  Array.for_all
+    (fun e -> match e.R.e_tier with R.Bigarray | R.Native -> true)
+    t.R.t_entries
 
 let test_corrupted_kernel_artifacts_rebuild () =
   with_ambient @@ fun dir ->
@@ -334,11 +338,10 @@ let test_corrupted_kernel_artifacts_rebuild () =
   let t2 = R.exo_table ~mr:8 ~nr:12 () in
   let _, corrupt = Store.write_counts () in
   Alcotest.(check bool) "corruption detected" true (corrupt > 0);
-  Alcotest.(check bool) "rebuilt table complete" true (R.table_complete t2);
-  Alcotest.(check bool) "rebuilt table certified" true
-    (Array.for_all (fun e -> e.R.e_proved) t2.R.t_entries);
-  Alcotest.(check (array bool)) "same flags as the pristine build"
-    (fast_flags t1) (fast_flags t2)
+  Alcotest.(check int) "rebuilt table complete" 96 (Array.length t2.R.t_entries);
+  Alcotest.(check bool) "every entry Bigarray or Native" true (all_served t2);
+  Alcotest.(check (array bool)) "same tiers as the pristine build"
+    (native_flags t1) (native_flags t2)
 
 (* --- hydration fidelity (qcheck, all kits) ------------------------------- *)
 
@@ -369,14 +372,11 @@ let test_hydrated_tables_bit_identical () =
   List.iter2
     (fun (kit, (tc : R.table)) (_, (tw : R.table)) ->
       Alcotest.(check (array bool))
-        (kit.K.name ^ ": fast flags survive hydration")
-        (fast_flags tc) (fast_flags tw);
+        (kit.K.name ^ ": tiers survive hydration")
+        (native_flags tc) (native_flags tw);
       Alcotest.(check bool)
-        (kit.K.name ^ ": hydrated table has no interpreter holes")
-        true (R.table_complete tw);
-      Alcotest.(check (array bool))
-        (kit.K.name ^ ": proved flags survive hydration")
-        (proved_flags tc) (proved_flags tw))
+        (kit.K.name ^ ": every hydrated entry Bigarray or Native")
+        true (all_served tw))
     cold warm;
   (* executable fidelity on every kit: each hydrated executor (the
      monomorphized nest for f32, the tape for f16 and i32) computes the
@@ -395,6 +395,89 @@ let test_hydrated_tables_bit_identical () =
         = exec (R.table_entry tw ~mr:mr' ~nr:nr') ~mr:mr' ~nr:nr' ~kc ~seed)
   in
   QCheck2.Test.check_exn q
+
+(* --- the hydration gate ------------------------------------------------- *)
+
+module S = Exo_interp.Compile.Summary
+
+let map_ops f (s : S.t) =
+  { s with S.segs = List.map (fun g -> { g with S.ops = List.map f g.S.ops }) s.S.segs }
+
+(* The first C store moved one element past the tile. *)
+let store_past_tile (s : S.t) =
+  let moved = ref false in
+  map_ops
+    (fun (o : S.op) ->
+      if !moved || o.S.dst.S.sp <> S.C then o
+      else begin
+        moved := true;
+        { o with S.dst = { o.S.dst with S.base = s.S.mr * s.S.nr } }
+      end)
+    s
+
+(* Every A read moved one panel row on, past the panel's end. *)
+let read_past_panel (s : S.t) =
+  let rec rhs = function
+    | S.Read ({ S.sp = S.A; _ } as o) -> S.Read { o with S.base = o.S.base + s.S.mr }
+    | S.Bin (b, x, y) -> S.Bin (b, rhs x, rhs y)
+    | S.Neg x -> S.Neg (rhs x)
+    | r -> r
+  in
+  map_ops (fun (o : S.op) -> { o with S.rhs = rhs o.S.rhs }) s
+
+let proves s = Exo_check.Tierlint.(proved (check s))
+
+(* A stored summary that decodes but no longer proves is never served: the
+   warm build drops it, rebuilds that entry cold, serves the cold build's
+   executor and leaves a proving summary in the store. On f32 the executor
+   is selected by shape alone, so only the store shows whether the planted
+   summary was re-proved. *)
+let test_unprovable_summary_rebuilds () =
+  with_ambient @@ fun _dir ->
+  let st = Option.get (Store.ambient ()) in
+  let kit = K.neon_f32 and mr = 2 and nr = 3 in
+  R.clear_memos_for_bench ();
+  let cold = R.exo_table ~kit ~mr ~nr () in
+  let plants = [ ((2, 3), store_past_tile); ((1, 3), read_past_panel) ] in
+  let originals =
+    List.map
+      (fun (ij, _) ->
+        (ij, Option.get (R.stored_summary kit ~mr:(fst ij) ~nr:(snd ij))))
+      plants
+  in
+  List.iter2
+    (fun ((i, j), tamper) (_, s) ->
+      let bad = tamper s in
+      Alcotest.(check bool) (Fmt.str "%dx%d: stored summary proves" i j) true (proves s);
+      Alcotest.(check bool) (Fmt.str "%dx%d: planted summary does not" i j) false
+        (proves bad);
+      let key = R.entry_key kit ~mr:i ~nr:j in
+      Store.remove st ~kind:"kernel" ~key;
+      Alcotest.(check bool) (Fmt.str "%dx%d: planted" i j) true
+        (Store.put st ~kind:"kernel" ~key bad))
+    plants originals;
+  R.clear_memos_for_bench ();
+  Store.reset_counts ();
+  let warm = R.exo_table ~kit ~mr ~nr () in
+  List.iter
+    (fun ((i, j), s) ->
+      let stored = Option.get (R.stored_summary kit ~mr:i ~nr:j) in
+      Alcotest.(check bool) (Fmt.str "%dx%d: store holds a proving summary" i j)
+        true (proves stored);
+      Alcotest.(check bool) (Fmt.str "%dx%d: the cold build's summary" i j) true
+        (stored = s))
+    originals;
+  for i = 1 to mr do
+    for j = 1 to nr do
+      List.iter
+        (fun (kc, seed) ->
+          Alcotest.(check (array (float 0.0)))
+            (Fmt.str "%dx%d kc=%d: warm = cold" i j kc)
+            (exec (R.table_entry cold ~mr:i ~nr:j) ~mr:i ~nr:j ~kc ~seed)
+            (exec (R.table_entry warm ~mr:i ~nr:j) ~mr:i ~nr:j ~kc ~seed))
+        [ (0, 1); (1, 2); (7, 3); (16, 4) ]
+    done
+  done
 
 let () =
   Alcotest.run "cache"
@@ -431,5 +514,7 @@ let () =
             `Quick test_corrupted_kernel_artifacts_rebuild;
           Alcotest.test_case "hydrated tables bit-identical (all kits)" `Slow
             test_hydrated_tables_bit_identical;
+          Alcotest.test_case "unprovable stored summary rebuilds cold" `Quick
+            test_unprovable_summary_rebuilds;
         ] );
     ]

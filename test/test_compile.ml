@@ -3,7 +3,7 @@
    the serving executor of every non-f32 kit — is bit-identical to the
    tree-walking interpreter on every generated entry of all six kits, on
    integer and real-valued data, including kc = 0 and offset panels. The
-   serving executors {!Compile.to_ukr_ba} returns agree with the
+   serving executors {!Compile.ukr_ba_of_summary} selects agree with the
    interpreter on the integer domain, and the lowering keeps the
    interpreter's contracts: runtime predicates, register memory, inlined
    instruction windows and dtype rounding. The interpreter's own
@@ -117,15 +117,19 @@ let test_family_kernels_agree_f16 () =
            ~seed:9))
     [ (8, 8); (8, 4); (16, 8); (1, 8) ]
 
-(* --- the serving executors (to_ukr_ba) against the interpreter ------------ *)
+(* --- the serving executors (ukr_ba_of_summary) against the interpreter ---- *)
 
-(* The executor [to_ukr_ba] serves — the monomorphized nest for f32, the
-   tape otherwise — against the interpreter on integer data over offset
-   panels (the f32 nests round once per C element, exact on integers). *)
+(* The executor a proc's summary selects — the monomorphized nest for f32,
+   the tape otherwise. *)
+let serving_of proc = Option.bind (C.summarize_ukr proc) C.ukr_ba_of_summary
+
+(* The serving executor against the interpreter on integer data over
+   offset panels (the f32 nests round once per C element, exact on
+   integers). *)
 let serving_agrees ~kit ~mr ~nr ~kc ~ao ~bo ~seed =
-  match C.to_ukr_ba (proc_of ~kit ~mr ~nr) with
+  match serving_of (proc_of ~kit ~mr ~nr) with
   | None -> false
-  | Some (u, _) ->
+  | Some u ->
       run_exec u ~mr ~nr ~kc ~ao ~bo ~real:false ~seed
       = run_exec (R.oracle_entry ~kit ~mr ~nr ()) ~mr ~nr ~kc ~ao ~bo
           ~real:false ~seed
@@ -182,7 +186,7 @@ let test_oracles_short_array_raises () =
   List.iter
     (fun (kit : Kits.t) ->
       let proc = proc_of ~kit ~mr:8 ~nr:12 in
-      let serving = fst (Option.get (C.to_ukr_ba proc)) in
+      let serving = Option.get (serving_of proc) in
       Alcotest.(check bool) (kit.Kits.name ^ ": short Ac raises (serving)") true
         (raises serving);
       Alcotest.(check bool) (kit.Kits.name ^ ": short Ac raises (tape)") true
@@ -230,14 +234,14 @@ let dot_1x1 ?dt ?preds () =
 
 let test_tape_precondition () =
   (* a KC-dependent top-level predicate stays a runtime check: the tape
-     cannot carry it, so no Bigarray executor is offered and the
-     interpreter fallback enforces it *)
+     cannot carry it, so no Bigarray executor is offered (a table refuses
+     such an entry) and only the interpreter enforces it *)
   let p = dot_1x1 ~preds:(fun kc -> [ ge (var kc) (int 4) ]) () in
   let s = Option.get (C.summarize_ukr p) in
   Alcotest.(check int) "one residual predicate" 1 s.C.Summary.n_preds;
   Alcotest.(check bool) "no tape" true (Option.is_none (C.tape_ukr_ba s));
   Alcotest.(check bool) "no Bigarray executor" true
-    (Option.is_none (C.to_ukr_ba ~certified:true p));
+    (Option.is_none (C.ukr_ba_of_summary s));
   Alcotest.(check bool) "the interpreter raises at kc = 2" true
     (try
        let interp = R.interp_entry ~dt:Dtype.F32 p ~mr:1 ~nr:1 in

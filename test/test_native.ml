@@ -719,6 +719,8 @@ let test_identity_prefetched_once () =
         Alcotest.(check bool) "the bank serves native code" true
           (t.R.t_native_info.R.ni_entries > 0);
         Alcotest.(check int) "one --version for the table build" 1 (versions ());
+        Alcotest.(check bool) "and was reaped before exo_table returned" true
+          (no_children ());
         let banner = Host.cc_identity () in
         Alcotest.(check int) "cc_identity reads the memoized banner" 1
           (versions ());
@@ -731,39 +733,6 @@ let test_identity_prefetched_once () =
       Alcotest.(check string) "prefetched banner = synchronous banner" sync
         banner;
       Alcotest.(check bool) "no child process left" true (no_children ())
-
-(* The registry's stored table entry, as its artifact is laid out. *)
-type planted_artifact = {
-  ta_mr : int;
-  ta_nr : int;
-  ta_fast : bool;
-  ta_proved : bool;
-  ta_summary : Exo_interp.Compile.Summary.t option;
-}
-[@@warning "-69"]
-
-(* A build that degrades before it computes the .so key still reaps the
-   prefetched [--version] before [exo_table] returns: a stored 1×1 entry
-   that only the interpreter serves leaves no entry eligible. *)
-let test_identity_reaped_on_early_degrade () =
-  match Host.cc () with
-  | None -> skip "no C compiler on host"
-  | Some cc ->
-      with_fresh_tables @@ fun dir ->
-      let kit = K.neon_f32 in
-      ignore
-        (Store.put (Store.of_dir dir) ~kind:"kernel"
-           ~key:(R.entry_key kit ~mr:1 ~nr:1)
-           { ta_mr = 1; ta_nr = 1; ta_fast = false; ta_proved = false;
-             ta_summary = None });
-      let wrapper, versions = logging_cc dir cc "cc-degrade" in
-      with_env Host.env_cc wrapper @@ fun () ->
-      let t = R.exo_table ~kit ~mr:1 ~nr:1 () in
-      Alcotest.(check string) "degraded before the .so key"
-        "no eligible entries" t.R.t_native_info.R.ni_reason;
-      Alcotest.(check int) "the prefetch ran once" 1 (versions ());
-      Alcotest.(check bool) "and was reaped before exo_table returned" true
-        (no_children ())
 
 (* --- graceful degradation ------------------------------------------------- *)
 
@@ -785,10 +754,8 @@ let check_degraded ~name ~reason_fragment () =
     (Fmt.str "%s: reason %S mentions %S" name ni.R.ni_reason reason_fragment)
     true
     (contains ni.R.ni_reason reason_fragment);
-  Alcotest.(check bool) (name ^ ": no native flags") true
-    (Array.for_all (fun e -> e.R.e_tier <> R.Native) t.R.t_entries);
-  Alcotest.(check bool) (name ^ ": table still complete") true
-    (R.table_complete t);
+  Alcotest.(check bool) (name ^ ": every entry Bigarray") true
+    (Array.for_all (fun e -> e.R.e_tier = R.Bigarray) t.R.t_entries);
   let m, n, k = (14, 10, 23) in
   let a = M.init m k (fun i j -> float_of_int (((i + j) mod 5) - 2)) in
   let b = M.init k n (fun i j -> float_of_int ((((2 * i) + j) mod 5) - 2)) in
@@ -857,8 +824,6 @@ let () =
         [
           Alcotest.test_case "table build: one --version, prefetched" `Quick
             test_identity_prefetched_once;
-          Alcotest.test_case "early degrade still reaps the prefetch" `Quick
-            test_identity_reaped_on_early_degrade;
         ] );
       ( "degradation",
         [
